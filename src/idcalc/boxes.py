@@ -21,7 +21,12 @@ RatLike = Union[Fraction, int, str]
 
 
 def rat(x: RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise BoxError(f"zero denominator in {x!r}") from None
 
 
 class BoxError(ValueError):

@@ -194,8 +194,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "check-relations":
         orientation = Orientation(args.orientation)
-        print(f"seed={args.seed} trials={args.trials} orientation={orientation.value}")
         reports = check_all(args.trials, args.seed, orientation, args.rules)
+        print(f"seed={args.seed} trials={args.trials} orientation={orientation.value}")
         for r in reports:
             print(r.line())
         failed = [r for r in reports if r.verdict != "Verified"]

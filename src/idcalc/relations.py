@@ -738,6 +738,8 @@ class RelationReport:
 
 def check_relation(rule_id: str, trials: int = 20, seed: int = 0,
                    orientation: Orientation = Orientation.UPPER) -> RelationReport:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if rule_id not in CATALOGUE:
         return RelationReport(rule_id, 0, "Skipped", 0.0,
                               {"reason": f"unknown rule {rule_id!r}"})

@@ -240,6 +240,8 @@ def comb_grid(n: int, grid: int, eps: float, extent: float = 0.99,
     pts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
     inside = _norm(pts) < extent
     pts = pts[inside]
+    if not len(pts):
+        raise SphereError("no grid point lies inside the disc")
 
     h = FD_STEP
     proj = (_grid_core(pts, h, br) - _grid_core(pts, -h, br)) / (2 * h)

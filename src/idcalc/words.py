@@ -16,9 +16,9 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import Box, domint
 from .polynomials import Orientation, Poly, PolyFun, apply_word
@@ -120,10 +120,12 @@ def parse_word(text: str) -> Word:
 #
 # Each relation is a two-sided rule between one- or two-generator windows.
 # Patterns are lists of (kind, var, offset): the matched generator index
-# must equal var + offset, where var is one of the rule variables i, j.
+# must equal var + offset, where var is one of the rule variables i, j, or
+# None for the fixed index offset.  Every side names i, and every side of
+# a rule that uses j names j.
 
 
-Pat = tuple[GenKind, str, int]
+Pat = tuple[GenKind, Optional[str], int]
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,14 @@ class Relation:
     left: tuple[Pat, ...]
     right: tuple[Pat, ...]
     cond: Callable[[int, Optional[int]], bool]
-    uses_j: bool
+
+    @property
+    def uses_j(self) -> bool:
+        return any(var == "j" for _, var, _ in self.left + self.right)
 
 
-def _rel(rule_id, left, right, cond=lambda i, j: True, uses_j=True):
-    return Relation(rule_id, tuple(left), tuple(right), cond, uses_j)
+def _rel(rule_id, left, right, cond=lambda i, j: True):
+    return Relation(rule_id, tuple(left), tuple(right), cond)
 
 
 K = GenKind
@@ -153,15 +158,14 @@ RELATIONS: dict[str, Relation] = {r.rule_id: r for r in [
     _rel("derint.iii",
          [(K.PART, "i", 1), (K.INT, "j", 0)], [(K.INT, "j", 0), (K.PART, "i", 0)],
          lambda i, j: i > j),
-    _rel("coordint.i",
-         [(K.PROJ, "i", 0)], [(K.PROJ, "i", 0)],  # placeholder, see below
-         uses_j=False),
+    _rel("coordint.i",  # the one rule whose sides differ in length
+         [(K.PROJ, "i", 0)], [(K.PROJ, None, 1), (K.PROJ, "i", 0)]),
     _rel("coordint.ii",
          [(K.PROJ, "i", 0), (K.INT, "j", 0)], [(K.INT, "j", 0), (K.PROJ, "i", 0)]),
     _rel("coordint.iii",
          [(K.PROJ, "i", 0), (K.PART, "j", 0)], [(K.PART, "j", 0), (K.PROJ, "i", 0)]),
     _rel("leftproj.i",
-         [(K.SUB_HI, "i", 0)], [(K.PART, "i", 1), (K.INT, "i", 0)], uses_j=False),
+         [(K.SUB_HI, "i", 0)], [(K.PART, "i", 1), (K.INT, "i", 0)]),
     _rel("leftproj.ii",
          [(K.SUB_HI, "i", 0), (K.SUB_HI, "j", 0)], [(K.SUB_HI, "j", 1), (K.SUB_HI, "i", 0)],
          lambda i, j: i <= j),
@@ -180,7 +184,7 @@ RELATIONS: dict[str, Relation] = {r.rule_id: r for r in [
     _rel("leftproj.vii",
          [(K.SUB_HI, "i", 0), (K.PROJ, "j", 0)], [(K.PROJ, "j", 0), (K.SUB_HI, "i", 0)]),
     _rel("rightproj.i",
-         [(K.SUB_LO, "i", 0)], [(K.PART, "i", 0), (K.INT, "i", 0)], uses_j=False),
+         [(K.SUB_LO, "i", 0)], [(K.PART, "i", 0), (K.INT, "i", 0)]),
     _rel("rightproj.ii",
          [(K.SUB_LO, "i", 0), (K.SUB_LO, "j", 0)], [(K.SUB_LO, "j", 1), (K.SUB_LO, "i", 0)],
          lambda i, j: i <= j),
@@ -206,16 +210,6 @@ RELATIONS: dict[str, Relation] = {r.rule_id: r for r in [
          lambda i, j: i + 1 > j),
 ]}
 
-# coordint.i is the only rule whose sides have different lengths and an
-# independent index on each side: p_i ~ p_1 p_i.
-RELATIONS["coordint.i"] = Relation(
-    "coordint.i",
-    ((K.PROJ, "i", 0),),
-    ((K.PROJ, "_one", 0), (K.PROJ, "i", 0)),
-    lambda i, j: True,
-    False,
-)
-
 FORWARD = "forward"
 BACKWARD = "backward"
 
@@ -228,57 +222,48 @@ def _match_side(gens: Sequence[Gen], pos: int, pats: Sequence[Pat]) -> Optional[
         if g.kind is not kind:
             return None
         val = g.index - off
-        if val < 1 and var != "_one":
-            return None
-        if var == "_one":
-            if g.index != 1:
+        if var is None:
+            if val != 0:
                 return None
-            continue
-        if var in binding and binding[var] != val:
+        elif val < 1 or binding.setdefault(var, val) != val:
             return None
-        binding[var] = val
     return binding
 
 
 def _emit(pats: Sequence[Pat], binding: dict) -> tuple[Gen, ...]:
-    out = []
-    for kind, var, off in pats:
-        idx = 1 if var == "_one" else binding[var] + off
-        out.append(Gen(kind, idx))
-    return tuple(out)
+    return tuple(Gen(kind, off if var is None else binding[var] + off)
+                 for kind, var, off in pats)
+
+
+def _rewrite(w: Word, pos: int, rel: Relation, direction: str) -> Optional[Word]:
+    """The word after one step of rel at the window starting at pos
+    (0-based), or None when the window does not match or the side
+    condition fails.  relation_step, applicable_steps, oriented_steps and
+    normalize all rewrite through it."""
+    src, dst = (rel.left, rel.right) if direction == FORWARD else (rel.right, rel.left)
+    binding = _match_side(w.gens, pos, src)
+    if binding is None or not rel.cond(binding["i"], binding.get("j")):
+        return None
+    return Word(w.gens[:pos] + _emit(dst, binding) + w.gens[pos + len(src):])
 
 
 def relation_step(w: Word, pos: int, rule_id: str, direction: str = FORWARD) -> Word:
     """Apply one relation at a window starting at pos (0-based)."""
     if rule_id not in RELATIONS:
         raise WordError(f"unknown relation {rule_id!r}")
-    rel = RELATIONS[rule_id]
-    src, dst = (rel.left, rel.right) if direction == FORWARD else (rel.right, rel.left)
-    binding = _match_side(w.gens, pos, src)
-    if binding is None:
-        raise WordError(f"{rule_id} ({direction}) does not match at position {pos}")
-    i = binding.get("i", 1)
-    j = binding.get("j")
-    if rel.uses_j and j is None:
-        raise WordError(f"{rule_id} pattern did not bind j")
-    if not rel.cond(i, j):
-        raise WordError(f"{rule_id} side condition fails for i={i}, j={j}")
-    repl = _emit(dst, binding)
-    return Word(w.gens[:pos] + repl + w.gens[pos + len(src):])
+    out = _rewrite(w, pos, RELATIONS[rule_id], direction)
+    if out is None:
+        raise WordError(f"{rule_id} ({direction}) does not apply at position {pos}")
+    return out
 
 
 def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
     """All (pos, rule_id, direction) triples that relation_step accepts."""
-    out = []
-    for pos in range(len(w.gens)):
-        for rule_id in RELATIONS:
-            for direction in (FORWARD, BACKWARD):
-                try:
-                    relation_step(w, pos, rule_id, direction)
-                except WordError:
-                    continue
-                out.append((pos, rule_id, direction))
-    return out
+    return [(pos, rule_id, direction)
+            for pos in range(len(w.gens))
+            for rule_id, rel in RELATIONS.items()
+            for direction in (FORWARD, BACKWARD)
+            if _rewrite(w, pos, rel, direction) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -288,47 +273,52 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # endpoint substitution into its derivative-integral pair, (2) absorb p1
 # before another projection, (3) move projections left, (4) pull
 # derivatives leftward across integrals with the index shifts, (5) order
-# integral runs by the shuffle rule, (6) sort derivative runs.  The
-# derivative moves outrank the integral shuffle: the two races on
-# overlapping windows (an integral shared by a shuffle redex and a
-# derivative move) otherwise produce distinct irreducible words.
+# integral runs by the shuffle rule, (6) sort derivative runs into
+# descending order.  Each oriented rule is a table relation in one
+# direction; derint.i alone also carries the orientation condition i < j,
+# because it holds for every i, j and equal indices would rewrite D_i D_i
+# to itself forever.  The derivative moves outrank the integral shuffle:
+# the two races on overlapping windows (an integral shared by a shuffle
+# redex and a derivative move) otherwise produce distinct irreducible
+# words.  ``_rewrite`` finds and builds every step.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
-# and leaves the earlier measures untouched.  Confluence across random
-# schedules is checked empirically by the suite.
+# and leaves the earlier measures untouched.  Confluence is checked by the
+# suite, across random schedules and exhaustively for short words.
 
-_PRIORITY_CLASSES: tuple[tuple[tuple[str, str, Optional[str]], ...], ...] = (
-    (("leftproj.i", FORWARD, None),        # q_i -> D_{i+1} I_i
-     ("rightproj.i", FORWARD, None)),      # Q_i -> D_i I_i
-    (("coordint.i", BACKWARD, None),),     # p1 p_i -> p_i
-    (("coordint.ii", BACKWARD, None),      # I_j p_i -> p_i I_j
-     ("coordint.iii", BACKWARD, None)),    # D_j p_i -> p_i D_j
-    (("derint.ii", BACKWARD, None),        # I_j D_i -> D_i I_j       (i < j)
-     ("derint.iii", BACKWARD, None)),      # I_j D_i -> D_{i+1} I_j   (i > j)
-    (("intint", FORWARD, None),),          # I_i I_j -> I_{j+1} I_i   (i < j)
-    (("derint.i", FORWARD, "sort"),),      # D_i D_j -> D_j D_i       (i < j)
+_PRIORITY_CLASSES: tuple[tuple[tuple[str, str], ...], ...] = (
+    (("leftproj.i", FORWARD),        # q_i -> D_{i+1} I_i
+     ("rightproj.i", FORWARD)),      # Q_i -> D_i I_i
+    (("coordint.i", BACKWARD),),     # p1 p_i -> p_i
+    (("coordint.ii", BACKWARD),      # I_j p_i -> p_i I_j
+     ("coordint.iii", BACKWARD)),    # D_j p_i -> p_i D_j
+    (("derint.ii", BACKWARD),        # I_j D_i -> D_i I_j       (i < j)
+     ("derint.iii", BACKWARD)),      # I_j D_i -> D_{i+1} I_j   (i > j)
+    (("intint", FORWARD),),          # I_i I_j -> I_{j+1} I_i   (i < j)
+    (("derint.i", FORWARD),),        # D_i D_j -> D_j D_i       (i < j)
 )
+
+# the relations as the normalizer orients them
+_ORIENTED = {**RELATIONS,
+             "derint.i": replace(RELATIONS["derint.i"], cond=lambda i, j: i < j)}
 
 _NORMALIZE_CAP = 200_000
 
 
-def _class_steps(w: Word, rules) -> list[tuple[int, str, str]]:
-    out = []
-    for pos in range(len(w.gens)):
-        for rule_id, direction, mode in rules:
-            if mode == "sort":
-                if pos + 1 < len(w.gens):
-                    a, b = w.gens[pos], w.gens[pos + 1]
-                    if a.kind is K.PART and b.kind is K.PART and a.index < b.index:
-                        out.append((pos, rule_id, direction))
-                continue
-            try:
-                relation_step(w, pos, rule_id, direction)
-            except WordError:
-                continue
-            out.append((pos, rule_id, direction))
-    return out
+def _oriented_redexes(w: Word) -> Iterator[tuple[int, str, str, Word]]:
+    """(pos, rule_id, direction, rewritten word) for every redex of the
+    highest priority class that has one, leftmost first."""
+    for rules in _PRIORITY_CLASSES:
+        found = False
+        for pos in range(len(w.gens)):
+            for rule_id, direction in rules:
+                out = _rewrite(w, pos, _ORIENTED[rule_id], direction)
+                if out is not None:
+                    found = True
+                    yield pos, rule_id, direction, out
+        if found:
+            return
 
 
 def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
@@ -336,14 +326,9 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
     class, except that the integral shuffle is serialized leftmost
     (contraction order of disjoint shuffle redexes is observable through
     later derivative moves).  Any schedule choosing among these reaches
-    the same normal form (checked empirically by the confluence suite)."""
-    for rules in _PRIORITY_CLASSES:
-        steps = _class_steps(w, rules)
-        if steps:
-            if rules[0][0] == "intint":
-                return steps[:1]
-            return steps
-    return []
+    the same normal form (checked by the confluence suite)."""
+    steps = [redex[:3] for redex in _oriented_redexes(w)]
+    return steps[:1] if steps and steps[0][1] == "intint" else steps
 
 
 def normalize(w: Word) -> Word:
@@ -351,10 +336,10 @@ def normalize(w: Word) -> Word:
     priority class until none applies."""
     cur = w
     for _ in range(_NORMALIZE_CAP):
-        steps = oriented_steps(cur)
-        if not steps:
+        redex = next(_oriented_redexes(cur), None)
+        if redex is None:
             return cur
-        cur = relation_step(cur, *steps[0])
+        cur = redex[3]
     raise RuntimeError("normalization exceeded the step cap")  # pragma: no cover
 
 
@@ -402,9 +387,6 @@ class Unknown:
     pass
 
 
-Verdict = object  # Equal | NotEqual | Unknown
-
-
 def _random_polyfun(rng: random.Random, max_vars: int = 3, max_deg: int = 4,
                     cod_choices: Sequence[int] = (1, 1, 2)) -> PolyFun:
     m = rng.randint(1, max_vars)
@@ -443,29 +425,28 @@ def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0,
     return Unknown()
 
 
+def _relation_sides(rule_id: str, i: int, j: Optional[int]) -> tuple[Word, Word]:
+    """Both sides of one relation instance."""
+    rel = RELATIONS[rule_id]
+    if rel.uses_j and j is None:
+        raise WordError(f"{rule_id} needs j")
+    if not rel.cond(i, j):
+        raise WordError(f"side condition fails for {rule_id} with i={i}, j={j}")
+    binding = {"i": i} if j is None else {"i": i, "j": j}
+    return Word(_emit(rel.left, binding)), Word(_emit(rel.right, binding))
+
+
 def relation_holds_on(rule_id: str, i: int, j: Optional[int], f: PolyFun,
                       orientation: Orientation = Orientation.UPPER) -> bool:
     """Check one relation instance semantically on a single function."""
-    rel = RELATIONS[rule_id]
-    binding = {"i": i}
-    if j is not None:
-        binding["j"] = j
-    if rel.uses_j and j is None:
-        raise WordError(f"{rule_id} needs j")
-    if not rel.cond(i, binding.get("j")):
-        raise WordError(f"side condition fails for {rule_id} with i={i}, j={j}")
-    lhs = Word(_emit(rel.left, binding))
-    rhs = Word(_emit(rel.right, binding))
+    lhs, rhs = _relation_sides(rule_id, i, j)
     return apply_word(lhs, f, orientation) == apply_word(rhs, f, orientation)
 
 
 def relation_instances(max_index: int = 4) -> Iterable[tuple[str, int, Optional[int]]]:
     """All relation instances with indices bounded by max_index."""
+    indices = range(1, max_index + 1)
     for rule_id, rel in RELATIONS.items():
-        if rel.uses_j:
-            for i, j in itertools.product(range(1, max_index + 1), repeat=2):
-                if rel.cond(i, j):
-                    yield rule_id, i, j
-        else:
-            for i in range(1, max_index + 1):
-                yield rule_id, i, None
+        for i, j in itertools.product(indices, indices if rel.uses_j else (None,)):
+            if rel.cond(i, j):
+                yield rule_id, i, j

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from idcalc.cli import main
 
 
@@ -136,3 +138,38 @@ def test_stdin_term(capsys, monkeypatch):
     code, out, _ = run(capsys, "parse", "-")
     assert code == 0
     assert out.strip() == "{poly 1->1 on R : 1 x1}"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_relations_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "check-relations", "--trials", trials,
+                         "--orientation", "lower", "--rules", "R16")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: trials must be >= 1, got {trials}"
+
+
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_comb_sphere_grid_without_interior_point(capsys, grid):
+    code, out, err = run(capsys, "comb-sphere", "--grid", grid)
+    assert code == 1
+    assert err.strip() == "error: no grid point lies inside the disc"
+
+
+def test_comb_sphere_smallest_grid_with_interior_point(capsys):
+    code, out, err = run(capsys, "comb-sphere", "--grid", "3")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2  # header and the centre point
+    assert "vanishing-radius=" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "{poly 1->1 on R : 1/0 x1}"],
+    ["eval", "{poly 1->1 on (1/0,2) : 1 x1}"],
+    ["prederiv", "D{ core=poly 1->2 on (-1,1) : 1 x1; 1 x1^2; u=(1/0); }"],
+], ids=["coefficient", "box-endpoint", "direction"])
+def test_zero_denominator_is_a_domain_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "'1/0'" in lines[0]
