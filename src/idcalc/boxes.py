@@ -209,30 +209,9 @@ def parse_box(text: str) -> Box:
 # ---------------------------------------------------------------------------
 # closed conservative enclosures (interval arithmetic for the range guard)
 
-_NEG = "-inf"
-_POS = "+inf"
-ExtRat = Union[Fraction, str]  # Fraction, "-inf" or "+inf"
-
-
-def _ext_mul(a: ExtRat, b: ExtRat) -> ExtRat:
-    # 0 * inf = 0: enclosures describe sets of reals, never actual infinities.
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    for x, y in ((a, b), (b, a)):
-        if isinstance(y, Fraction):
-            if y == 0:
-                return Fraction(0)
-            pos = (x == _POS) == (y > 0)
-            return _POS if pos else _NEG
-    return _POS if a == b else _NEG
-
-
-def _ext_cmp_key(a: ExtRat) -> tuple:
-    if a == _NEG:
-        return (-1, 0)
-    if a == _POS:
-        return (1, 0)
-    return (0, a)
+def _sign(end: Optional[Fraction], inf_sign: int) -> int:
+    """Sign of a nonzero enclosure end; an infinite end has inf_sign."""
+    return inf_sign if end is None else (1 if end > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -241,12 +220,6 @@ class Enclosure:
 
     lo: Optional[Fraction]
     hi: Optional[Fraction]
-
-    def _elo(self) -> ExtRat:
-        return _NEG if self.lo is None else self.lo
-
-    def _ehi(self) -> ExtRat:
-        return _POS if self.hi is None else self.hi
 
     @staticmethod
     def const(c: RatLike) -> "Enclosure":
@@ -259,13 +232,24 @@ class Enclosure:
         return Enclosure(lo, hi)
 
     def mul(self, other: "Enclosure") -> "Enclosure":
-        cands = [_ext_mul(a, b)
-                 for a in (self._elo(), self._ehi())
-                 for b in (other._elo(), other._ehi())]
-        lo = min(cands, key=_ext_cmp_key)
-        hi = max(cands, key=_ext_cmp_key)
-        return Enclosure(None if lo == _NEG else lo,  # type: ignore[arg-type]
-                         None if hi == _POS else hi)  # type: ignore[arg-type]
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a is not None and b is not None and c is not None and d is not None:
+            ps = (a * c, a * d, b * c, b * d)
+            return Enclosure(min(ps), max(ps))
+        # An infinite end enters through its sign alone, and 0 * inf = 0:
+        # enclosures describe sets of reals, never actual infinities.
+        finite: list[Fraction] = []
+        inf_signs = set()
+        for x, sx in ((a, -1), (b, 1)):
+            for y, sy in ((c, -1), (d, 1)):
+                if x is not None and y is not None:
+                    finite.append(x * y)
+                elif x == 0 or y == 0:
+                    finite.append(Fraction(0))
+                else:
+                    inf_signs.add(_sign(x, sx) * _sign(y, sy))
+        return Enclosure(None if -1 in inf_signs else min(finite),
+                         None if 1 in inf_signs else max(finite))
 
     def scale(self, c: RatLike) -> "Enclosure":
         return self.mul(Enclosure.const(c))

@@ -635,6 +635,8 @@ def _parse_monomial(text: str, arity: int) -> tuple[Key, Fraction]:
     try:
         coeff = rat(parts[0])
         factors = parts[1:]
+    except BoxError:
+        raise
     except ValueError:
         coeff = Fraction(1)
         factors = parts

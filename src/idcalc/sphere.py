@@ -2,8 +2,9 @@
 bridge, and the combing field with its vanishing-locus diagnostics.
 
 This is the one floating-point layer of the package (the chart maps are
-transcendental).  Geometry tolerances are fixed at 1e-12 and derivative
-sampling uses central differences with step 1e-5.  Chart-transition
+transcendental).  Derivatives of the combing core are central differences
+with step 1e-5, taken through one batched core map that serves a single
+point, a certificate's offsets and a grid sweep alike.  Chart-transition
 differentials on polynomial transitions stay exact and delegate to the
 pre-derivation module.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -20,8 +21,11 @@ from .boxes import rat
 from .polynomials import Poly, PolyFun
 from .prederiv import PreDeriv, pre_diff
 
-GEOM_TOL = 1e-12
 FD_STEP = 1e-5
+CERT_RADIUS = 1e-3  # certificate offsets t range over [-CERT_RADIUS, CERT_RADIUS]
+CERT_SAMPLES = 21  # offsets per comb_certificate call
+GRID_CERT_SAMPLES = 9  # offsets per grid point in comb_grid
+GRID_EXTENT = 0.99  # comb_grid samples the disc of this radius
 
 
 class SphereError(ValueError):
@@ -150,15 +154,15 @@ class Bridge:
         return float(_hermite_deriv(self.arc1, 0.5))
 
 
-def make_bridge(eps: float, mid_slope: float = 1.0) -> Bridge:
-    """Two monotone cubic arcs joining the forced linear pieces; the
-    derivative minimum of each arc is computed in closed form and must be
-    positive."""
+def make_bridge(eps: float) -> Bridge:
+    """Two monotone cubic arcs joining the forced linear pieces with slope 1
+    at 1/2; the derivative minimum of each arc is computed in closed form
+    and must be positive."""
     if not 0 < eps < 1 / 6:
         raise SphereError("eps must lie in (0, 1/6)")
     lk, rk = 1 / 3 + eps, 2 / 3 - eps
-    arc1 = _hermite(lk, 0.5, lk - 4 / 3, 0.0, 1.0, mid_slope)
-    arc2 = _hermite(0.5, rk, 0.0, rk, mid_slope, 1.0)
+    arc1 = _hermite(lk, 0.5, lk - 4 / 3, 0.0, 1.0, 1.0)
+    arc2 = _hermite(0.5, rk, 0.0, rk, 1.0, 1.0)
     if _hermite_deriv_min(arc1) <= 0 or _hermite_deriv_min(arc2) <= 0:
         raise SphereError("bridge arcs are not strictly increasing")  # pragma: no cover
     return Bridge(eps, arc1, arc2)
@@ -174,84 +178,82 @@ def bridge_hat(bridge: Bridge, w: np.ndarray) -> np.ndarray:
 # the combing field
 
 
-def comb_core(y: Sequence[float], t: float, bridge: Bridge) -> np.ndarray:
-    """Scalar-sample API for the core map at one chart point."""
+def comb_core(y: Sequence[float], t: Union[float, np.ndarray],
+              bridge: Bridge) -> np.ndarray:
+    """Core map at chart points y of shape (..., n) for the offset t, a
+    scalar or one per point: -t e1 in the inner region, the bridged
+    transition of the shifted point on the annulus."""
     y = np.asarray(y, dtype=float)
-    r = float(_norm(y))
-    n = y.shape[0]
-    if r >= 1:
+    r = _norm(y)
+    if (r >= 1).any():
         raise SphereError("chart points must have norm < 1")
-    if r <= bridge.left_knot:
-        out = np.zeros(n)
-        out[0] = -t
-        return out
-    base = _transition_unchecked(y)
-    v = base.copy()
-    v[0] += t
-    return bridge_hat(bridge, _transition_unchecked(v)) - bridge_hat(bridge, y)
+    per_point = np.ndim(t) > 0
+    out = np.zeros_like(y)
+    inner = r <= bridge.left_knot
+    out[inner, 0] = -(t[inner] if per_point else t)
+    ann = ~inner
+    if ann.any():
+        ya = y[ann]
+        v = _transition_unchecked(ya)
+        v[..., 0] += t[ann] if per_point else t
+        out[ann] = bridge_hat(bridge, _transition_unchecked(v)) - bridge_hat(bridge, ya)
+    return out
 
 
-def comb_classical(y: Sequence[float], n: int, eps: float, h: float = FD_STEP,
-                   bridge: Optional[Bridge] = None) -> np.ndarray:
-    """Classical projection of the combing field: central finite-difference
-    derivative of the core at 0 in the first coordinate; the constant
-    -e1 inside the inner region."""
+def _core_slope(y: np.ndarray, t: Union[float, np.ndarray],
+                bridge: Bridge) -> np.ndarray:
+    """Central difference quotient of the core in the offset at t."""
+    return (comb_core(y, t + FD_STEP, bridge) - comb_core(y, t - FD_STEP, bridge)) / (2 * FD_STEP)
+
+
+def _chart_point(y: Sequence[float], n: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if y.shape[-1] != n:
+    if y.shape != (n,):
         raise SphereError("point dimension disagrees with n")
-    br = bridge if bridge is not None else make_bridge(eps)
-    r = float(_norm(y))
-    if r >= 1:
-        raise SphereError("chart points must have norm < 1")
-    if r <= br.left_knot:
-        out = np.zeros(n)
-        out[0] = -1.0
-        return out
-    return (comb_core(y, h, br) - comb_core(y, -h, br)) / (2 * h)
+    return y
 
 
-def comb_certificate(y: Sequence[float], n: int, eps: float,
-                     bridge: Optional[Bridge] = None,
-                     samples: int = 21, radius: float = 1e-3) -> float:
+def comb_classical(y: Sequence[float], n: int, eps: float) -> np.ndarray:
+    """Classical projection of the combing field: the derivative of the
+    core at offset 0; the constant -e1 inside the inner region."""
+    return _core_slope(_chart_point(y, n), 0.0, make_bridge(eps))
+
+
+def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
     """Nonvanishing certificate: the largest central difference quotient of
-    the core over sample offsets |t| <= radius; strictly positive on the
-    whole disc."""
-    br = bridge if bridge is not None else make_bridge(eps)
-    ts = np.linspace(-radius, radius, samples)
-    h = FD_STEP
-    best = 0.0
-    for t in ts:
-        qt = (comb_core(y, t + h, br) - comb_core(y, t - h, br)) / (2 * h)
-        best = max(best, float(np.sqrt(np.sum(qt ** 2))))
-    return best
+    the core over sample offsets |t| <= CERT_RADIUS; strictly positive on
+    the whole disc."""
+    y = _chart_point(y, n)
+    ts = np.linspace(-CERT_RADIUS, CERT_RADIUS, CERT_SAMPLES)
+    q = _core_slope(np.broadcast_to(y, (CERT_SAMPLES, n)), ts, make_bridge(eps))
+    return float(np.max(_norm(q), initial=0.0))
 
 
-def comb_grid(n: int, grid: int, eps: float, extent: float = 0.99,
-              cert_samples: int = 9, cert_radius: float = 1e-3) -> dict:
+def comb_grid(n: int, grid: int, eps: float) -> dict:
     """Vectorized sweep over a grid in the chart disc (n = 2 layout):
     classical projections, their norms, certificates, and the measured
     vanishing radius (radius of the grid point with the smallest
     projection norm)."""
     if n != 2:
         raise SphereError("the grid sweep is laid out for n = 2")
+    if grid < 1:
+        raise SphereError(f"grid must be >= 1, got {grid}")
     br = make_bridge(eps)
-    axis = np.linspace(-extent, extent, grid)
+    axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, grid)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
-    inside = _norm(pts) < extent
+    inside = _norm(pts) < GRID_EXTENT
     pts = pts[inside]
     if not len(pts):
         raise SphereError("no grid point lies inside the disc")
 
-    h = FD_STEP
-    proj = (_grid_core(pts, h, br) - _grid_core(pts, -h, br)) / (2 * h)
-    projnorm = np.sqrt(np.sum(proj ** 2, axis=-1))
+    proj = _core_slope(pts, 0.0, br)
+    projnorm = _norm(proj)
 
-    ts = np.linspace(-cert_radius, cert_radius, cert_samples)
+    # one offset per pass keeps peak memory at one batch of points
     cert = np.zeros(len(pts))
-    for t in ts:
-        qt = (_grid_core(pts, t + h, br) - _grid_core(pts, t - h, br)) / (2 * h)
-        cert = np.maximum(cert, np.sqrt(np.sum(qt ** 2, axis=-1)))
+    for t in np.linspace(-CERT_RADIUS, CERT_RADIUS, GRID_CERT_SAMPLES):
+        cert = np.maximum(cert, _norm(_core_slope(pts, t, br)))
 
     radii = _norm(pts)
     vanish_idx = int(np.argmin(projnorm))
@@ -265,23 +267,6 @@ def comb_grid(n: int, grid: int, eps: float, extent: float = 0.99,
         "min_certificate": float(np.min(cert)),
         "min_projection_norm": float(np.min(projnorm)),
     }
-
-
-def _grid_core(pts: np.ndarray, t: float, bridge: Bridge) -> np.ndarray:
-    """Core map evaluated at one offset for a batch of chart points."""
-    n = pts.shape[-1]
-    r = _norm(pts)
-    out = np.zeros_like(pts)
-    inner = r <= bridge.left_knot
-    out[inner, 0] = -t
-    ann = ~inner
-    if np.any(ann):
-        ya = pts[ann]
-        base = _transition_unchecked(ya)
-        v = base.copy()
-        v[:, 0] += t
-        out[ann] = bridge_hat(bridge, _transition_unchecked(v)) - bridge_hat(bridge, ya)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,8 @@ def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0,
     agreement on every trial with distinct normal forms is honest Unknown
     (the relation table is sound but not complete for the smooth action).
     """
+    if trials < 1:
+        raise WordError(f"trials must be >= 1, got {trials}")
     if normalize(w1) == normalize(w2):
         return Equal()
     rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,35 @@ def test_enclosure_arithmetic():
     half_line = Enclosure(Fraction(0), None)
     assert half_line.mul(half_line) == Enclosure(Fraction(0), None)
     assert e.mul(half_line) == Enclosure(None, None)
+
+
+# dyadic ends keep every float product below exact; None is an infinite end
+DYADIC_ENDS = [None, Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
+               Fraction(1, 4), Fraction(1), Fraction(3, 2)]
+DYADIC_ENCLOSURES = [Enclosure(lo, hi) for lo in DYADIC_ENDS for hi in DYADIC_ENDS
+                     if lo is None or hi is None or lo <= hi]
+
+
+def _float_ends(e):
+    return (-math.inf if e.lo is None else float(e.lo),
+            math.inf if e.hi is None else float(e.hi))
+
+
+def _float_mul(p, q):
+    """Reference interval product over floats, reading 0 * inf as 0."""
+    ps = [0.0 if x == 0 or y == 0 else x * y for x in p for y in q]
+    return min(ps), max(ps)
+
+
+def test_enclosure_mul_and_pow_match_float_reference():
+    assert len(DYADIC_ENCLOSURES) == 43
+    for a in DYADIC_ENCLOSURES:
+        for b in DYADIC_ENCLOSURES:
+            assert _float_ends(a.mul(b)) == _float_mul(_float_ends(a), _float_ends(b)), (a, b)
+        want = (1.0, 1.0)
+        for e in range(5):
+            assert _float_ends(a.pow(e)) == want, (a, e)
+            want = _float_mul(want, _float_ends(a))
 
 
 def test_enclosure_containment_in_open_ray():

@@ -149,6 +149,22 @@ def test_check_relations_rejects_nonpositive_trials(capsys, trials):
     assert err.strip() == f"error: trials must be >= 1, got {trials}"
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_word_eq_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "word-eq", "q1", "q2", "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: trials must be >= 1, got {trials}"
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_comb_sphere_rejects_nonpositive_grid(capsys, grid):
+    code, out, err = run(capsys, "comb-sphere", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: grid must be >= 1, got {grid}"
+
+
 @pytest.mark.parametrize("grid", ["1", "2"])
 def test_comb_sphere_grid_without_interior_point(capsys, grid):
     code, out, err = run(capsys, "comb-sphere", "--grid", grid)
@@ -172,4 +188,4 @@ def test_zero_denominator_is_a_domain_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "'1/0'" in lines[0]
+    assert lines == ["error: zero denominator in '1/0'"]

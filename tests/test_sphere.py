@@ -224,3 +224,14 @@ def test_classical_projection_rejects_outside_disc():
         comb_classical([1.2, 0.0], 2, EPS)
     with pytest.raises(SphereError):
         comb_classical([0.5, 0.0], 3, EPS)
+    with pytest.raises(SphereError):
+        comb_certificate([1.2, 0.0], 2, EPS)
+    with pytest.raises(SphereError):
+        comb_certificate([0.5, 0.0], 3, EPS)
+
+
+def test_classical_projection_is_the_grid_row():
+    # the scalar projection and the sweep run the same core, bit for bit
+    data = comb_grid(2, 60, EPS)
+    for pt, row in zip(data["points"], data["projection"]):
+        assert np.array_equal(comb_classical(pt, 2, EPS), row)
