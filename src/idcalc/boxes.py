@@ -20,6 +20,15 @@ Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 
+class IdcalcError(ValueError):
+    """Root of every error the package raises on bad input; the command
+    line reports it with exit code 1."""
+
+
+class BoxError(IdcalcError):
+    pass
+
+
 def rat(x: RatLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -27,10 +36,8 @@ def rat(x: RatLike) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise BoxError(f"zero denominator in {x!r}") from None
-
-
-class BoxError(ValueError):
-    pass
+    except ValueError:
+        raise BoxError(f"not a rational number: {x!r}") from None
 
 
 # ---------------------------------------------------------------------------

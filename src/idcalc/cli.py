@@ -10,56 +10,57 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
-from .boxes import Box, BoxError, parse_box
-from .evaluation import EvalError, eval_term, instantiate
-from .polynomials import (CompositionGuardError, Orientation, PolyError,
-                          format_polyfun, parse_polyfun, polyfun_to_json)
+from .boxes import IdcalcError, parse_box
+from .evaluation import eval_term, instantiate
+from .polynomials import Orientation, format_polyfun, parse_polyfun, polyfun_to_json
 from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
                        eval_smooth, format_prederiv, parse_prederiv,
                        smooth_kernel_test)
 from .relations import check_all, reports_to_json
-from .terms import TermError, classify, format_term, max_augment, parse_term, signature
-from .words import Equal, NotEqual, WordError, normalize, parse_word, word_eq
+from .terms import Term, classify, format_term, max_augment, parse_term, signature
+from .words import Equal, NotEqual, normalize, parse_word, word_eq
 
-DOMAIN_ERRORS = (BoxError, PolyError, TermError, WordError, EvalError,
-                 PreDerivError, CompositionGuardError, ValueError)
+DOMAIN_ERRORS = IdcalcError
 
 
-def _read_env(path: Optional[str]) -> dict[str, Box]:
-    """Opaque-generator preamble: one `name : <box>` per line."""
-    env: dict[str, Box] = {}
+def _read_defs(path: Optional[str], sep: str, parse: Callable[[str], object]) -> dict:
+    """A definitions file: one `name <sep> value` per line; blank lines
+    and lines starting with # are skipped."""
     if not path:
-        return env
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, box_s = line.partition(":")
-            env[name.strip()] = parse_box(box_s)
-    return env
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise IdcalcError(f"cannot read {path!r}: {reason}") from None
+    defs = {}
+    for line in map(str.strip, lines):
+        if line and not line.startswith("#"):
+            name, _, value = line.partition(sep)
+            defs[name.strip()] = parse(value)
+    return defs
 
 
-def _read_inst(path: Optional[str]) -> dict:
-    inst = {}
-    if not path:
-        return inst
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, fn_s = line.partition("=")
-            inst[name.strip()] = parse_polyfun(fn_s)
-    return inst
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IdcalcError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _term_text(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
     return arg
+
+
+def _term_arg(args: argparse.Namespace) -> Term:
+    """The term argument (- reads stdin), parsed against the --env file."""
+    return parse_term(_term_text(args.term), _read_defs(args.env, ":", parse_box))
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -145,12 +146,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "parse":
-        t = parse_term(_term_text(args.term), _read_env(args.env))
+        t = _term_arg(args)
         _emit({"term": format_term(t)}, args.json, format_term(t))
         return 0
 
     if args.command == "typecheck":
-        t = parse_term(_term_text(args.term), _read_env(args.env))
+        t = _term_arg(args)
         sig = signature(t, strict=not args.permissive)
         frag = classify(t)
         text = f"dom {sig.dom}  cod R^{sig.cod_dim}  fragment {frag}"
@@ -179,13 +180,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 2
 
     if args.command == "normalize-term":
-        t = max_augment(parse_term(_term_text(args.term), _read_env(args.env)))
+        t = max_augment(_term_arg(args))
         _emit({"term": format_term(t)}, args.json, format_term(t))
         return 0
 
     if args.command == "eval":
-        t = parse_term(_term_text(args.term), _read_env(args.env))
-        inst = _read_inst(args.inst)
+        t = _term_arg(args)
+        inst = _read_defs(args.inst, "=", parse_polyfun)
         if inst:
             t = instantiate(t, inst)
         f = eval_term(t, permissive=args.permissive)
@@ -195,14 +196,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "check-relations":
         orientation = Orientation(args.orientation)
         reports = check_all(args.trials, args.seed, orientation, args.rules)
-        print(f"seed={args.seed} trials={args.trials} orientation={orientation.value}")
-        for r in reports:
-            print(r.line())
         failed = [r for r in reports if r.verdict != "Verified"]
         report_path = args.report or ("relation_report.json" if failed else None)
         if report_path:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(reports_to_json(reports))
+            _write_text(report_path, reports_to_json(reports))
+        print(f"seed={args.seed} trials={args.trials} orientation={orientation.value}")
+        for r in reports:
+            print(r.line())
+        if report_path:
             print(f"report written to {report_path}")
         return 2 if failed else 0
 
@@ -242,8 +243,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                         f"{pn:.6e},{ce:.6e}")
         body = "\n".join(rows)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
+            _write_text(args.out, body + "\n")
         else:
             print(body)
         print(f"vanishing-radius={data['vanishing_radius']:.4f} "

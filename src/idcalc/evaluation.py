@@ -12,14 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .boxes import Box
+from .boxes import Box, IdcalcError
 from .polynomials import (Orientation, Poly, PolyFun, RatLike, apply_word, compose,
                           diag, rat, tuple_)
 from .terms import (Act, Base, Comp, Opaque, Smooth, Term, TupleT,
                     opaque_leaves, opaque_set, substitute)
 
 
-class EvalError(ValueError):
+class EvalError(IdcalcError):
     pass
 
 

@@ -13,16 +13,18 @@ Everything is exact; no floats enter this module.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .boxes import Box, BoxError, Enclosure, RatLike, domint, parse_box, product, rat
+from .boxes import (Box, BoxError, Enclosure, IdcalcError, RatLike, domint, parse_box,
+                    product, rat)
 
 Key = tuple[int, ...]
 
 
-class PolyError(ValueError):
+class PolyError(IdcalcError):
     pass
 
 
@@ -628,28 +630,23 @@ def format_polyfun(f: PolyFun) -> str:
     return f"poly {f.arity}->{f.cod_dim} on {f.domain} : {comps}"
 
 
+_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+
+
 def _parse_monomial(text: str, arity: int) -> tuple[Key, Fraction]:
     parts = text.split()
     if not parts:
         raise PolyError("empty monomial")
-    try:
-        coeff = rat(parts[0])
-        factors = parts[1:]
-    except BoxError:
-        raise
-    except ValueError:
-        coeff = Fraction(1)
-        factors = parts
+    if parts[0].startswith("x"):
+        coeff, factors = Fraction(1), parts
+    else:
+        coeff, factors = rat(parts[0]), parts[1:]
     exps = [0] * arity
     for fct in factors:
-        if not fct.startswith("x"):
+        match = _FACTOR_RE.fullmatch(fct)
+        if not match:
             raise PolyError(f"bad monomial factor {fct!r}")
-        body = fct[1:]
-        if "^" in body:
-            idx_s, e_s = body.split("^")
-            idx, e = int(idx_s), int(e_s)
-        else:
-            idx, e = int(body), 1
+        idx, e = int(match[1]), int(match[2] or 1)
         if not 1 <= idx <= arity:
             raise PolyError(f"variable x{idx} out of range for arity {arity}")
         exps[idx - 1] += e
@@ -676,7 +673,10 @@ def parse_polyfun(text: str) -> PolyFun:
     head = head[len("poly"):].strip()
     dims, _, dom_s = head.partition(" on ")
     m_s, _, n_s = dims.partition("->")
-    m, n = int(m_s), int(n_s)
+    try:
+        m, n = int(m_s), int(n_s)
+    except ValueError:
+        raise PolyError(f"bad dimensions {dims.strip()!r} in {text!r}") from None
     dom = parse_box(dom_s)
     if dom.dim != m:
         raise PolyError("declared arity does not match the domain")

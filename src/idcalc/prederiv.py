@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .boxes import Box, Ray1, rat
+from .boxes import Box, IdcalcError, Ray1, rat
 from .polynomials import (CompositionGuardError, Poly, PolyFun, RatLike, compose,
                           format_polyfun, parse_polyfun, range_fits, vsum)
 
 
-class PreDerivError(ValueError):
+class PreDerivError(IdcalcError):
     pass
 
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .boxes import Box, Ray1, domint, product
-from .evaluation import eval_term, instantiate, linincl_of_polyfun
+from .boxes import Box, IdcalcError, Ray1, domint, product
+from .evaluation import eval_term, instantiate, linincl, linincl_of_polyfun
 from .polynomials import (Orientation, Poly, PolyFun, apply_word, const_fun, coord,
                           diag, format_polyfun, incl, proj_block, proje, switch,
                           vecminus, vecprod, vecsum)
-from .terms import Act, Base, Comp, Opaque, Smooth, Term, TupleT, format_term
+from .terms import Act, Base, Comp, Opaque, Smooth, Term, TupleT, format_term, signature
 from .words import D, Gen, GenKind, I, Q, Word, p, q
 
 
@@ -35,7 +35,8 @@ def B(f: PolyFun) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# random instance material
+# random instance material: the one generator for the catalogue and the test
+# suite (the word_eq oracle keeps its own draw, see words._random_polyfun)
 
 
 class Ctx:
@@ -110,15 +111,14 @@ def rand_polyfun(rng: random.Random, domain: Box, cod_dim: int, max_deg: int = 3
     return PolyFun.make(domain, [rand_poly(rng, domain.dim, max_deg) for _ in range(cod_dim)])
 
 
-def rand_slot(ctx: Ctx, domain: Box, cod_dim: int, allow_opaque: bool = True) -> Term:
+def rand_slot(ctx: Ctx, domain: Box, cod_dim: int) -> Term:
     """A random term of the requested signature; with some probability it
     carries opaque generators, registered in the shared instantiation."""
     rng = ctx.rng
     if cod_dim == 0:
         return B(PolyFun.make(domain, []))
-    if not allow_opaque or rng.random() < 0.5:
+    if rng.random() < 0.5:
         return B(rand_polyfun(rng, domain, cod_dim))
-    from .evaluation import linincl
     combos = []
     for _ in range(cod_dim):
         k = rng.randint(1, 2)
@@ -146,9 +146,8 @@ def _equal_pair(ctx: Ctx, domain: Box, cod_dim: int) -> tuple[Term, Term]:
     return x, Act(Word(), x)
 
 
-def rand_word(rng: random.Random, max_len: int = 2, max_index: int = 3,
-              kinds: Optional[Sequence[GenKind]] = None) -> Word:
-    kinds = list(kinds) if kinds else list(GenKind)
+def rand_word(rng: random.Random, max_len: int = 2, max_index: int = 3) -> Word:
+    kinds = list(GenKind)
     gens = tuple(Gen(rng.choice(kinds), rng.randint(1, max_index))
                  for _ in range(rng.randint(0, max_len)))
     return Word(gens)
@@ -263,7 +262,6 @@ def _t_s3(ctx: Ctx, k: int) -> Trial:
 def _t_r7(ctx: Ctx, k: int) -> Trial:
     rng = ctx.rng
     x = rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-    from .terms import signature
     n = signature(x).cod_dim
     return x, Comp(B(PolyFun.identity(Box.full(n))), x)
 
@@ -291,7 +289,6 @@ def _t_r7quater(ctx: Ctx, k: int) -> Trial:
     kdim = rng.randint(1, 2)
     y = B(rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), kdim))
     x = rand_slot(ctx, Box.full(kdim), rng.randint(1, 2))
-    from .terms import signature
     z = rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), signature(y).dom.dim)
     return Comp(Comp(x, y), z), Comp(x, Comp(y, z))
 
@@ -325,13 +322,18 @@ def _t_r9_2(ctx: Ctx, k: int) -> Trial:
     return Act(w, x), Act(w, y)
 
 
-def _t_r9_3(ctx: Ctx, k: int) -> Trial:
+def _integrated_slot(ctx: Ctx) -> tuple[Term, Box, int, int, int]:
+    """Draws m, then i in 1..m, then dom and n, then the slot x on dom."""
     rng = ctx.rng
     m = rng.randint(1, 2)
     i = rng.randint(1, m)
     dom = rand_box(rng, m)
     n = rng.randint(1, 2)
-    x = rand_slot(ctx, dom, n)
+    return rand_slot(ctx, dom, n), dom, m, n, i
+
+
+def _t_r9_3(ctx: Ctx, k: int) -> Trial:
+    x, dom, m, n, i = _integrated_slot(ctx)
     dup = PolyFun.make(dom, [Poly.var(m, j) for j in
                              list(range(1, i + 1)) + [i] + list(range(i + 1, m + 1))])
     lhs = Comp(Act(Word.of(I(i)), x), B(dup))
@@ -407,12 +409,7 @@ def _t_r10(ctx: Ctx, k: int) -> Trial:
 
 
 def _t_r10_1(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    m = rng.randint(1, 2)
-    i = rng.randint(1, m)
-    dom = rand_box(rng, m)
-    n = rng.randint(1, 2)
-    x = rand_slot(ctx, dom, n)
+    x, dom, m, n, i = _integrated_slot(ctx)
     perm = list(range(1, m + 2))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
     sw = switch([Box.full(1)] * (m + 1), perm)
@@ -502,23 +499,27 @@ def _t_r13(ctx: Ctx, k: int) -> Trial:
     return lhs, rhs
 
 
-def _canonical_line(ctx: Ctx) -> tuple[Term, Box, int, int, int]:
-    """The canonical witness slot f(x) = x on R."""
+def _indexed_slot(ctx: Ctx, extra: int) -> tuple[Term, Box, int, int, int]:
+    """Draws m, dom, n, then i in 1..m + extra, then the slot x on dom."""
+    rng = ctx.rng
+    m = rng.randint(1, 2)
+    dom = rand_box(rng, m)
+    n = rng.randint(1, 2)
+    i = rng.randint(1, m + extra)
+    return rand_slot(ctx, dom, n), dom, m, n, i
+
+
+def _endpoint_slot(ctx: Ctx, k: int, extra: int) -> tuple[Term, Box, int, int, int]:
+    """Trial 0 is the canonical witness f(x) = x on R with i = 1, which
+    separates the two endpoint orientations; later trials draw at random."""
+    if k > 0:
+        return _indexed_slot(ctx, extra)
     dom = Box.full(1)
-    f = PolyFun.make(dom, [Poly.var(1, 1)])
-    return B(f), dom, 1, 1, 1  # term, dom, m, n, i
+    return B(PolyFun.make(dom, [Poly.var(1, 1)])), dom, 1, 1, 1
 
 
 def _t_r14(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    if k == 0:
-        x, dom, m, n, i = _canonical_line(ctx)
-    else:
-        m = rng.randint(1, 2)
-        dom = rand_box(rng, m)
-        n = rng.randint(1, 2)
-        i = rng.randint(1, m + 2)
-        x = rand_slot(ctx, dom, n)
+    x, dom, m, n, i = _endpoint_slot(ctx, k, 2)
     lhs = Act(Word.of(q(i)), x)
     if i <= m:
         # upper-endpoint substitution deletes coordinate i
@@ -529,15 +530,7 @@ def _t_r14(ctx: Ctx, k: int) -> Trial:
 
 
 def _t_r15(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    if k == 0:
-        x, dom, m, n, i = _canonical_line(ctx)
-    else:
-        m = rng.randint(1, 2)
-        dom = rand_box(rng, m)
-        n = rng.randint(1, 2)
-        i = rng.randint(1, m + 2)
-        x = rand_slot(ctx, dom, n)
+    x, dom, m, n, i = _endpoint_slot(ctx, k, 2)
     lhs = Act(Word.of(Q(i)), x)
     neg_x = Comp(B(vecminus(n)), x)
     if i <= m:
@@ -549,15 +542,7 @@ def _t_r15(ctx: Ctx, k: int) -> Trial:
 
 
 def _t_r16(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    if k == 0:
-        x, dom, m, n, i = _canonical_line(ctx)
-    else:
-        m = rng.randint(1, 2)
-        dom = rand_box(rng, m)
-        n = rng.randint(1, 2)
-        i = rng.randint(1, m + 1)
-        x = rand_slot(ctx, dom, n)
+    x, dom, m, n, i = _endpoint_slot(ctx, k, 1)
     lhs = Act(Word.of(q(i)), x)
     rhs = Comp(Comp(B(vecsum(n, 2)),
                     TupleT((Act(Word.of(I(i), D(i)), x),
@@ -566,7 +551,9 @@ def _t_r16(ctx: Ctx, k: int) -> Trial:
     return lhs, rhs
 
 
-def _t_r16_1(ctx: Ctx, k: int) -> Trial:
+def _slot_pair(ctx: Ctx) -> tuple[Term, Term, Box, int, int, int]:
+    """Draws v, i in 1..dim v, n and m, then x2 on v and x1 on
+    d1 = domint(v, i); returns x1, x2, d1, i, m, n."""
     rng = ctx.rng
     mv = rng.randint(1, 2)
     v = rand_box(rng, mv)
@@ -574,8 +561,12 @@ def _t_r16_1(ctx: Ctx, k: int) -> Trial:
     n = rng.randint(1, 2)
     m = rng.randint(1, 2)
     x2 = rand_slot(ctx, v, n)
-    x1 = rand_slot(ctx, domint(v, i), m)
     d1 = domint(v, i)
+    return rand_slot(ctx, d1, m), x2, d1, i, m, n
+
+
+def _t_r16_1(ctx: Ctx, k: int) -> Trial:
+    x1, x2, d1, i, m, n = _slot_pair(ctx)
     lhs = Act(Word.of(I(i)),
               Comp(Comp(B(vecprod(m, n)), TupleT((x1, Act(Word.of(q(i)), x2)))),
                    B(diag(d1, 2))))
@@ -587,15 +578,7 @@ def _t_r16_1(ctx: Ctx, k: int) -> Trial:
 
 
 def _t_r16_2(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    mv = rng.randint(1, 2)
-    v = rand_box(rng, mv)
-    i = rng.randint(1, mv)
-    n = rng.randint(1, 2)
-    m = rng.randint(1, 2)
-    x2 = rand_slot(ctx, v, n)
-    d1 = domint(v, i)
-    x1 = rand_slot(ctx, d1, m)
+    x1, x2, d1, i, m, n = _slot_pair(ctx)
     lhs = Act(Word.of(I(i + 1)),
               Comp(Comp(B(vecprod(m, n)), TupleT((x1, Act(Word.of(Q(i)), x2)))),
                    B(diag(d1, 2))))
@@ -606,11 +589,7 @@ def _t_r16_2(ctx: Ctx, k: int) -> Trial:
 
 
 def _t_r16_3(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    dom = rand_box(rng, rng.randint(1, 2))
-    n = rng.randint(1, 2)
-    i = rng.randint(1, dom.dim)
-    x = rand_slot(ctx, dom, n)
+    x, dom, _, n, i = _indexed_slot(ctx, 0)
     lhs = Act(Word.of(q(i), I(i)), x)
     rhs = Comp(Comp(B(vecsum(n, 2)),
                     TupleT((Act(Word.of(q(i + 1), I(i)), x),
@@ -620,22 +599,14 @@ def _t_r16_3(ctx: Ctx, k: int) -> Trial:
 
 
 def _t_r16_4(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    dom = rand_box(rng, rng.randint(1, 2))
-    n = rng.randint(1, 2)
-    i = rng.randint(1, dom.dim)
-    x = rand_slot(ctx, dom, n)
+    x, dom, _, n, i = _indexed_slot(ctx, 0)
     lhs = Act(Word.of(Q(i), I(i)), x)
     rhs = Comp(B(vecminus(n)), Act(Word.of(q(i + 1), I(i)), x))
     return lhs, rhs
 
 
 def _t_r16_5(ctx: Ctx, k: int) -> Trial:
-    rng = ctx.rng
-    dom = rand_box(rng, rng.randint(1, 2))
-    n = rng.randint(1, 2)
-    i = rng.randint(1, dom.dim)
-    x = rand_slot(ctx, dom, n)
+    x, dom, _, n, i = _indexed_slot(ctx, 0)
     lhs = Act(Word.of(Q(i), q(i)), x)
     rhs = Comp(B(vecminus(n)), Act(Word.of(q(i + 1), q(i)), x))
     return lhs, rhs
@@ -650,7 +621,6 @@ def _rand_smooth_term(ctx: Ctx, depth: int = 2) -> Term:
         return TupleT(tuple(_rand_smooth_term(ctx, depth - 1)
                             for _ in range(rng.randint(1, 2))))
     if kind == 1:
-        from .terms import signature
         inner = _rand_smooth_term(ctx, depth - 1)
         cod = signature(inner, strict=False).cod_dim
         outer = B(rand_polyfun(rng, Box.full(cod), rng.randint(1, 2))) if cod else \
@@ -739,7 +709,7 @@ class RelationReport:
 def check_relation(rule_id: str, trials: int = 20, seed: int = 0,
                    orientation: Orientation = Orientation.UPPER) -> RelationReport:
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise IdcalcError(f"trials must be >= 1, got {trials}")
     if rule_id not in CATALOGUE:
         return RelationReport(rule_id, 0, "Skipped", 0.0,
                               {"reason": f"unknown rule {rule_id!r}"})

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .boxes import rat
+from .boxes import IdcalcError, rat
 from .polynomials import Poly, PolyFun
 from .prederiv import PreDeriv, pre_diff
 
@@ -28,7 +28,7 @@ GRID_CERT_SAMPLES = 9  # offsets per grid point in comb_grid
 GRID_EXTENT = 0.99  # comb_grid samples the disc of this radius
 
 
-class SphereError(ValueError):
+class SphereError(IdcalcError):
     pass
 
 

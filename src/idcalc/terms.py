@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .boxes import Box, product
+from .boxes import Box, IdcalcError, product
 from .polynomials import (PolyFun, RatLike, const_fun, diag, rat, vecprod, vecsum)
 from .words import GenKind, Signature, Word, signature_effect
 
 
-class TermError(ValueError):
+class TermError(IdcalcError):
     pass
 
 

@@ -10,18 +10,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from idcalc.boxes import Box, Ray1, domint
+from idcalc.boxes import Box, domint
 from idcalc.evaluation import eval_term, linincl
-from idcalc.polynomials import (Orientation, Poly, PolyFun, parse_polyfun,
-                                vscal, vsum)
+from idcalc.polynomials import Orientation, Poly, PolyFun, parse_polyfun, vscal, vsum
 from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction,
                              chain_check, eval_smooth, germ_equal, identity_core,
                              nontriviality_witness, vanishing_space)
-from idcalc.relations import check_all, check_relation
+from idcalc.relations import (Ctx, _rand_smooth_term, check_all, check_relation, rand_box,
+                              rand_coeff, rand_word)
 from idcalc.sphere import comb_grid, transition
-from idcalc.terms import Base, Smooth, has_left_nested_comp, max_augment
-from idcalc.words import (Equal, Gen, GenKind, Word, normalize, oriented_steps,
-                          relation_holds_on, relation_step, word_eq)
+from idcalc.terms import Smooth, has_left_nested_comp, max_augment
+from idcalc.words import (Equal, normalize, oriented_steps, relation_holds_on,
+                          relation_step, word_eq)
+from test_prederiv import rand_direction, rand_pointed
 
 F = Fraction
 SEED = 20260809
@@ -75,12 +76,10 @@ def test_criterion_3_monoid_confluence():
     """500 random words, two independent schedules of the oriented system,
     identical normal forms; word_eq never Unknown on the suite's pairs."""
     rng = random.Random(SEED)
-    kinds = list(GenKind)
     mismatches = 0
     unknowns = 0
     for _ in range(500):
-        w = Word(tuple(Gen(rng.choice(kinds), rng.randint(1, 4))
-                       for _ in range(rng.randint(0, 8))))
+        w = rand_word(rng, 8, 4)
         nf = normalize(w)
         for _ in range(2):
             cur = w
@@ -103,18 +102,7 @@ def test_criterion_4_domint_identities():
     rng = random.Random(SEED + 1)
     bad = 0
     for _ in range(200):
-        dim = rng.randint(0, 4)
-        factors = []
-        for _ in range(dim):
-            kind = rng.randrange(3)
-            if kind == 0:
-                factors.append(Ray1.full())
-            elif kind == 1:
-                a = F(rng.randint(-5, 3), rng.choice((1, 2)))
-                factors.append(Ray1.bounded(a, a + rng.randint(1, 4)))
-            else:
-                factors.append(Ray1.above(F(rng.randint(-3, 3))))
-        box = Box(tuple(factors))
+        box = rand_box(rng, rng.randint(0, 4))
         for i in range(1, 6):
             for j in range(1, 6):
                 if i < j:
@@ -155,27 +143,13 @@ def test_criterion_6_section_and_chain_rule():
     bad_chain = 0
     for _ in range(100):
         l, m, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
-        z = GermCore(_rand_pointed(rng, l, m))
-        dv = PreDeriv.of(z, [F(rng.randint(-3, 3), rng.choice((1, 2)))
-                             for _ in range(l)])
-        f = _rand_pointed(rng, m, n)
+        z = GermCore(rand_pointed(rng, l, m))
+        dv = PreDeriv.of(z, rand_direction(rng, l))
+        f = rand_pointed(rng, m, n)
         bad_chain += not chain_check(f, dv)
     ok = bad_section == 0 and bad_chain == 0
     _report(6, ok, f"section identity failures={bad_section}, "
                    f"chain-rule failures={bad_chain} (100 each)")
-
-
-def _rand_pointed(rng, l, m, deg=3):
-    comps = []
-    for _ in range(m):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            k = [0] * l
-            for _ in range(rng.randint(1, deg)):
-                k[rng.randrange(l)] += 1
-            terms[tuple(k)] = F(rng.randint(-3, 3), rng.choice((1, 2)))
-        comps.append(Poly.make(l, terms))
-    return PolyFun.make(Box.cube(-2, 2, l), comps)
 
 
 def _rand_core_with_kernel(rng):
@@ -183,10 +157,10 @@ def _rand_core_with_kernel(rng):
     l = rng.randint(1, 3)
     if rng.random() < 0.5:
         used = rng.randint(1, l)
-        base = _rand_pointed(rng, used, rng.randint(1, 2), deg=2)
+        base = rand_pointed(rng, used, rng.randint(1, 2), deg=2)
         comps = [c.remap(l, list(range(1, used + 1))) for c in base.components]
         return GermCore(PolyFun.make(Box.cube(-2, 2, l), comps))
-    return GermCore(_rand_pointed(rng, l, rng.randint(1, 2), deg=2))
+    return GermCore(rand_pointed(rng, l, rng.randint(1, 2), deg=2))
 
 
 def test_criterion_7_vanishing_space_soundness():
@@ -200,14 +174,14 @@ def test_criterion_7_vanishing_space_soundness():
         basis = vanishing_space(z)
         for b in basis:
             for _ in range(20):
-                w = _rand_pointed(rng, m, 1, deg=2)
+                w = rand_pointed(rng, m, 1, deg=2)
                 out = apply(PreDeriv.of(z, b), w)
                 bad += not all(g.components[0].is_zero for g in out)
-        u = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(l)]
+        u = rand_direction(rng, l)
         cu = canonical_direction(z, u)
         bad += canonical_direction(z, cu) != cu
         for _ in range(5):
-            w = _rand_pointed(rng, m, 1, deg=2)
+            w = rand_pointed(rng, m, 1, deg=2)
             a = apply(PreDeriv.of(z, u), w)
             c = apply(PreDeriv.of(z, list(cu)), w)
             bad += not (len(a) == len(c) and all(
@@ -219,46 +193,15 @@ def test_criterion_7_vanishing_space_soundness():
 def test_criterion_8_augmentation_normal_form():
     """Right-association is idempotent, evaluation-invariant, and leaves
     no left-nested composition."""
-    rng = random.Random(SEED + 5)
+    ctx = Ctx(random.Random(SEED + 5), Orientation.UPPER)
     bad = 0
     for _ in range(200):
-        t = _rand_smooth_term(rng, 3)
+        t = _rand_smooth_term(ctx, 3)
         out = max_augment(t)
         bad += max_augment(out) != out
         bad += has_left_nested_comp(out)
         bad += eval_term(t, permissive=True) != eval_term(out, permissive=True)
     _report(8, bad == 0, f"200 random smooth terms, {bad} failures")
-
-
-def _rand_smooth_term(rng, depth):
-    from idcalc.terms import Act, Comp, TupleT, signature
-    if depth == 0 or rng.random() < 0.4:
-        m = rng.randint(1, 2)
-        return Base(Smooth(_rand_pointed(rng, m, rng.randint(1, 2), deg=2)))
-    kind = rng.randrange(3)
-    if kind == 0:
-        return TupleT(tuple(_rand_smooth_term(rng, depth - 1)
-                            for _ in range(rng.randint(1, 2))))
-    if kind == 1:
-        inner = _rand_smooth_term(rng, depth - 1)
-        cod = signature(inner, strict=False).cod_dim
-        outer = Base(Smooth(_rand_free(rng, max(cod, 1), rng.randint(1, 2))))
-        if cod == 0:
-            outer = Base(Smooth(PolyFun.make(Box.point(), [])))
-        return Comp(outer, inner)
-    from idcalc.words import parse_word
-    gens = " ".join(rng.choice(("I1", "I2", "D1", "p1", "q1"))
-                    for _ in range(rng.randint(0, 2)))
-    return Act(parse_word(gens) if gens else Word(), _rand_smooth_term(rng, depth - 1))
-
-
-def _rand_free(rng, m, n):
-    comps = []
-    for _ in range(n):
-        terms = {tuple(rng.randint(0, 2) for _ in range(m)):
-                 F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)}
-        comps.append(Poly.make(m, terms))
-    return PolyFun.make(Box.full(m), comps)
 
 
 def test_criterion_9_sphere_combing():
@@ -297,8 +240,8 @@ def test_criterion_10_linincl_roundtrip():
             coeffs, bases = [], []
             acc = PolyFun.zero(dom, 1)
             for _ in range(k):
-                c = F(rng.randint(-3, 3), rng.choice((1, 2))) or F(1)
-                base = _rand_pointed(rng, m, 1, deg=2).restrict(dom)
+                c = rand_coeff(rng)
+                base = rand_pointed(rng, m, 1, deg=2).restrict(dom)
                 coeffs.append(c)
                 bases.append(Smooth(base))
                 acc = vsum(acc, vscal(c, base))

@@ -189,3 +189,28 @@ def test_zero_denominator_is_a_domain_error(capsys, argv):
     assert code == 1
     lines = err.strip().splitlines()
     assert lines == ["error: zero denominator in '1/0'"]
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["eval", "{poly 1->1 on R : 1 x}"], "'x'"),
+    (["eval", "{poly 1->1 on R : 1 x1^}"], "'x1^'"),
+    (["eval", "{poly a->1 on R : 1 x1}"], "'a->1'"),
+    (["eval", "{poly 1->1 on R : abc x1}"], "'abc'"),
+    (["eval", "{poly 1->1 on (a,b) : 1 x1}"], "'a'"),
+    (["prederiv", "D{ core=poly 1->1 on (-1,1) : 1 x1; u=(a); }"], "'a'"),
+    (["parse", "f", "--env", "{tmp}/missing.txt"], "missing.txt"),
+    (["parse", "f", "--env", "{tmp}/binary.txt"], "binary.txt"),
+    (["eval", "{poly 1->1 on R : 1 x1}", "--inst", "{tmp}"], "Is a directory"),
+    (["check-relations", "--rules", "R7", "--trials", "1",
+      "--report", "{tmp}/no/dir/r.json"], "r.json"),
+    (["comb-sphere", "--grid", "3", "--out", "{tmp}/no/dir/o.csv"], "o.csv"),
+], ids=["empty-factor", "empty-exponent", "dimension", "coefficient", "box-endpoint",
+        "direction", "missing-env", "binary-env", "inst-is-directory", "report-dir",
+        "out-dir"])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, token):
+    (tmp_path / "binary.txt").write_bytes(b"c : (0,1)\n\xff\xfe\n")
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and token in lines[0], lines

@@ -7,6 +7,7 @@ from idcalc.boxes import Box, parse_box
 from idcalc.evaluation import (EvalError, eval_term, instantiate, linincl,
                                linincl_of_polyfun)
 from idcalc.polynomials import Poly, PolyFun, parse_polyfun, tuple_
+from idcalc.relations import rand_polyfun
 from idcalc.terms import Act, Base, Comp, Opaque, SMOOTH, Smooth, TupleT, classify
 from idcalc.words import parse_word
 
@@ -105,13 +106,7 @@ def test_linincl_rejects_zero_coefficients():
 def test_linincl_of_polyfun_roundtrip_random():
     rng = random.Random(13)
     for _ in range(50):
-        m = rng.randint(1, 3)
-        comps = []
-        for _ in range(rng.randint(1, 2)):
-            terms = {tuple(rng.randint(0, 2) for _ in range(m)):
-                     F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3)}
-            comps.append(Poly.make(m, terms))
-        f = PolyFun.make(Box.full(m), comps)
+        f = rand_polyfun(rng, Box.full(rng.randint(1, 3)), rng.randint(1, 2))
         assert eval_term(linincl_of_polyfun(f), permissive=True) == f
 
 

@@ -11,6 +11,7 @@ from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFu
                                 proj_block, proje, range_bound, sectn, smint,
                                 switch, trasl, tuple_, vecminus, vecprod,
                                 vecsum, vneg, vprod, vscal, vsum)
+from idcalc.relations import rand_polyfun
 from idcalc.words import D, I, Q, Word, p, q
 
 F = Fraction
@@ -97,9 +98,7 @@ def test_partial_smint_endpoint_identities():
     rng = random.Random(0)
     for _ in range(30):
         m = rng.randint(1, 3)
-        comp = Poly.make(m, {tuple(rng.randint(0, 2) for _ in range(m)): F(rng.randint(-3, 3), rng.choice((1, 2)))
-                             for _ in range(3)})
-        f = PolyFun.make(Box.full(m), [comp])
+        f = rand_polyfun(rng, Box.full(m), 1)
         for i in range(1, m + 1):
             g = smint(f, i)
             # d/dx_{i+1} of the integral recovers f at the upper endpoint
@@ -142,7 +141,7 @@ def test_compose_guard_failure():
 def test_compose_associative_permissive():
     rng = random.Random(1)
     for _ in range(20):
-        h = PolyFun.make(Box.full(1), [Poly.make(1, {(rng.randint(0, 2),): F(rng.randint(-2, 2))})])
+        h = rand_polyfun(rng, Box.full(1), 1)
         g = pf("poly 1->1 on R : 1 x1 + 1")
         f = pf("poly 1->1 on R : 1 x1^2")
         left = compose(compose(f, g, permissive=True), h, permissive=True)
@@ -292,9 +291,7 @@ def test_fundamental_theorem_triple():
     rng = random.Random(2)
     for _ in range(25):
         m = rng.randint(1, 3)
-        f = PolyFun.make(Box.full(m), [
-            Poly.make(m, {tuple(rng.randint(0, 2) for _ in range(m)):
-                          F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)})])
+        f = rand_polyfun(rng, Box.full(m), 1)
         for i in range(1, m + 1):
             lhs = apply_gen(q(i), f)
             rhs = vsum(apply_word(Word.of(I(i), D(i)), f), vneg(apply_gen(Q(i), f)))
@@ -304,10 +301,7 @@ def test_fundamental_theorem_triple():
 def test_derint_index_shifts_exact():
     rng = random.Random(3)
     for _ in range(20):
-        m = rng.randint(1, 3)
-        f = PolyFun.make(Box.full(m), [
-            Poly.make(m, {tuple(rng.randint(0, 2) for _ in range(m)):
-                          F(rng.randint(-2, 2)) for _ in range(2)})])
+        f = rand_polyfun(rng, Box.full(rng.randint(1, 3)), 1)
         for i in range(1, 5):
             for j in range(1, 5):
                 if i < j:

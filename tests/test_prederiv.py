@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from idcalc.boxes import Box, Ray1
+from idcalc.boxes import Box
 from idcalc.polynomials import Poly, PolyFun, parse_polyfun
 from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
                              canonical_direction, chain_check, eval_smooth,
@@ -12,6 +12,7 @@ from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
                              nontriviality_witness, parse_prederiv, pre_diff,
                              project_onto_span, smooth_kernel_test,
                              vanishing_space)
+from idcalc.relations import rand_polyfun
 
 F = Fraction
 
@@ -21,17 +22,11 @@ def core(text):
 
 
 def rand_pointed(rng, l, m, deg=3):
-    comps = []
-    for _ in range(m):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            k = [0] * l
-            for _ in range(rng.randint(1, deg)):
-                k[rng.randrange(l)] += 1
-            terms[tuple(k)] = F(rng.randint(-3, 3), rng.choice((1, 2)))
-        comps.append(Poly.make(l, terms))
-    dom = Box((Ray1.bounded(-2, 2),) * l)
-    return PolyFun.make(dom, comps)
+    """A core on (-2,2)^l: the catalogue's polynomial draw with the
+    constant terms removed, so that it vanishes at 0."""
+    f = rand_polyfun(rng, Box.cube(-2, 2, l), m, deg)
+    return PolyFun.make(f.domain, [Poly.make(l, {k: c for k, c in p.terms if any(k)})
+                                   for p in f.components])
 
 
 def rand_direction(rng, l):

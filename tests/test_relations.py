@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from idcalc.polynomials import Orientation
@@ -69,3 +70,20 @@ def test_check_all_subset():
     reports = check_all(trials=2, seed=4, rules=["R7", "R9"])
     assert [r.rule_id for r in reports] == ["R7", "R9"]
     assert all(r.verdict == "Verified" for r in reports)
+
+
+def test_catalogue_reports_are_pinned():
+    """The full JSON reports (time_ms dropped) of all 36 rules for seeds 0
+    and 1 at 20 trials, plus R14/R15/R16 under the lower orientation:
+    the digest was computed at commit c0f801f, before the builders'
+    shared prologues were merged, so every draw keeps its order."""
+    parts = []
+    for seed in (0, 1):
+        for orientation, rules in ((Orientation.UPPER, None),
+                                   (Orientation.LOWER, ["R14", "R15", "R16"])):
+            rows = json.loads(reports_to_json(check_all(20, seed, orientation, rules)))
+            for row in rows:
+                del row["time_ms"]
+            parts.append(json.dumps(rows, sort_keys=True))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "f63179f4d3ee89c96a9b02de94778825ffd0249545541f49ed78273a1900bc2c"

@@ -6,6 +6,7 @@ import pytest
 from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term
 from idcalc.polynomials import parse_polyfun, vscal, vsum, vprod
+from idcalc.relations import rand_polyfun
 from idcalc.terms import (Act, Base, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
                           Opaque, Smooth, TermError, TupleT, classify,
                           format_term, has_left_nested_comp, max_augment,
@@ -136,10 +137,7 @@ def test_classify_derivative_on_smooth_branch_is_fine():
 
 def _rand_term(rng, depth=3):
     if depth == 0 or rng.random() < 0.35:
-        m = rng.randint(1, 2)
-        comps = "; ".join(f"{rng.randint(-3, 3)} x1" for _ in range(rng.randint(1, 2)))
-        return smooth(f"poly {m}->{comps.count(';') + 1} on {'xR' * m} : {comps}"
-                      .replace("on xR", "on R", 1).replace("RxR xR", "RxR"))
+        return Base(Smooth(rand_polyfun(rng, Box.full(rng.randint(1, 2)), rng.randint(1, 2))))
     kind = rng.randrange(3)
     if kind == 0:
         return TupleT(tuple(_rand_term(rng, depth - 1) for _ in range(rng.randint(1, 2))))

@@ -6,6 +6,7 @@ import pytest
 
 from idcalc.boxes import Box, domint, parse_box
 from idcalc.polynomials import Orientation, apply_word, parse_polyfun
+from idcalc.relations import rand_polyfun, rand_word
 from idcalc.words import (BACKWARD, FORWARD, Equal, Gen, GenKind, NotEqual,
                           Signature, Unknown, Word, WordError, _relation_sides,
                           applicable_steps, normalize, oriented_steps, parse_word,
@@ -79,11 +80,8 @@ def test_normalize_exhaustive_short_words():
 
 def test_normalize_idempotent_random():
     rng = random.Random(5)
-    kinds = list(GenKind)
     for _ in range(300):
-        word = Word(tuple(Gen(rng.choice(kinds), rng.randint(1, 4))
-                          for _ in range(rng.randint(0, 8))))
-        nf = normalize(word)
+        nf = normalize(rand_word(rng, 8, 4))
         assert normalize(nf) == nf
 
 
@@ -147,12 +145,22 @@ def test_signature_invariant_under_every_relation():
 # semantic soundness of the whole table
 
 
-def test_every_relation_instance_acts_identically(subtests=None):
+def test_every_relation_instance_acts_identically():
+    """Two witnesses per instance, sized so that no generator acts
+    trivially: a variable for every index and every domain extension, a
+    component for every projection, and degree above the derivative count."""
     rng = random.Random(9)
-    from idcalc.words import _random_polyfun
+    extends = (GenKind.INT, GenKind.SUB_HI, GenKind.SUB_LO)
     for rule_id, i, j in relation_instances(4):
+        sides = _relation_sides(rule_id, i, j)
+        gens = sides[0].gens + sides[1].gens
+        arity = max(g.index for g in gens) + max(
+            sum(g.kind in extends for g in side.gens) for side in sides)
+        cod = max((g.index for g in gens if g.kind is GenKind.PROJ), default=1)
+        deg = max(3, 1 + max(sum(g.kind is GenKind.PART for g in side.gens)
+                             for side in sides))
         for _ in range(2):
-            f = _random_polyfun(rng, max_deg=3)
+            f = rand_polyfun(rng, Box.full(arity), cod, deg)
             assert relation_holds_on(rule_id, i, j, f), (rule_id, i, j)
 
 
@@ -170,10 +178,8 @@ def test_substitution_relations_fail_under_swapped_orientation():
 
 def test_two_random_schedules_reach_one_normal_form():
     rng = random.Random(17)
-    kinds = list(GenKind)
     for _ in range(150):
-        word = Word(tuple(Gen(rng.choice(kinds), rng.randint(1, 4))
-                          for _ in range(rng.randint(0, 8))))
+        word = rand_word(rng, 8, 4)
         nf = normalize(word)
         for _ in range(2):
             cur = word
