@@ -198,13 +198,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         reports = check_all(args.trials, args.seed, orientation, args.rules)
         failed = [r for r in reports if r.verdict != "Verified"]
         report_path = args.report or ("relation_report.json" if failed else None)
+        report = reports_to_json(reports)
         if report_path:
-            _write_text(report_path, reports_to_json(reports))
-        print(f"seed={args.seed} trials={args.trials} orientation={orientation.value}")
-        for r in reports:
-            print(r.line())
+            _write_text(report_path, report)
+        lines = [f"seed={args.seed} trials={args.trials} orientation={orientation.value}"]
+        lines.extend(r.line() for r in reports)
         if report_path:
-            print(f"report written to {report_path}")
+            lines.append(f"report written to {report_path}")
+        payload = {"seed": args.seed, "trials": args.trials,
+                   "orientation": orientation.value, "reports": json.loads(report),
+                   "report": report_path}
+        _emit(payload, args.json, "\n".join(lines))
         return 2 if failed else 0
 
     if args.command == "prederiv":

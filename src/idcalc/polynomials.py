@@ -44,6 +44,17 @@ def _grlex_key(k: Key) -> tuple:
     return (sum(k), k)
 
 
+def _mul_terms(a: Mapping[Key, Fraction], b: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
+    """Product of two term dicts, not yet canonical: ``Poly.make`` drops
+    the zero coefficients and sorts."""
+    out: dict[Key, Fraction] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return out
+
+
 @dataclass(frozen=True)
 class Poly:
     """Multivariate polynomial; ``terms`` maps exponent tuples to nonzero
@@ -63,9 +74,10 @@ class Poly:
                 raise PolyError(f"exponent tuple {k} in arity-{arity} polynomial")
             if any(e < 0 for e in k):
                 raise PolyError(f"negative exponent in {k}")
-            if c != 0:
-                clean[tuple(k)] = clean.get(tuple(k), Fraction(0)) + c
-        items = tuple(sorted(((k, c) for k, c in clean.items() if c != 0),
+            if c:
+                k = tuple(k)
+                clean[k] = clean[k] + c if k in clean else c
+        items = tuple(sorted(((k, c) for k, c in clean.items() if c),
                              key=lambda kc: _grlex_key(kc[0])))
         return Poly(arity, items)
 
@@ -95,7 +107,7 @@ class Poly:
             raise PolyError("arity mismatch in +")
         out = self._tdict()
         for k, c in other.terms:
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out[k] + c if k in out else c
         return Poly.make(self.arity, out)
 
     def neg(self) -> "Poly":
@@ -107,12 +119,7 @@ class Poly:
     def mul(self, other: "Poly") -> "Poly":
         if self.arity != other.arity:
             raise PolyError("arity mismatch in *")
-        out: dict[Key, Fraction] = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Poly.make(self.arity, out)
+        return Poly.make(self.arity, _mul_terms(self._tdict(), other._tdict()))
 
     def scale(self, c: RatLike) -> "Poly":
         c = rat(c)
@@ -121,10 +128,11 @@ class Poly:
         return Poly(self.arity, tuple((k, c * co) for k, co in self.terms))
 
     def pow(self, e: int) -> "Poly":
-        out = Poly.const(self.arity, 1)
+        base = self._tdict()
+        out = {(0,) * self.arity: Fraction(1)}
         for _ in range(e):
-            out = out.mul(self)
-        return out
+            out = _mul_terms(out, base)
+        return Poly.make(self.arity, out)
 
     # -- calculus ------------------------------------------------------------
 
@@ -151,7 +159,7 @@ class Poly:
             if e == 0:
                 continue
             nk = k[: i - 1] + (e - 1,) + k[i:]
-            out[nk] = out.get(nk, Fraction(0)) + c * e
+            out[nk] = out[nk] + c * e if nk in out else c * e
         return Poly.make(self.arity, out)
 
     def antideriv(self, i: int) -> "Poly":
@@ -160,7 +168,8 @@ class Poly:
         for k, c in self.terms:
             e = k[i - 1]
             nk = k[: i - 1] + (e + 1,) + k[i:]
-            out[nk] = out.get(nk, Fraction(0)) + c / (e + 1)
+            d = c / (e + 1)
+            out[nk] = out[nk] + d if nk in out else d
         return Poly.make(self.arity, out)
 
     def remap(self, new_arity: int, mapping: Sequence[int]) -> "Poly":
@@ -173,7 +182,8 @@ class Poly:
             nk = [0] * new_arity
             for e, tgt in zip(k, mapping):
                 nk[tgt - 1] += e
-            out[tuple(nk)] = out.get(tuple(nk), Fraction(0)) + c
+            key = tuple(nk)
+            out[key] = out[key] + c if key in out else c
         return Poly.make(new_arity, out)
 
     def subst(self, args: Sequence["Poly"]) -> "Poly":
@@ -183,19 +193,23 @@ class Poly:
         tgt = args[0].arity if args else 0
         if any(a.arity != tgt for a in args):
             raise PolyError("substitution arguments disagree on arity")
-        pow_cache: list[dict[int, Poly]] = [dict() for _ in args]
-        out = Poly.zero(tgt)
+        # powers[j][e] is args[j]^e as a plain term dict, filled on demand
+        one = (0,) * tgt
+        bases = [a._tdict() for a in args]
+        powers = [[{one: Fraction(1)}] for _ in args]
+        out: dict[Key, Fraction] = {}
         for k, c in self.terms:
-            term = Poly.const(tgt, c)
+            term = {one: c}
             for j, e in enumerate(k):
                 if e == 0:
                     continue
-                cache = pow_cache[j]
-                if e not in cache:
-                    cache[e] = args[j].pow(e)
-                term = term.mul(cache[e])
-            out = out.add(term)
-        return out
+                table = powers[j]
+                while len(table) <= e:
+                    table.append(_mul_terms(table[-1], bases[j]))
+                term = _mul_terms(term, table[e])
+            for tk, tc in term.items():
+                out[tk] = out[tk] + tc if tk in out else tc
+        return Poly.make(tgt, out)
 
     # -- misc -----------------------------------------------------------------
 
@@ -283,27 +297,41 @@ def eval_at(f: PolyFun, xs: Sequence[RatLike]) -> tuple[Fraction, ...]:
 # -- range enclosure ---------------------------------------------------------
 
 
+def _enclose(p: Poly, factors: Sequence[Enclosure],
+             powers: dict[tuple[int, int], Enclosure]) -> Enclosure:
+    """Monomial-wise enclosure of p over the closed factors; ``powers``
+    caches factors[j].pow(e) under (j, e) across calls."""
+    total = Enclosure.const(0)
+    for k, c in p.terms:
+        term = Enclosure.const(c)
+        for j, e in enumerate(k):
+            if e:
+                pw = powers.get((j, e))
+                if pw is None:
+                    pw = powers[j, e] = factors[j].pow(e)
+                term = term.mul(pw)
+        total = total.add(term)
+    return total
+
+
 def range_bound(f: PolyFun) -> list[Enclosure]:
     """Closed conservative enclosure of each component over the closure of
     the domain, by monomial-wise interval arithmetic."""
-    factor_enc = [r.closure() for r in f.domain.factors]
-    out = []
-    for p in f.components:
-        total = Enclosure.const(0)
-        for k, c in p.terms:
-            term = Enclosure.const(c)
-            for enc, e in zip(factor_enc, k):
-                if e:
-                    term = term.mul(enc.pow(e))
-            total = total.add(term)
-        out.append(total)
-    return out
+    factors = [r.closure() for r in f.domain.factors]
+    powers: dict[tuple[int, int], Enclosure] = {}
+    return [_enclose(p, factors, powers) for p in f.components]
 
 
 def range_fits(f: PolyFun, target: Box) -> bool:
+    """Whether range_bound(f) fits in the target, componentwise.  Only the
+    components whose target ray has a finite end are enclosed, since any
+    enclosure fits in R, and the first misfit ends the check."""
     if f.cod_dim != target.dim:
         return False
-    return all(enc.fits_within(ray) for enc, ray in zip(range_bound(f), target.factors))
+    factors = [r.closure() for r in f.domain.factors]
+    powers: dict[tuple[int, int], Enclosure] = {}
+    return all(ray.is_full or _enclose(p, factors, powers).fits_within(ray)
+               for p, ray in zip(f.components, target.factors))
 
 
 # -- classical operations ------------------------------------------------------
@@ -322,11 +350,14 @@ def compose(f: PolyFun, g: PolyFun, permissive: bool = False) -> PolyFun:
     if not guard_ok and not permissive:
         raise CompositionGuardError(
             f"range enclosure of inner function is not certified inside {f.domain}")
+    return _substitute(f, g, not guard_ok)
+
+
+def _substitute(f: PolyFun, g: PolyFun, uncertified: bool) -> PolyFun:
+    """f after g with no range guard; the caller has run it, and the
+    result is partial when it did not certify or either side is partial."""
     comps = [p.subst(list(g.components)) for p in f.components]
-    out = PolyFun.make(g.domain, comps)
-    if not guard_ok or g.is_partial or f.is_partial:
-        out = out.tag_partial()
-    return out
+    return PolyFun.make(g.domain, comps, uncertified or g.is_partial or f.is_partial)
 
 
 def tuple_(fs: Sequence[PolyFun]) -> PolyFun:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .boxes import Box, IdcalcError, Ray1, rat
-from .polynomials import (CompositionGuardError, Poly, PolyFun, RatLike, compose,
+from .polynomials import (CompositionGuardError, Poly, PolyFun, RatLike, _substitute,
                           format_polyfun, parse_polyfun, range_fits, vsum)
 
 
@@ -201,7 +201,7 @@ def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
     cur = z
     for k in range(1, 300):
         if range_fits(cur, f.domain):
-            return compose(f, cur)
+            return _substitute(f, cur, uncertified=False)
         cur = cur.restrict(_shrink_around_zero(z.domain, k))
     raise CompositionGuardError("no neighbourhood of 0 certified the composition")
 

@@ -103,6 +103,27 @@ def test_check_relations_failure_exit_and_report(tmp_path, capsys):
     assert payload[0]["witness"]["trial"] == 0
 
 
+def test_check_relations_json_verified(capsys):
+    code, out, _ = run(capsys, "check-relations", "--rules", "R7", "--trials", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["seed"], payload["trials"], payload["orientation"]) == (0, 1, "upper")
+    assert [(r["rule"], r["verdict"]) for r in payload["reports"]] == [("R7", "Verified")]
+    assert payload["report"] is None
+
+
+def test_check_relations_json_failure(tmp_path, capsys):
+    report = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "check-relations", "--orientation", "lower", "--rules", "R16",
+                       "--trials", "2", "--report", str(report), "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["orientation"] == "lower"
+    assert payload["report"] == str(report)
+    assert payload["reports"][0]["verdict"] == "Failed"
+    assert payload["reports"] == json.loads(report.read_text())
+
+
 def test_prederiv_queries(capsys):
     text = "D{ core=poly 1->2 on (-1,1) : 1 x1; 1 x1^2; u=(1); }"
     code, out, _ = run(capsys, "prederiv", text, "--eval-smooth", "--kernel",

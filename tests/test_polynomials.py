@@ -8,10 +8,10 @@ from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFu
                                 apply_gen, apply_word, compose, const_fun, coord,
                                 diag, eval_at, format_polyfun, incl, parse_polyfun,
                                 partial, polyfun_from_json, polyfun_to_json,
-                                proj_block, proje, range_bound, sectn, smint,
-                                switch, trasl, tuple_, vecminus, vecprod,
+                                proj_block, proje, range_bound, range_fits, sectn,
+                                smint, switch, trasl, tuple_, vecminus, vecprod,
                                 vecsum, vneg, vprod, vscal, vsum)
-from idcalc.relations import rand_polyfun
+from idcalc.relations import rand_box, rand_polyfun
 from idcalc.words import D, I, Q, Word, p, q
 
 F = Fraction
@@ -260,6 +260,89 @@ def test_range_bound_square_contains_true_range():
 def test_range_bound_constant():
     f = const_fun(Box.full(1), [3])
     assert range_bound(f) == [Enclosure(F(3), F(3))]
+
+
+def _closure_point(rng, box):
+    """A rational point of the closed box; an infinite end is replaced by
+    one 6 beyond the other end (or by -3 / 3 on R), and each coordinate
+    is an end with probability 2/9."""
+    xs = []
+    for r in box.factors:
+        lo = r.lo if r.lo is not None else (r.hi - 6 if r.hi is not None else F(-3))
+        hi = r.hi if r.hi is not None else lo + 6
+        xs.append(lo + (hi - lo) * F(rng.randint(0, 8), 8))
+    return xs
+
+
+def test_poly_ops_match_sympy():
+    """add, mul, pow, subst, partial and antideriv agree with sympy's
+    expansion coefficient for coefficient, and range_bound encloses every
+    sampled value on the closed domain."""
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(p, gens):
+        return sympy.Poly.from_dict({k: sympy.Rational(c.numerator, c.denominator)
+                                     for k, c in p.terms}, *gens, domain="QQ")
+
+    def agrees(p, ref):
+        return dict(p.terms) == {k: F(int(c.p), int(c.q)) for k, c in ref.terms() if c}
+
+    rng = random.Random(41)
+    for _ in range(200):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        xs, ys = sympy.symbols(f"x1:{m + 1}"), sympy.symbols(f"y1:{n + 1}")
+        f = rand_polyfun(rng, rand_box(rng, m), 2)
+        a, b = f.components
+        sa, sb = to_sympy(a, xs), to_sympy(b, xs)
+        assert agrees(a.add(b), sa + sb)
+        assert agrees(a.mul(b), sa * sb)
+        for e in range(5):
+            assert agrees(a.pow(e), sa ** e)
+        i = rng.randint(1, m)
+        assert agrees(a.partial(i), sa.diff(xs[i - 1]))
+        assert agrees(a.antideriv(i), sa.integrate(xs[i - 1]))
+        args = rand_polyfun(rng, Box.full(n), m, 2).components
+        sargs = [to_sympy(q, ys) for q in args]
+        sub = sympy.Poly(0, *ys, domain="QQ")
+        for k, c in a.terms:
+            sub += sympy.prod((q ** e for q, e in zip(sargs, k)),
+                              start=sympy.Poly(sympy.Rational(c.numerator, c.denominator),
+                                               *ys, domain="QQ"))
+        assert agrees(a.subst(list(args)), sub)
+        encs = range_bound(f)
+        for _ in range(3):
+            pt = _closure_point(rng, f.domain)
+            for p, enc in zip(f.components, encs):
+                v = p.eval(pt)
+                assert (enc.lo is None or enc.lo <= v) and (enc.hi is None or v <= enc.hi)
+
+
+def _rand_ray(rng):
+    """Full, half-bounded or bounded, with ends wide enough that random
+    enclosures land on both sides of them."""
+    a, b = sorted(rng.sample(range(-40, 41), 2))
+    return rng.choice([Ray1.full(), Ray1.above(a), Ray1.below(b), Ray1.bounded(a, b)])
+
+
+def test_range_fits_is_the_componentwise_enclosure_test():
+    rng = random.Random(37)
+    # verdicts, split by whether some target ray has a finite end
+    outcomes = {(fits, finite): 0 for fits in (True, False) for finite in (True, False)}
+    for _ in range(400):
+        g = rand_polyfun(rng, rand_box(rng, rng.randint(1, 3)), rng.randint(1, 3))
+        target = Box(tuple(_rand_ray(rng) for _ in range(g.cod_dim)))
+        fits = range_fits(g, target)
+        assert fits == all(e.fits_within(r) for e, r in zip(range_bound(g), target.factors))
+        assert not range_fits(g, Box.full(g.cod_dim + 1))
+        f = rand_polyfun(rng, target, 1)
+        if fits:
+            assert not compose(f, g).is_partial
+        else:
+            with pytest.raises(CompositionGuardError):
+                compose(f, g)
+        outcomes[fits, not all(r.is_full for r in target.factors)] += 1
+    assert outcomes[False, False] == 0
+    assert min(outcomes[True, True], outcomes[True, False], outcomes[False, True]) >= 30, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,9 @@ def test_signature_invariant_under_every_relation():
 def test_every_relation_instance_acts_identically():
     """Two witnesses per instance, sized so that no generator acts
     trivially: a variable for every index and every domain extension, a
-    component for every projection, and degree above the derivative count."""
+    component for every projection, and degree above the derivative count.
+    A witness on which the left side acts as zero proves nothing, so each
+    is redrawn until the left side moves it."""
     rng = random.Random(9)
     extends = (GenKind.INT, GenKind.SUB_HI, GenKind.SUB_LO)
     for rule_id, i, j in relation_instances(4):
@@ -160,7 +162,11 @@ def test_every_relation_instance_acts_identically():
         deg = max(3, 1 + max(sum(g.kind is GenKind.PART for g in side.gens)
                              for side in sides))
         for _ in range(2):
-            f = rand_polyfun(rng, Box.full(arity), cod, deg)
+            draws = (rand_polyfun(rng, Box.full(arity), cod, deg) for _ in range(50))
+            f = next((f for f in draws
+                      if not all(p.is_zero for p in apply_word(sides[0], f).components)),
+                     None)
+            assert f is not None, ("left side is zero on 50 draws", rule_id, i, j)
             assert relation_holds_on(rule_id, i, j, f), (rule_id, i, j)
 
 
