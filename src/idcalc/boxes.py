@@ -258,9 +258,6 @@ class Enclosure:
         return Enclosure(None if -1 in inf_signs else min(finite),
                          None if 1 in inf_signs else max(finite))
 
-    def scale(self, c: RatLike) -> "Enclosure":
-        return self.mul(Enclosure.const(c))
-
     def pow(self, e: int) -> "Enclosure":
         out = Enclosure.const(1)
         for _ in range(e):

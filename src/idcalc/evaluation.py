@@ -15,8 +15,7 @@ from typing import Mapping, Optional, Sequence
 from .boxes import Box, IdcalcError
 from .polynomials import (Orientation, Poly, PolyFun, RatLike, apply_word, compose,
                           diag, rat, tuple_)
-from .terms import (Act, Base, Comp, Opaque, Smooth, Term, TupleT,
-                    opaque_leaves, opaque_set, substitute)
+from .terms import Base, Comp, Opaque, Smooth, Term, TupleT, opaque_leaves, substitute
 
 
 class EvalError(IdcalcError):
@@ -45,11 +44,10 @@ def eval_term(t: Term, permissive: bool = False,
 
 def instantiate(t: Term, assignment: Instantiation) -> Term:
     """Replace every opaque leaf by the assigned scalar polynomial."""
-    needed = opaque_set(t)
-    missing = needed - set(assignment)
+    leaves = opaque_leaves(t)
+    missing = {op.name for _, op in leaves} - set(assignment)
     if missing:
         raise EvalError(f"instantiation misses {sorted(missing)}")
-    leaves = opaque_leaves(t)
     mapping = {}
     for path, op in leaves:
         fn = assignment[op.name]

@@ -272,8 +272,7 @@ class PolyFun:
 
     @staticmethod
     def identity(domain: Box) -> "PolyFun":
-        m = domain.dim
-        return PolyFun.make(domain, [Poly.var(m, i) for i in range(1, m + 1)])
+        return _picks(domain, range(1, domain.dim + 1))
 
     @staticmethod
     def scalar(domain: Box, p: Poly) -> "PolyFun":
@@ -286,6 +285,13 @@ class PolyFun:
         if sub.dim != self.arity:
             raise DomainMismatchError("restriction changes dimension")
         return PolyFun(sub, self.components, self.is_partial)
+
+
+def _picks(domain: Box, indices: Sequence[int]) -> PolyFun:
+    """The map whose k-th component reads coordinate indices[k] (1-based);
+    index 0 is the zero component."""
+    m = domain.dim
+    return PolyFun.make(domain, [Poly.var(m, i) if i else Poly.zero(m) for i in indices])
 
 
 def eval_at(f: PolyFun, xs: Sequence[RatLike]) -> tuple[Fraction, ...]:
@@ -431,27 +437,24 @@ def diag(domain: Box, k: int) -> PolyFun:
     """x -> (x, ..., x), k copies."""
     if k < 1:
         raise PolyError("diagonal needs k >= 1")
-    m = domain.dim
-    comps = [Poly.var(m, i) for _ in range(k) for i in range(1, m + 1)]
-    return PolyFun.make(domain, comps)
+    return _picks(domain, list(range(1, domain.dim + 1)) * k)
 
 
 def proj_block(blocks: Sequence[Box], idx: int) -> PolyFun:
     """Projection of a product of boxes onto its idx-th block (1-based)."""
     if not 1 <= idx <= len(blocks):
         raise PolyError("block index out of range")
-    dom = product(list(blocks))
-    m = dom.dim
     offset = sum(b.dim for b in blocks[: idx - 1])
-    comps = [Poly.var(m, offset + i) for i in range(1, blocks[idx - 1].dim + 1)]
-    return PolyFun.make(dom, comps)
+    return _picks(product(list(blocks)), range(offset + 1, offset + blocks[idx - 1].dim + 1))
 
 
 def coord(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
     dom = domain if domain is not None else Box.full(m)
     if dom.dim != m:
         raise BoxError("coord domain dimension mismatch")
-    return PolyFun.make(dom, [Poly.var(m, i)])
+    if not 1 <= i <= m:
+        raise PolyError(f"variable index {i} out of range for arity {m}")
+    return _picks(dom, [i])
 
 
 def proje(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
@@ -462,8 +465,7 @@ def proje(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
     dom = domain if domain is not None else Box.full(m + 1)
     if dom.dim != m + 1:
         raise BoxError("proje domain dimension mismatch")
-    comps = [Poly.var(m + 1, k if k < i else k + 1) for k in range(1, m + 1)]
-    return PolyFun.make(dom, comps)
+    return _picks(dom, [k if k < i else k + 1 for k in range(1, m + 1)])
 
 
 def sectn(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
@@ -471,15 +473,9 @@ def sectn(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
     if not 1 <= i <= m:
         raise PolyError("sectn index out of range")
     dom = domain if domain is not None else Box.full(m + 1)
-    comps = []
-    for k in range(1, m + 1):
-        if k < i:
-            comps.append(Poly.var(m + 1, k))
-        elif k == i:
-            comps.append(Poly.zero(m + 1))
-        else:
-            comps.append(Poly.var(m + 1, k + 1))
-    return PolyFun.make(dom, comps)
+    if dom.dim != m + 1:
+        raise BoxError("sectn domain dimension mismatch")
+    return _picks(dom, [k if k < i else (0 if k == i else k + 1) for k in range(1, m + 1)])
 
 
 def switch(blocks: Sequence[Box], perm: Sequence[int]) -> PolyFun:
@@ -487,16 +483,11 @@ def switch(blocks: Sequence[Box], perm: Sequence[int]) -> PolyFun:
     k = len(blocks)
     if sorted(perm) != list(range(1, k + 1)):
         raise PolyError("not a permutation")
-    dom = product(list(blocks))
-    m = dom.dim
     offsets = [0]
     for b in blocks:
         offsets.append(offsets[-1] + b.dim)
-    comps = []
-    for tgt in perm:
-        base = offsets[tgt - 1]
-        comps.extend(Poly.var(m, base + i) for i in range(1, blocks[tgt - 1].dim + 1))
-    return PolyFun.make(dom, comps)
+    return _picks(product(list(blocks)),
+                  [offsets[t - 1] + i for t in perm for i in range(1, blocks[t - 1].dim + 1)])
 
 
 def trasl(t: Sequence[RatLike], domain: Optional[Box] = None) -> PolyFun:

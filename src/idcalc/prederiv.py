@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 from .boxes import Box, IdcalcError, Ray1, rat
 from .polynomials import (CompositionGuardError, Poly, PolyFun, RatLike, _substitute,
-                          format_polyfun, parse_polyfun, range_fits, vsum)
+                          format_polyfun, parse_polyfun, partial, range_fits, smint, vscal,
+                          vsum)
 
 
 class PreDerivError(IdcalcError):
@@ -73,22 +74,6 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction,
     return basis
 
 
-def solve_sym(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a symmetric positive-definite rational system by elimination."""
-    n = len(mat)
-    aug = [list(mat[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
@@ -98,8 +83,9 @@ def project_onto_span(u: Sequence[Fraction],
     """Euclidean orthogonal projection of u onto span(basis), exactly."""
     if not basis:
         return tuple(Fraction(0) for _ in u)
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    coeffs = solve_sym(gram, [dot(a, u) for a in basis])
+    # a basis has a nonsingular Gram matrix: [Gram | B^T u] reduces to [I | coefficients]
+    coeffs = [row[-1] for row in rref([[dot(a, b) for b in basis] + [dot(a, u)]
+                                       for a in basis])]
     out = [Fraction(0)] * len(u)
     for c, b in zip(coeffs, basis):
         for idx, val in enumerate(b):
@@ -236,7 +222,6 @@ def apply(dv: PreDeriv, w: PolyFun) -> list[PolyFun]:
         for idx, c in enumerate(u, start=1):
             if c == 0:
                 continue
-            from .polynomials import partial, vscal
             acc = vsum(acc, vscal(c, partial(wz, idx)))
         if l in grouped:
             prev = grouped[l]
@@ -332,7 +317,6 @@ def nontriviality_witness(l: int, ell: int, u: Sequence[RatLike],
     uu = [rat(c) for c in u]
     if len(uu) != l:
         raise PreDerivError("direction length must be l")
-    from .polynomials import smint
     comps = [Poly.const(l, uu[ell - 1])] + [Poly.zero(l)] * (target_dim - 1)
     cur = PolyFun.make(Box.full(l), comps)
     for j in range(l, 0, -1):

@@ -12,11 +12,12 @@ constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .boxes import Box, IdcalcError, product
-from .polynomials import (PolyFun, RatLike, const_fun, diag, rat, vecprod, vecsum)
-from .words import GenKind, Signature, Word, signature_effect
+from .polynomials import (PolyFun, RatLike, const_fun, diag, format_polyfun, parse_polyfun,
+                          rat, vecprod, vecsum)
+from .words import Signature, Word, parse_word, signature_effect
 
 
 class TermError(IdcalcError):
@@ -131,17 +132,20 @@ def subterm_at(t: Term, path: Occurrence) -> Term:
     return cur
 
 
+def _walk(t: Term) -> Iterator[tuple[Occurrence, Term]]:
+    """Every subterm with its address, in preorder; an explicit stack keeps
+    each step O(1) at any depth."""
+    stack: list[tuple[Occurrence, Term]] = [((), t)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        kids = children(node)
+        for k in range(len(kids) - 1, -1, -1):
+            stack.append((path + (k,), kids[k]))
+
+
 def occurrences(t: Term, pattern: Term) -> list[Occurrence]:
-    out: list[Occurrence] = []
-
-    def walk(node: Term, path: Occurrence) -> None:
-        if node == pattern:
-            out.append(path)
-        for k, kid in enumerate(children(node)):
-            walk(kid, path + (k,))
-
-    walk(t, ())
-    return out
+    return [path for path, node in _walk(t) if node == pattern]
 
 
 def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
@@ -164,26 +168,13 @@ def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
     return walk(t, ())
 
 
-def opaque_set(t: Term) -> set[str]:
-    if isinstance(t, Base):
-        return {t.fn.name} if isinstance(t.fn, Opaque) else set()
-    out: set[str] = set()
-    for kid in children(t):
-        out |= opaque_set(kid)
-    return out
-
-
 def opaque_leaves(t: Term) -> list[tuple[Occurrence, Opaque]]:
-    out = []
+    return [(path, node.fn) for path, node in _walk(t)
+            if isinstance(node, Base) and isinstance(node.fn, Opaque)]
 
-    def walk(node: Term, path: Occurrence) -> None:
-        if isinstance(node, Base) and isinstance(node.fn, Opaque):
-            out.append((path, node.fn))
-        for k, kid in enumerate(children(node)):
-            walk(kid, path + (k,))
 
-    walk(t, ())
-    return out
+def opaque_set(t: Term) -> set[str]:
+    return {op.name for _, op in opaque_leaves(t)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +187,16 @@ ILLEGAL = "Illegal"
 
 
 def classify(t: Term) -> str:
-    """Smooth when opaque-free; ContinuousOK when every word acting above
-    an opaque avoids the derivative generator; Illegal otherwise."""
-    if not opaque_set(t):
+    """Smooth when opaque-free; Illegal when a word acting above an opaque
+    leaf holds the derivative generator; ContinuousOK otherwise."""
+    leaves = [path for path, _ in opaque_leaves(t)]
+    if not leaves:
         return SMOOTH
-
-    def ok(node: Term) -> bool:
-        if not opaque_set(node):
-            return True
-        if isinstance(node, Base):
-            return True
-        if isinstance(node, Act):
-            if any(g.kind is GenKind.PART for g in node.word.gens):
-                return False
-            return ok(node.body)
-        return all(ok(kid) for kid in children(node))
-
-    return CONTINUOUS_OK if ok(t) else ILLEGAL
+    for path, node in _walk(t):
+        if (isinstance(node, Act) and not node.word.is_integral()
+                and any(leaf[:len(path)] == path for leaf in leaves)):
+            return ILLEGAL
+    return CONTINUOUS_OK
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +236,38 @@ def has_left_nested_comp(t: Term) -> bool:
 # derived pointwise constructors
 
 
-def _common_domain(t1: Term, t2: Term) -> Box:
-    s1, s2 = signature(t1), signature(t2)
-    if s1.dom != s2.dom:
+def _pointwise(ts: Sequence[Term], op: Callable[[list[int]], PolyFun]) -> Term:
+    """(op . <t1, ..., tk>) . diag, where op is built from the operands'
+    codomain dimensions; the operands must share one domain."""
+    sigs = [signature(t) for t in ts]
+    dom = sigs[0].dom
+    if any(s.dom != dom for s in sigs):
         raise TermError("operands live on different domains")
-    return s1.dom
+    return Comp(Comp(Base(Smooth(op([s.cod_dim for s in sigs]))), TupleT(tuple(ts))),
+                Base(Smooth(diag(dom, len(ts)))))
 
 
-def sum_t(t1: Term, t2: Term) -> Term:
-    """Pointwise sum: vecsum after pairing after the diagonal."""
-    dom = _common_domain(t1, t2)
-    n1, n2 = signature(t1).cod_dim, signature(t2).cod_dim
-    if n1 != n2:
+def _vecsum_of(ns: list[int]) -> PolyFun:
+    if any(n != ns[0] for n in ns):
         raise TermError("sum needs equal codomain dimensions")
-    n = max(n1, n2)
-    return Comp(Base(Smooth(vecsum(n, 2))),
-                Comp(TupleT((t1, t2)), Base(Smooth(diag(dom, 2)))))
+    return vecsum(ns[0], len(ns))
+
+
+def sum_t(*ts: Term) -> Term:
+    """Pointwise sum of one or more terms."""
+    if not ts:
+        raise TermError("sum needs at least one term")
+    return _pointwise(ts, _vecsum_of)
 
 
 def mult_t(t1: Term, t2: Term) -> Term:
     """Pointwise outer product, flattened row-major."""
-    dom = _common_domain(t1, t2)
-    n1, n2 = signature(t1).cod_dim, signature(t2).cod_dim
-    return Comp(Base(Smooth(vecprod(n1, n2))),
-                Comp(TupleT((t1, t2)), Base(Smooth(diag(dom, 2)))))
+    return _pointwise((t1, t2), lambda ns: vecprod(*ns))
 
 
 def scal_t(a: RatLike, t: Term) -> Term:
     """Scalar multiple via a constant first factor."""
-    sig = signature(t)
-    return Comp(Base(Smooth(vecprod(1, sig.cod_dim))),
-                Comp(TupleT((Base(Smooth(const_fun(sig.dom, [rat(a)]))), t)),
-                     Base(Smooth(diag(sig.dom, 2)))))
+    return mult_t(Base(Smooth(const_fun(signature(t).dom, [rat(a)]))), t)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +283,6 @@ def format_term(t: Term) -> str:
     if isinstance(t, Base):
         if isinstance(t.fn, Opaque):
             return t.fn.name
-        from .polynomials import format_polyfun
         return "{" + format_polyfun(t.fn.fn) + "}"
     if isinstance(t, TupleT):
         return "<" + ", ".join(format_term(x) for x in t.items) + ">"
@@ -352,7 +335,6 @@ class _Parser:
             end = self.text.find("]", self.pos)
             if end < 0:
                 raise self.error("unterminated word action")
-            from .words import parse_word
             word = parse_word(self.text[self.pos:end])
             self.pos = end + 1
             return Act(word, self.parse_term())
@@ -361,7 +343,6 @@ class _Parser:
             end = self.text.find("}", self.pos)
             if end < 0:
                 raise self.error("unterminated inline polynomial")
-            from .polynomials import parse_polyfun
             fn = parse_polyfun(self.text[self.pos:end])
             self.pos = end + 1
             return Base(Smooth(fn))

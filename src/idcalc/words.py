@@ -83,10 +83,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.gens)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.gens
-
     def is_integral(self) -> bool:
         """True when no partial-derivative generator occurs."""
         return all(g.kind is not GenKind.PART for g in self.gens)

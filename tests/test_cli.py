@@ -170,6 +170,15 @@ def test_check_relations_rejects_nonpositive_trials(capsys, trials):
     assert err.strip() == f"error: trials must be >= 1, got {trials}"
 
 
+def test_check_relations_unknown_rule_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "check-relations", "--rules", "R7", "R99", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == ["error: unknown rule 'R99'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_word_eq_rejects_nonpositive_trials(capsys, trials):
     code, out, err = run(capsys, "word-eq", "q1", "q2", "--trials", trials)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import random
 
+import pytest
+
+from idcalc.boxes import IdcalcError
 from idcalc.polynomials import Orientation
-from idcalc.relations import (CATALOGUE, check_all, check_relation,
+from idcalc.relations import (CATALOGUE, Ctx, check_all, check_relation,
                               reports_to_json)
+from idcalc.terms import format_term
 
 ALL_RULES = ["R5", "R4bis", "S0", "R1", "R1bis", "R2", "R3", "S3", "R7",
              "S7bis", "R7ter", "R7quater", "R7penta", "R9", "R9.1", "R9.2",
@@ -29,9 +34,11 @@ def test_reports_are_deterministic():
     assert a.verdict == b.verdict == "Verified"
 
 
-def test_unknown_rule_is_skipped():
-    report = check_relation("R99", trials=1, seed=0)
-    assert report.verdict == "Skipped"
+def test_unknown_rule_is_a_domain_error():
+    with pytest.raises(IdcalcError, match="unknown rule 'R99'"):
+        check_relation("R99", trials=1, seed=0)
+    with pytest.raises(IdcalcError, match="unknown rule 'R99'"):
+        check_all(trials=1, rules=["R7", "R99"])
 
 
 def test_swapped_orientation_fails_endpoint_rules_with_identity_witness():
@@ -87,3 +94,22 @@ def test_catalogue_reports_are_pinned():
             parts.append(json.dumps(rows, sort_keys=True))
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == "f63179f4d3ee89c96a9b02de94778825ffd0249545541f49ed78273a1900bc2c"
+
+
+def test_catalogue_terms_are_pinned():
+    """The text of both sides of every trial term, for the rules and seeds
+    of the report pin with 20 trials each: the report digest sees term text
+    only in failing witnesses, this one sees the trees of passing rules too.
+    The digest was computed at commit c4ec774, when the catalogue built its
+    pointwise sums and products by hand."""
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for orientation, rules in ((Orientation.UPPER, ALL_RULES),
+                                   (Orientation.LOWER, ["R14", "R15", "R16"])):
+            for rule in rules:
+                rng = random.Random(f"{seed}:{rule}")
+                for k in range(20):
+                    lhs, rhs = CATALOGUE[rule](Ctx(rng, orientation), k)
+                    digest.update((format_term(lhs) + "\n" + format_term(rhs) + "\n").encode())
+    assert digest.hexdigest() == \
+        "cd9a43cf53634a5dedb72de5e3a528df30d466f2bb5788867bc741504fe233b7"

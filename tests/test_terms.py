@@ -5,7 +5,7 @@ import pytest
 
 from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term
-from idcalc.polynomials import parse_polyfun, vscal, vsum, vprod
+from idcalc.polynomials import diag, parse_polyfun, vecsum, vscal, vsum, vprod
 from idcalc.relations import rand_polyfun
 from idcalc.terms import (Act, Base, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
                           Opaque, Smooth, TermError, TupleT, classify,
@@ -182,6 +182,14 @@ def test_sum_t_doubles():
     assert eval_term(sum_t(t, t)) == parse_polyfun("poly 1->1 on R : 2 x1")
 
 
+def test_sum_t_is_the_pointwise_tree():
+    a = smooth("poly 1->2 on (0,1) : 1 x1; 1 x1^2")
+    b = smooth("poly 1->2 on (0,1) : 3; -1 x1")
+    dom = parse_box("(0,1)")
+    assert sum_t(a, b) == Comp(Comp(Base(Smooth(vecsum(2, 2))), TupleT((a, b))),
+                               Base(Smooth(diag(dom, 2))))
+
+
 def test_scal_t_unit():
     t = smooth("poly 1->1 on (0,1) : 1 x1^2 + 1 x1")
     assert eval_term(scal_t(1, t), permissive=True) == eval_term(t)
@@ -199,8 +207,10 @@ def test_derived_constructors_match_vector_ops():
     for _ in range(25):
         f = parse_polyfun("poly 1->2 on R : 1 x1; 3 x1^2")
         g = parse_polyfun("poly 1->2 on R : -1 x1 + 2; 1 x1^3")
-        tf, tg = Base(Smooth(f)), Base(Smooth(g))
+        h = parse_polyfun("poly 1->2 on R : 1/2 x1^2; -4")
+        tf, tg, th = Base(Smooth(f)), Base(Smooth(g)), Base(Smooth(h))
         assert eval_term(sum_t(tf, tg)) == vsum(f, g)
+        assert eval_term(sum_t(tf, tg, th)) == vsum(vsum(f, g), h)
         assert eval_term(mult_t(tf, tg)) == vprod(f, g)
         a = F(rng.randint(-3, 3), rng.choice((1, 2)))
         assert eval_term(scal_t(a, tf)) == vscal(a, f)
@@ -242,3 +252,7 @@ def test_derived_constructors_reject_mismatches():
         sum_t(a, b)  # different domains
     with pytest.raises(TermError):
         sum_t(a, c)  # different codomain dimensions
+    with pytest.raises(TermError):
+        sum_t(a, a, c)  # the third operand differs
+    with pytest.raises(TermError):
+        sum_t()  # no operand
