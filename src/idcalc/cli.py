@@ -20,7 +20,7 @@ from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
                        smooth_kernel_test)
 from .relations import check_all, reports_to_json
 from .terms import Term, classify, format_term, max_augment, parse_term, signature
-from .words import Equal, NotEqual, normalize, parse_word, word_eq
+from .words import Equal, NotEqual, _normalize_steps, parse_word, word_eq
 
 DOMAIN_ERRORS = IdcalcError
 
@@ -160,8 +160,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "normalize-word":
-        w = normalize(parse_word(args.word))
-        _emit({"word": str(w)}, args.json, str(w))
+        w, steps = _normalize_steps(parse_word(args.word))
+        _emit({"word": str(w), "steps": steps}, args.json, str(w))
         return 0
 
     if args.command == "word-eq":

@@ -96,11 +96,15 @@ def rand_box_around_zero(rng: random.Random, dim: int) -> Box:
 
 
 def rand_subbox(rng: random.Random, outer: Box) -> Box:
-    """A box whose closure lies strictly inside the outer box."""
+    """A box whose closure lies strictly inside the outer box.  A missing
+    end is clamped to +-8, and at least 1 beyond the finite end."""
     factors = []
     for ray in outer.factors:
-        lo = ray.lo if ray.lo is not None else Fraction(-8)
-        hi = ray.hi if ray.hi is not None else Fraction(8)
+        lo, hi = ray.lo, ray.hi
+        if hi is None:
+            hi = Fraction(8) if lo is None else max(Fraction(8), lo + 1)
+        if lo is None:
+            lo = min(Fraction(-8), hi - 1)
         width = hi - lo
         a = lo + width / rng.choice((4, 5))
         b = hi - width / rng.choice((4, 5))

@@ -210,56 +210,108 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-def _match_side(gens: Sequence[Gen], pos: int, pats: Sequence[Pat]) -> Optional[dict]:
-    if pos + len(pats) > len(gens):
-        return None
-    binding: dict[str, int] = {}
-    for g, (kind, var, off) in zip(gens[pos: pos + len(pats)], pats):
-        if g.kind is not kind:
-            return None
-        val = g.index - off
-        if var is None:
-            if val != 0:
+# ---------------------------------------------------------------------------
+# compiled matchers
+#
+# Every relation compiles once per direction, at import, into a matcher of
+# its source window.  Matchers read a word as two int lists, its kind codes
+# (positions in GenKind) and its indices.  The window at a position is the
+# pair of kind codes there and at the next position (_END past the end of
+# the word).  A table holds, per window, only the matchers whose source
+# kinds it has, so a matcher checks indices and the side condition alone.
+
+_KINDS = tuple(GenKind)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_END = len(_KINDS)
+
+_CodedPat = tuple[int, Optional[str], int]  # a Pat with its kind as a code
+
+
+@dataclass(frozen=True)
+class _Matcher:
+    rule_id: str
+    direction: str
+    src: tuple[_CodedPat, ...]
+    dst: tuple[_CodedPat, ...]
+    cond: Callable[[int, Optional[int]], bool]
+    priority: Optional[int] = None  # the normalizer's class of the rule
+
+    def bind(self, idx: Sequence[int], pos: int) -> Optional[dict]:
+        """The rule variables at the window starting at pos, whose kinds
+        are the source kinds, or None when an index or the side condition
+        does not fit."""
+        binding: dict[str, int] = {}
+        for k, (_, var, off) in enumerate(self.src):
+            val = idx[pos + k] - off
+            if var is None:
+                if val != 0:
+                    return None
+            elif val < 1 or binding.setdefault(var, val) != val:
                 return None
-        elif val < 1 or binding.setdefault(var, val) != val:
-            return None
-    return binding
+        return binding if self.cond(binding["i"], binding.get("j")) else None
 
 
-def _emit(pats: Sequence[Pat], binding: dict) -> tuple[Gen, ...]:
-    return tuple(Gen(kind, off if var is None else binding[var] + off)
-                 for kind, var, off in pats)
+def _coded(pats: Sequence[Pat]) -> tuple[_CodedPat, ...]:
+    return tuple((_CODE[kind], var, off) for kind, var, off in pats)
 
 
-def _rewrite(w: Word, pos: int, rel: Relation, direction: str) -> Optional[Word]:
-    """The word after one step of rel at the window starting at pos
-    (0-based), or None when the window does not match or the side
-    condition fails.  relation_step, applicable_steps, oriented_steps and
-    normalize all rewrite through it."""
+def _compile(rel: Relation, direction: str, priority: Optional[int] = None) -> _Matcher:
     src, dst = (rel.left, rel.right) if direction == FORWARD else (rel.right, rel.left)
-    binding = _match_side(w.gens, pos, src)
-    if binding is None or not rel.cond(binding["i"], binding.get("j")):
-        return None
-    return Word(w.gens[:pos] + _emit(dst, binding) + w.gens[pos + len(src):])
+    return _Matcher(rel.rule_id, direction, _coded(src), _coded(dst), rel.cond, priority)
+
+
+def _emit(pats: Sequence[_CodedPat], binding: dict) -> tuple[Gen, ...]:
+    return tuple(Gen(_KINDS[code], off if var is None else binding[var] + off)
+                 for code, var, off in pats)
+
+
+def _letters(w: Word) -> tuple[list[int], list[int]]:
+    """The kind codes and the indices of w."""
+    return [_CODE[g.kind] for g in w.gens], [g.index for g in w.gens]
+
+
+def _window(codes: Sequence[int], pos: int) -> int:
+    """The table row of the window starting at pos."""
+    return codes[pos] * (_END + 1) + (codes[pos + 1] if pos + 1 < len(codes) else _END)
+
+
+def _window_table(matchers: Sequence[_Matcher]) -> tuple[tuple[_Matcher, ...], ...]:
+    """Per window, the matchers it can match, in input order."""
+    kinds = [tuple(code for code, _, _ in m.src) for m in matchers]
+    return tuple(tuple(m for m, src in zip(matchers, kinds) if src in ((a,), (a, b)))
+                 for a in range(_END) for b in range(_END + 1))
+
+
+_MATCHERS: dict[tuple[str, str], _Matcher] = {
+    (rule_id, direction): _compile(rel, direction)
+    for rule_id, rel in RELATIONS.items() for direction in (FORWARD, BACKWARD)}
+
+_STEP_TABLE = _window_table(list(_MATCHERS.values()))
 
 
 def relation_step(w: Word, pos: int, rule_id: str, direction: str = FORWARD) -> Word:
     """Apply one relation at a window starting at pos (0-based)."""
     if rule_id not in RELATIONS:
         raise WordError(f"unknown relation {rule_id!r}")
-    out = _rewrite(w, pos, RELATIONS[rule_id], direction)
-    if out is None:
+    if direction not in (FORWARD, BACKWARD):
+        raise WordError(f"unknown direction {direction!r}")
+    m = _MATCHERS[rule_id, direction]
+    codes, idx = _letters(w)
+    end = pos + len(m.src)
+    fits = 0 <= pos and codes[pos:end] == [code for code, _, _ in m.src]
+    binding = m.bind(idx, pos) if fits else None
+    if binding is None:
         raise WordError(f"{rule_id} ({direction}) does not apply at position {pos}")
-    return out
+    return Word(w.gens[:pos] + _emit(m.dst, binding) + w.gens[end:])
 
 
 def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
     """All (pos, rule_id, direction) triples that relation_step accepts."""
-    return [(pos, rule_id, direction)
-            for pos in range(len(w.gens))
-            for rule_id, rel in RELATIONS.items()
-            for direction in (FORWARD, BACKWARD)
-            if _rewrite(w, pos, rel, direction) is not None]
+    codes, idx = _letters(w)
+    return [(pos, m.rule_id, m.direction)
+            for pos in range(len(codes))
+            for m in _STEP_TABLE[_window(codes, pos)]
+            if m.bind(idx, pos) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +328,16 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # to itself forever.  The derivative moves outrank the integral shuffle:
 # the two races on overlapping windows (an integral shared by a shuffle
 # redex and a derivative move) otherwise produce distinct irreducible
-# words.  ``_rewrite`` finds and builds every step.
+# words.  Within a class, the first rule in class order wins a position.
+#
+# The normalizer contracts exactly that redex at every step without
+# rescanning the word.  It keeps, per class, a bitmask of the window
+# positions that hold a redex of the class; the lowest set bit of the
+# first nonzero mask is the next step.  A step rewrites the letters from
+# pos up to pos + len(dst), so only the windows starting at pos - 1 up to
+# pos + len(dst) - 1 are rechecked.  The windows to their right keep their
+# letters; when the step changes the length (q/Q expansion +1, p1
+# absorption -1), their bits shift by the difference.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
@@ -299,22 +360,22 @@ _PRIORITY_CLASSES: tuple[tuple[tuple[str, str], ...], ...] = (
 _ORIENTED = {**RELATIONS,
              "derint.i": replace(RELATIONS["derint.i"], cond=lambda i, j: i < j)}
 
+# the oriented rules, in priority then class order
+_CLASS_TABLE = _window_table([_compile(_ORIENTED[rule_id], direction, c)
+                              for c, rules in enumerate(_PRIORITY_CLASSES)
+                              for rule_id, direction in rules])
+
 _NORMALIZE_CAP = 200_000
 
 
-def _oriented_redexes(w: Word) -> Iterator[tuple[int, str, str, Word]]:
-    """(pos, rule_id, direction, rewritten word) for every redex of the
-    highest priority class that has one, leftmost first."""
-    for rules in _PRIORITY_CLASSES:
-        found = False
-        for pos in range(len(w.gens)):
-            for rule_id, direction in rules:
-                out = _rewrite(w, pos, _ORIENTED[rule_id], direction)
-                if out is not None:
-                    found = True
-                    yield pos, rule_id, direction, out
-        if found:
-            return
+def _redexes(codes: Sequence[int], idx: Sequence[int], pos: int
+             ) -> Iterator[tuple[_Matcher, dict]]:
+    """(matcher, binding) for every oriented rule that matches the window
+    starting at pos, in priority then class order."""
+    for m in _CLASS_TABLE[_window(codes, pos)]:
+        binding = m.bind(idx, pos)
+        if binding is not None:
+            yield m, binding
 
 
 def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
@@ -323,20 +384,49 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
     (contraction order of disjoint shuffle redexes is observable through
     later derivative moves).  Any schedule choosing among these reaches
     the same normal form (checked by the confluence suite)."""
-    steps = [redex[:3] for redex in _oriented_redexes(w)]
+    codes, idx = _letters(w)
+    found: list[list[tuple[int, str, str]]] = [[] for _ in _PRIORITY_CLASSES]
+    for pos in range(len(codes)):
+        for m, _ in _redexes(codes, idx, pos):
+            found[m.priority].append((pos, m.rule_id, m.direction))
+    steps = next((steps for steps in found if steps), [])
     return steps[:1] if steps and steps[0][1] == "intint" else steps
+
+
+def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
+    """The normal form of w and the (pos, rule_id, direction) steps that
+    reach it; each step is oriented_steps(cur)[0] of the word before it."""
+    codes, idx = _letters(w)
+    masks = [0] * len(_PRIORITY_CLASSES)
+    for pos in range(len(codes)):
+        for m, _ in _redexes(codes, idx, pos):
+            masks[m.priority] |= 1 << pos
+    steps = []
+    for _ in range(_NORMALIZE_CAP):
+        for c, mask in enumerate(masks):
+            if mask:
+                break
+        else:
+            return Word(tuple(Gen(_KINDS[k], i) for k, i in zip(codes, idx))), steps
+        pos = (mask & -mask).bit_length() - 1
+        m, binding = next((m, b) for m, b in _redexes(codes, idx, pos) if m.priority == c)
+        end, stop = pos + len(m.src), pos + len(m.dst)
+        codes[pos:end] = [code for code, _, _ in m.dst]
+        idx[pos:end] = [off if var is None else binding[var] + off for _, var, off in m.dst]
+        steps.append((pos, m.rule_id, m.direction))
+        start = max(pos - 1, 0)
+        keep = (1 << start) - 1
+        masks = [mask & keep | mask >> end << stop for mask in masks]
+        for k in range(start, stop):
+            for m, _ in _redexes(codes, idx, k):
+                masks[m.priority] |= 1 << k
+    raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
 
 
 def normalize(w: Word) -> Word:
     """Canonical form: contract the leftmost redex of the highest
     priority class until none applies."""
-    cur = w
-    for _ in range(_NORMALIZE_CAP):
-        redex = next(_oriented_redexes(cur), None)
-        if redex is None:
-            return cur
-        cur = redex[3]
-    raise RuntimeError("normalization exceeded the step cap")  # pragma: no cover
+    return _normalize_steps(w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +530,8 @@ def _relation_sides(rule_id: str, i: int, j: Optional[int]) -> tuple[Word, Word]
     if not rel.cond(i, j):
         raise WordError(f"side condition fails for {rule_id} with i={i}, j={j}")
     binding = {"i": i} if j is None else {"i": i, "j": j}
-    return Word(_emit(rel.left, binding)), Word(_emit(rel.right, binding))
+    m = _MATCHERS[rule_id, FORWARD]
+    return Word(_emit(m.src, binding)), Word(_emit(m.dst, binding))
 
 
 def relation_holds_on(rule_id: str, i: int, j: Optional[int], f: PolyFun,

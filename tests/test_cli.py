@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from idcalc import words
 from idcalc.cli import main
+from idcalc.words import parse_word, relation_step
 
 
 def run(capsys, *argv):
@@ -15,6 +17,28 @@ def test_normalize_word(capsys):
     code, out, _ = run(capsys, "normalize-word", "q1")
     assert code == 0
     assert out.strip() == "D2 I1"
+
+
+@pytest.mark.parametrize("text", ["q1", "I1 q2 p1 p4", "D1 D2 I1 I2 Q3"])
+def test_normalize_word_json_steps_replay(capsys, text):
+    code, out, _ = run(capsys, "normalize-word", text, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    cur = parse_word(text)
+    for pos, rule_id, direction in payload["steps"]:
+        cur = relation_step(cur, pos, rule_id, direction)
+    assert str(cur) == payload["word"]
+    if text == "q1":
+        assert payload == {"word": "D2 I1", "steps": [[0, "leftproj.i", "forward"]]}
+
+
+def test_normalize_word_step_cap_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(words, "_NORMALIZE_CAP", 3)
+    code, out, err = run(capsys, "normalize-word", "I1 I2 I3 I4")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "step cap" in lines[0]
 
 
 def test_word_eq_equal(capsys):

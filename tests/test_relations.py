@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from idcalc.boxes import IdcalcError
+from idcalc.boxes import Box, IdcalcError, Ray1
 from idcalc.polynomials import Orientation
-from idcalc.relations import (CATALOGUE, Ctx, check_all, check_relation,
+from idcalc.relations import (CATALOGUE, Ctx, check_all, check_relation, rand_subbox,
                               reports_to_json)
 from idcalc.terms import format_term
 
@@ -20,6 +20,20 @@ ALL_RULES = ["R5", "R4bis", "S0", "R1", "R1bis", "R2", "R3", "S3", "R7",
 def test_catalogue_is_complete_and_ordered():
     assert list(CATALOGUE) == ALL_RULES
     assert len(CATALOGUE) == 36
+
+
+@pytest.mark.parametrize("ray", [
+    Ray1.above(10), Ray1.below(-9), Ray1.above(-3), Ray1.below(2), Ray1.above(8),
+    Ray1.full(), Ray1.bounded(-1, 1), Ray1.bounded(20, 21)],
+    ids=["above-10", "below--9", "above--3", "below-2", "above-8", "full", "bounded",
+         "bounded-far"])
+def test_rand_subbox_closure_lies_strictly_inside(ray):
+    rng = random.Random(0)
+    for _ in range(20):
+        (sub,) = rand_subbox(rng, Box((ray,))).factors
+        assert sub.lo is not None and sub.hi is not None and sub.lo < sub.hi
+        assert ray.lo is None or ray.lo < sub.lo
+        assert ray.hi is None or sub.hi < ray.hi
 
 
 def test_single_rule_verifies():

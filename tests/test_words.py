@@ -4,14 +4,15 @@ import random
 
 import pytest
 
+from idcalc import words
 from idcalc.boxes import Box, domint, parse_box
 from idcalc.polynomials import Orientation, apply_word, parse_polyfun
 from idcalc.relations import rand_polyfun, rand_word
 from idcalc.words import (BACKWARD, FORWARD, Equal, Gen, GenKind, NotEqual,
-                          Signature, Unknown, Word, WordError, _relation_sides,
-                          applicable_steps, normalize, oriented_steps, parse_word,
-                          relation_holds_on, relation_instances, relation_step,
-                          signature_effect, word_eq)
+                          Signature, Unknown, Word, WordError, _normalize_steps,
+                          _relation_sides, applicable_steps, normalize, oriented_steps,
+                          parse_word, relation_holds_on, relation_instances,
+                          relation_step, signature_effect, word_eq)
 
 
 def w(text):
@@ -44,6 +45,13 @@ def test_step_rejects_wrong_position():
         relation_step(w("D1 I1 I2"), 0, "intint", FORWARD)
 
 
+@pytest.mark.parametrize("pos, direction", [(-1, FORWARD), (-3, FORWARD), (2, FORWARD),
+                                            (0, "sideways")])
+def test_step_rejects_bad_position_or_direction(pos, direction):
+    with pytest.raises(WordError):
+        relation_step(w("I1 I2 D1"), pos, "intint", direction)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -67,8 +75,8 @@ def test_normalize_upper_substitution_cli_example():
 def test_normalize_exhaustive_short_words():
     """Every word of length 0-3 with indices 1-5 (16,276 words) keeps its
     normal form: the digest below was computed at commit 53782b8, whose
-    normalizer found steps through the raising relation_step.  Every normal form is irreducible under the oriented
-    rules."""
+    normalizer found steps through the raising relation_step.  Every
+    normal form is irreducible under the oriented rules."""
     gens = [Gen(kind, i) for kind in GenKind for i in range(1, 6)]
     words = [Word(g) for n in range(4) for g in itertools.product(gens, repeat=n)]
     assert len(words) == 16_276
@@ -76,6 +84,80 @@ def test_normalize_exhaustive_short_words():
     digest = hashlib.sha256("\n".join(str(nf) for nf in nfs).encode()).hexdigest()
     assert digest == "364f7b6b35dd14d80b41bcaf86c026f7e08d0cf03d658525f62186ce66dd0f62"
     assert all(not oriented_steps(nf) for nf in set(nfs))
+
+
+def _trace_words():
+    """The words of length 0-2 with indices 1-5, then random words of
+    lengths 8, 16, 32 (ten each) and 64 (two)."""
+    gens = [Gen(kind, i) for kind in GenKind for i in range(1, 6)]
+    out = [Word(g) for n in range(3) for g in itertools.product(gens, repeat=n)]
+    rng = random.Random(8)
+    for length, count in ((8, 10), (16, 10), (32, 10), (64, 2)):
+        out += [rand_word(rng, length, 5) for _ in range(count)]
+    return out
+
+
+def test_normalize_step_trace_is_pinned():
+    """The steps themselves, not only the normal forms, are pinned: the
+    digest below was computed at commit 48e8ea0 by replaying
+    oriented_steps(cur)[0] through relation_step, whose normalizer
+    rescanned the whole word after every step."""
+    trace_words = _trace_words()
+    lines, n_steps = [], 0
+    for word in trace_words:
+        _, steps = _normalize_steps(word)
+        n_steps += len(steps)
+        lines.append(str(word) + ":" + ";".join(f"{pos},{rule},{d}" for pos, rule, d in steps))
+    assert (len(trace_words), n_steps) == (683, 4318)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c28f114b6cefc9ce20b5cc92f708e8ab1345172661898fcdc99264fad903618e"
+
+
+def test_normalize_steps_replay_the_oriented_strategy():
+    """Each step is the first oriented step of the word before it, and
+    replaying the steps through relation_step reaches the normal form."""
+    for word in _trace_words():
+        nf, steps = _normalize_steps(word)
+        cur = word
+        for step in steps:
+            assert oriented_steps(cur)[0] == step, (word, cur)
+            cur = relation_step(cur, *step)
+        assert cur == nf == normalize(word)
+        assert not oriented_steps(nf)
+
+
+@pytest.mark.parametrize("text, nf, steps", [
+    # expansion (+1 letter) at the first and at the last position
+    ("q1", "D2 I1", [(0, "leftproj.i", FORWARD)]),
+    ("I2 q1", "I2 D2 I1", [(1, "leftproj.i", FORWARD)]),
+    ("q1 I2", "D2 I3 I1", [(0, "leftproj.i", FORWARD), (1, "intint", FORWARD)]),
+    ("D1 Q3", "D3 D1 I3", [(1, "rightproj.i", FORWARD), (0, "derint.i", FORWARD)]),
+    # absorption (-1 letter) at the first and at the last position
+    ("p1 p2", "p2", [(0, "coordint.i", BACKWARD)]),
+    ("I1 p1 p3", "p3 I1", [(1, "coordint.i", BACKWARD), (0, "coordint.ii", BACKWARD)]),
+    ("p2 p1 p3", "p2 p3", [(1, "coordint.i", BACKWARD)]),
+    # a projection move that creates an absorption to its left
+    ("p1 I1 p2", "p2 I1", [(1, "coordint.ii", BACKWARD), (0, "coordint.i", BACKWARD)]),
+    # expansion then absorption behind it, shifting every later window
+    ("Q1 p1 p2", "p2 D1 I1",
+     [(0, "rightproj.i", FORWARD), (2, "coordint.i", BACKWARD),
+      (1, "coordint.ii", BACKWARD), (0, "coordint.iii", BACKWARD)]),
+    ("I1 q2 p1 p4", "p4 D4 I3 I1",
+     [(1, "leftproj.i", FORWARD), (3, "coordint.i", BACKWARD),
+      (2, "coordint.ii", BACKWARD), (1, "coordint.iii", BACKWARD),
+      (0, "coordint.ii", BACKWARD), (1, "derint.iii", BACKWARD), (2, "intint", FORWARD)]),
+])
+def test_normalize_length_changing_steps(text, nf, steps):
+    """Normal forms and steps as the rescanning normalizer of commit
+    48e8ea0 computed them."""
+    assert _normalize_steps(w(text)) == (w(nf), steps)
+
+
+def test_normalize_step_cap_is_a_word_error(monkeypatch):
+    monkeypatch.setattr(words, "_NORMALIZE_CAP", 3)
+    with pytest.raises(WordError, match="step cap"):
+        normalize(w("I1 I2 I3 I4"))
+    assert normalize(w("q1")) == w("D2 I1")
 
 
 def test_normalize_idempotent_random():
