@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .boxes import IdcalcError, parse_box
 from .evaluation import eval_term, instantiate
@@ -44,10 +44,10 @@ def _read_defs(path: Optional[str], sep: str, parse: Callable[[str], object]) ->
     return defs
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise IdcalcError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
@@ -200,7 +200,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         report_path = args.report or ("relation_report.json" if failed else None)
         report = reports_to_json(reports)
         if report_path:
-            _write_text(report_path, report)
+            _write_text(report_path, [report])
         lines = [f"seed={args.seed} trials={args.trials} orientation={orientation.value}"]
         lines.extend(r.line() for r in reports)
         if report_path:
@@ -238,18 +238,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "comb-sphere":
-        from .sphere import comb_grid
+        from .sphere import comb_grid, grid_csv
         data = comb_grid(args.n, args.grid, args.eps)
-        rows = ["y1,y2,proj1,proj2,projnorm,certificate"]
-        for pt, pr, pn, ce in zip(data["points"], data["projection"],
-                                  data["projection_norm"], data["certificate"]):
-            rows.append(f"{pt[0]:.6f},{pt[1]:.6f},{pr[0]:.6e},{pr[1]:.6e},"
-                        f"{pn:.6e},{ce:.6e}")
-        body = "\n".join(rows)
         if args.out:
-            _write_text(args.out, body + "\n")
+            _write_text(args.out, grid_csv(data))
         else:
-            print(body)
+            sys.stdout.writelines(grid_csv(data))
         print(f"vanishing-radius={data['vanishing_radius']:.4f} "
               f"min-certificate={data['min_certificate']:.3e} "
               f"grid={args.grid} eps={args.eps}", file=sys.stderr)

@@ -3,17 +3,22 @@ bridge, and the combing field with its vanishing-locus diagnostics.
 
 This is the one floating-point layer of the package (the chart maps are
 transcendental).  Derivatives of the combing core are central differences
-with step 1e-5, taken through one batched core map that serves a single
-point, a certificate's offsets and a grid sweep alike.  Chart-transition
-differentials on polynomial transitions stay exact and delegate to the
-pre-derivation module.
+with step 1e-5 in the offset t, taken through one batched core map that
+serves a single point, a certificate's offsets and a grid sweep alike.
+The core runs in two stages.  `_prepare` does once per point set the work
+that does not depend on t: the radius check, the split into the inner
+region and the annulus, and the transition T(y) and bridged point B(y) of
+the annulus points.  Each offset then only shifts T(y) by t e1, transitions
+and bridges the shifted point, and subtracts B(y) (`comb_core`).
+Chart-transition differentials on polynomial transitions stay exact and
+delegate to the pre-derivation module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +31,13 @@ CERT_RADIUS = 1e-3  # certificate offsets t range over [-CERT_RADIUS, CERT_RADIU
 CERT_SAMPLES = 21  # offsets per comb_certificate call
 GRID_CERT_SAMPLES = 9  # offsets per grid point in comb_grid
 GRID_EXTENT = 0.99  # comb_grid samples the disc of this radius
+# Largest comb_grid side.  The sweep is a display path whose time, memory
+# and CSV size grow with the square of the side; 1000 resolves the disc 5x
+# finer than the default of 200.  Measured for `comb-sphere --out` (Python
+# 3.11, numpy 2.4, 2-core host): 0.3 s, 37 MB peak resident and a 2.2 MB
+# CSV at 200; 4.3 s, 186 MB and 56 MB at 1000.
+MAX_GRID = 1000
+_CSV_CHUNK = 1024  # sweep rows turned into Python floats at a time
 
 
 class SphereError(IdcalcError):
@@ -178,32 +190,67 @@ def bridge_hat(bridge: Bridge, w: np.ndarray) -> np.ndarray:
 # the combing field
 
 
-def comb_core(y: Sequence[float], t: Union[float, np.ndarray],
-              bridge: Bridge) -> np.ndarray:
-    """Core map at chart points y of shape (..., n) for the offset t, a
-    scalar or one per point: -t e1 in the inner region, the bridged
-    transition of the shifted point on the annulus."""
+class _Prepared(NamedTuple):
+    """The offset-independent part of the core at chart points of shape
+    (..., n).  `inner` and `annulus` index the points of each region: `...`
+    for all of them, a boolean mask for some, None for none."""
+
+    # the core's output takes the points' memory layout (np.zeros_like),
+    # and _norm's reduction order, hence its rounding, follows that layout
+    points: np.ndarray
+    inner: object
+    annulus: object
+    transitioned: Optional[np.ndarray]  # T(y) of the annulus points
+    bridged: Optional[np.ndarray]  # B(y) = bridge_hat(y) of the annulus points
+
+
+def _region(mask: np.ndarray):
+    if mask.all():
+        return ...
+    return mask if mask.any() else None
+
+
+def _prepare(y: Sequence[float], bridge: Bridge) -> _Prepared:
+    """Check the chart points y and compute the core's offset-independent
+    part at them once, for any number of offsets."""
     y = np.asarray(y, dtype=float)
     r = _norm(y)
     if (r >= 1).any():
         raise SphereError("chart points must have norm < 1")
-    per_point = np.ndim(t) > 0
-    out = np.zeros_like(y)
     inner = r <= bridge.left_knot
-    out[inner, 0] = -(t[inner] if per_point else t)
-    ann = ~inner
-    if ann.any():
-        ya = y[ann]
-        v = _transition_unchecked(ya)
-        v[..., 0] += t[ann] if per_point else t
-        out[ann] = bridge_hat(bridge, _transition_unchecked(v)) - bridge_hat(bridge, ya)
+    annulus = _region(~inner)
+    if annulus is None:
+        return _Prepared(y, ..., None, None, None)
+    ya = y[annulus]
+    return _Prepared(y, _region(inner), annulus,
+                     _transition_unchecked(ya), bridge_hat(bridge, ya))
+
+
+def comb_core(y: Union[Sequence[float], _Prepared], t: Union[float, np.ndarray],
+              bridge: Bridge) -> np.ndarray:
+    """Core map at chart points y of shape (..., n) for the offset t, a
+    scalar or one per point: -t e1 in the inner region, the bridged
+    transition of the shifted point on the annulus.  y may also be
+    `_prepare(points, bridge)` with the same bridge, which evaluates several
+    offsets at the same points without redoing the offset-independent
+    part."""
+    core = y if isinstance(y, _Prepared) else _prepare(y, bridge)
+    per_point = np.ndim(t) > 0
+    out = np.zeros_like(core.points)
+    if core.inner is not None:
+        out[core.inner, 0] = -(t[core.inner] if per_point else t)
+    if core.annulus is not None:
+        v = core.transitioned.copy()
+        v[..., 0] += t[core.annulus] if per_point else t
+        out[core.annulus] = bridge_hat(bridge, _transition_unchecked(v)) - core.bridged
     return out
 
 
-def _core_slope(y: np.ndarray, t: Union[float, np.ndarray],
+def _core_slope(core: _Prepared, t: Union[float, np.ndarray],
                 bridge: Bridge) -> np.ndarray:
     """Central difference quotient of the core in the offset at t."""
-    return (comb_core(y, t + FD_STEP, bridge) - comb_core(y, t - FD_STEP, bridge)) / (2 * FD_STEP)
+    return (comb_core(core, t + FD_STEP, bridge)
+            - comb_core(core, t - FD_STEP, bridge)) / (2 * FD_STEP)
 
 
 def _chart_point(y: Sequence[float], n: int) -> np.ndarray:
@@ -216,7 +263,14 @@ def _chart_point(y: Sequence[float], n: int) -> np.ndarray:
 def comb_classical(y: Sequence[float], n: int, eps: float) -> np.ndarray:
     """Classical projection of the combing field: the derivative of the
     core at offset 0; the constant -e1 inside the inner region."""
-    return _core_slope(_chart_point(y, n), 0.0, make_bridge(eps))
+    br = make_bridge(eps)
+    core = _prepare(_chart_point(y, n), br)
+    if core.annulus is None:
+        # the core is -t e1 here, whose central difference at 0 is exactly -1
+        out = np.zeros(n)
+        out[0] = -1.0
+        return out
+    return _core_slope(core, 0.0, br)
 
 
 def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
@@ -225,7 +279,8 @@ def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
     the whole disc."""
     y = _chart_point(y, n)
     ts = np.linspace(-CERT_RADIUS, CERT_RADIUS, CERT_SAMPLES)
-    q = _core_slope(np.broadcast_to(y, (CERT_SAMPLES, n)), ts, make_bridge(eps))
+    br = make_bridge(eps)
+    q = _core_slope(_prepare(np.broadcast_to(y, (CERT_SAMPLES, n)), br), ts, br)
     return float(np.max(_norm(q), initial=0.0))
 
 
@@ -238,24 +293,28 @@ def comb_grid(n: int, grid: int, eps: float) -> dict:
         raise SphereError("the grid sweep is laid out for n = 2")
     if grid < 1:
         raise SphereError(f"grid must be >= 1, got {grid}")
+    if grid > MAX_GRID:
+        raise SphereError(f"grid must be <= {MAX_GRID}, got {grid}")
     br = make_bridge(eps)
     axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, grid)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
-    inside = _norm(pts) < GRID_EXTENT
-    pts = pts[inside]
+    radii = _norm(pts)
+    inside = radii < GRID_EXTENT
+    pts, radii = pts[inside], radii[inside]
     if not len(pts):
         raise SphereError("no grid point lies inside the disc")
 
-    proj = _core_slope(pts, 0.0, br)
+    core = _prepare(pts, br)
+    proj = _core_slope(core, 0.0, br)
     projnorm = _norm(proj)
 
-    # one offset per pass keeps peak memory at one batch of points
+    # one offset per pass keeps peak memory at one batch of points; the
+    # offset 0 is the projection itself
     cert = np.zeros(len(pts))
     for t in np.linspace(-CERT_RADIUS, CERT_RADIUS, GRID_CERT_SAMPLES):
-        cert = np.maximum(cert, _norm(_core_slope(pts, t, br)))
+        cert = np.maximum(cert, projnorm if t == 0 else _norm(_core_slope(core, t, br)))
 
-    radii = _norm(pts)
     vanish_idx = int(np.argmin(projnorm))
     return {
         "points": pts,
@@ -267,6 +326,20 @@ def comb_grid(n: int, grid: int, eps: float) -> dict:
         "min_certificate": float(np.min(cert)),
         "min_projection_norm": float(np.min(projnorm)),
     }
+
+
+def grid_csv(data: dict) -> Iterator[str]:
+    """A `comb_grid` sweep as CSV text, in chunks: a header, then one row
+    per grid point (y1, y2, proj1, proj2, projnorm, certificate).  Each
+    chunk is formatted from Python floats, so only one chunk of rows is
+    alive at a time."""
+    table = np.column_stack([data["points"], data["projection"],
+                             data["projection_norm"], data["certificate"]])
+    yield "y1,y2,proj1,proj2,projnorm,certificate\n"
+    for start in range(0, len(table), _CSV_CHUNK):
+        chunk = table[start:start + _CSV_CHUNK]
+        yield (("%.6f,%.6f,%.6e,%.6e,%.6e,%.6e\n" * len(chunk))
+               % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from idcalc import words
+import idcalc
+from idcalc import sphere, words
 from idcalc.cli import main
 from idcalc.words import parse_word, relation_step
 
@@ -224,6 +228,25 @@ def test_comb_sphere_grid_without_interior_point(capsys, grid):
     code, out, err = run(capsys, "comb-sphere", "--grid", grid)
     assert code == 1
     assert err.strip() == "error: no grid point lies inside the disc"
+
+
+def test_comb_sphere_grid_above_limit_is_one_error_line(capsys):
+    grid = str(sphere.MAX_GRID + 1)
+    code, out, err = run(capsys, "comb-sphere", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: grid must be <= {sphere.MAX_GRID}, got {grid}"]
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is the float layer's dependency; only the comb-sphere branch
+    # imports it, so every other subcommand starts without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idcalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, idcalc.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60, env=env)
+    assert result.stdout.strip() == "False"
 
 
 def test_comb_sphere_smallest_grid_with_interior_point(capsys):

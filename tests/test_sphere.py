@@ -1,14 +1,19 @@
+import contextlib
+import hashlib
+import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from idcalc.boxes import Box
+from idcalc.cli import main
 from idcalc.polynomials import Poly, PolyFun, parse_polyfun
 from idcalc.prederiv import PreDeriv, eval_smooth, identity_core
-from idcalc.sphere import (SphereError, chart_differential,
+from idcalc.sphere import (MAX_GRID, SphereError, chart_differential,
                            comb_certificate, comb_classical, comb_core,
                            comb_grid, make_bridge, map_north, map_south,
                            transition)
@@ -171,6 +176,17 @@ def test_grid_requires_n2():
         comb_grid(3, 10, EPS)
 
 
+def test_grid_above_limit_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SphereError, match=f"grid must be <= {MAX_GRID}, got {MAX_GRID + 1}"):
+            comb_grid(2, MAX_GRID + 1, EPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # one grid axis alone would be 8 kB, the sweep ~100 MB
+
+
 # ---------------------------------------------------------------------------
 # chart differentials (exact layer)
 
@@ -235,3 +251,69 @@ def test_classical_projection_is_the_grid_row():
     data = comb_grid(2, 60, EPS)
     for pt, row in zip(data["points"], data["projection"]):
         assert np.array_equal(comb_classical(pt, 2, EPS), row)
+
+
+# ---------------------------------------------------------------------------
+# output pins: sha256 digests of the float layer's outputs, recorded before
+# the offset-independent part of the core was computed once per point set
+
+
+# per dimension n: classical projection bytes and certificate reprs of 40 points
+POINT_DIGESTS = {
+    1: "ccce83660e933e8b7448a32293e6beb1841902e9815a066e493af3222607d385",
+    2: "cc1343a70b8358c1abff722d26a38a4e9f819ac3bc68e3b33fd729fefb083dda",
+    3: "c4d6e9b9f9bd56359e12b8de30ad30995cd37a76396b40857032f444627950b8",
+    4: "1867a3a0b0a20daa7960910dcc92902643167c1e150dc963171db40ee33b85f5",
+    5: "587021552ba06b0ce5e5319e99b65a2d177ae87ef94e298d6bcce631af2efa7a",
+    6: "221b347ac3748c7d3be15a953960633fd647843b2637a075bfaa42f60a8be9e3",
+    7: "5c2c330628a3c2b709bb8716cb8bc096654137dcd9adcded60f3087a58600b0e",
+    8: "a7abf5f63870ad44e19a3085ccbaf505b6fec6ac5cfaf161715db9731fa93578",
+    9: "d354c3592a9ab9efa174fef48a1c711a45afd146be49242a8e7254080bcee8ca",
+    10: "2914a88228a6edea7d1e00f4302f8e1416f1c776a4447e1c92407120c5bf4f89",
+    11: "ac0ff664d65e1ce06c31ebffba9e085a5901931c8d062dab24c0738c4d53d17f",
+    12: "0ea17c21e2c0a6ce6f023e570291ae5b8cda03e580f2ac2b1a9eae146edcf09b",
+}
+
+
+def _pin_points(n: int) -> list:
+    """40 seeded chart points in R^n, radii uniform on [0, 0.98]: both the
+    inner region and the annulus."""
+    rng = random.Random(f"pin:{n}")
+    pts = []
+    for _ in range(40):
+        d = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        s = math.sqrt(sum(c * c for c in d)) or 1.0
+        rad = rng.uniform(0.0, 0.98)
+        pts.append([rad * c / s for c in d])
+    return pts
+
+
+@pytest.mark.parametrize("n", sorted(POINT_DIGESTS))
+def test_scalar_outputs_are_pinned(n):
+    # n >= 8 catches a change of _norm's reduction order: numpy's unrolled
+    # pairwise sum rounds differently from a column-by-column sum there
+    h = hashlib.sha256()
+    for y in _pin_points(n):
+        h.update(comb_classical(y, n, EPS).tobytes())
+        h.update(repr(comb_certificate(y, n, EPS)).encode())
+    assert h.hexdigest() == POINT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("grid, digest, summary", [
+    (25, "f3ccfcf7e18085084d4f9da15861f0ed0372286710ec55a9b5deaed044f29255",
+     "vanishing-radius=0.4950 min-certificate=2.312e-02 grid=25 eps=0.1"),
+    (200, "3a2fc7d64a3e5b14aabac8e93ceff5962bf78012ab584fbda37638ea857325af",
+     "vanishing-radius=0.5025 min-certificate=2.948e-02 grid=200 eps=0.1"),
+])
+def test_comb_sphere_csv_is_pinned(tmp_path, grid, digest, summary):
+    path = tmp_path / "grid.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["comb-sphere", "--grid", str(grid), "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert err.getvalue() == summary + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["comb-sphere", "--grid", str(grid)]) == 0
+    assert out.getvalue().encode() == data
