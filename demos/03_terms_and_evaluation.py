@@ -7,7 +7,7 @@
 
 from fractions import Fraction as F
 
-from idcalc import (Act, Base, Comp, Opaque, Smooth, TupleT, classify,
+from idcalc import (Act, Comp, Opaque, TupleT, classify,
                     eval_term, format_polyfun, format_term, instantiate,
                     linincl, max_augment, parse_box, parse_polyfun, parse_term,
                     parse_word, signature)
@@ -29,9 +29,9 @@ print("\nafter instantiation:",
       format_polyfun(eval_term(instantiate(t, {"c": fn}))))
 
 # Right-association is the unique normal form of composition chains.
-a = Base(Smooth(parse_polyfun("poly 1->1 on R : 1 x1")))
-b = Base(Smooth(parse_polyfun("poly 1->1 on R : 2 x1")))
-c = Base(Smooth(parse_polyfun("poly 1->1 on R : 3 x1")))
+a = parse_polyfun("poly 1->1 on R : 1 x1")
+b = parse_polyfun("poly 1->1 on R : 2 x1")
+c = parse_polyfun("poly 1->1 on R : 3 x1")
 chain = Comp(Comp(a, b), c)
 print("\nleft-nested:      ", format_term(chain))
 print("right-associated: ", format_term(max_augment(chain)))
@@ -41,8 +41,8 @@ print("same evaluation:  ",
 
 # The linear embedding turns coefficients-over-bases into a term whose
 # evaluation reproduces the combination exactly.
-base_x = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1"))
-base_x2 = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1^2"))
+base_x = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
+base_x2 = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
 combo = linincl([([F(2), F(3)], [base_x, base_x2])])
 print("\n2x + 3x^2 via the embedding:",
       format_polyfun(eval_term(combo, permissive=True)))

@@ -20,7 +20,7 @@ from .polynomials import (Orientation, Poly, PolyFun, apply_gen, apply_word,
 from .words import (D, Equal, Gen, GenKind, I, NotEqual, Q, Signature, Unknown,
                     Word, normalize, p, parse_word, q, relation_step,
                     signature_effect, word_eq)
-from .terms import (Act, Base, Comp, Opaque, Smooth, Term, TupleT, classify,
+from .terms import (Act, Comp, Opaque, Term, TupleT, classify,
                     format_term, max_augment, mult_t, occurrences, opaque_set,
                     parse_term, scal_t, signature, substitute, sum_t)
 from .evaluation import eval_term, instantiate, linincl, linincl_of_polyfun

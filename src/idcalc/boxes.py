@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 

@@ -22,9 +22,6 @@ from .relations import check_all, reports_to_json
 from .terms import Term, classify, format_term, max_augment, parse_term, signature
 from .words import Equal, NotEqual, _normalize_steps, parse_word, word_eq
 
-DOMAIN_ERRORS = IdcalcError
-
-
 def _read_defs(path: Optional[str], sep: str, parse: Callable[[str], object]) -> dict:
     """A definitions file: one `name <sep> value` per line; blank lines
     and lines starting with # are skipped."""
@@ -70,8 +67,13 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
         print(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error exits 1, with one line
+        raise IdcalcError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="idcalc",
         description="Exact symbolic kernel: operator words, expression terms, "
                     "relation checking, pre-derivations, and the sphere demo.")
@@ -127,15 +129,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     pd.add_argument("--json", action="store_true")
 
     cs = sub.add_parser("comb-sphere", help="grid sweep of the combing field")
-    cs.add_argument("--n", type=int, default=2)
     cs.add_argument("--grid", type=int, default=200)
     cs.add_argument("--eps", type=float, default=0.1)
     cs.add_argument("--out", help="CSV output path (default stdout)")
 
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = parser.parse_args(argv)
         return _dispatch(args)
-    except DOMAIN_ERRORS as exc:
+    except IdcalcError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(args, "json", False):
             print(json.dumps(payload), file=sys.stderr)
@@ -239,7 +241,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "comb-sphere":
         from .sphere import comb_grid, grid_csv
-        data = comb_grid(args.n, args.grid, args.eps)
+        data = comb_grid(2, args.grid, args.eps)
         if args.out:
             _write_text(args.out, grid_csv(data))
         else:

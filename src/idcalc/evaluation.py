@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from .boxes import Box, IdcalcError
 from .polynomials import (Orientation, Poly, PolyFun, RatLike, apply_word, compose,
                           diag, rat, tuple_)
-from .terms import Base, Comp, Opaque, Smooth, Term, TupleT, opaque_leaves, substitute
+from .terms import Comp, Opaque, Term, TupleT, opaque_leaves, substitute
 
 
 class EvalError(IdcalcError):
@@ -28,11 +28,11 @@ Instantiation = Mapping[str, PolyFun]
 def eval_term(t: Term, permissive: bool = False,
               orientation: Orientation = Orientation.UPPER) -> PolyFun:
     """Evaluate a smooth term; raises on opaque leaves."""
-    if isinstance(t, Base):
-        if isinstance(t.fn, Opaque):
-            raise EvalError(f"opaque generator {t.fn.name!r} cannot be evaluated; "
-                            "instantiate it first")
-        return t.fn.fn
+    if isinstance(t, PolyFun):
+        return t
+    if isinstance(t, Opaque):
+        raise EvalError(f"opaque generator {t.name!r} cannot be evaluated; "
+                        "instantiate it first")
     if isinstance(t, TupleT):
         return tuple_([eval_term(x, permissive, orientation) for x in t.items])
     if isinstance(t, Comp):
@@ -56,7 +56,7 @@ def instantiate(t: Term, assignment: Instantiation) -> Term:
         if fn.domain != op.domain:
             raise EvalError(f"instantiation of {op.name!r} has domain {fn.domain}, "
                             f"declared {op.domain}")
-        mapping[path] = Base(Smooth(fn))
+        mapping[path] = fn
     return substitute(t, mapping)
 
 
@@ -64,7 +64,7 @@ def instantiate(t: Term, assignment: Instantiation) -> Term:
 # the linear-combination embedding
 
 
-Combo = tuple[Sequence[RatLike], Sequence[object]]  # (coefficients, base functions)
+Combo = tuple[Sequence[RatLike], Sequence[PolyFun | Opaque]]  # (coefficients, bases)
 
 
 def linincl(combos: Sequence[Combo]) -> Term:
@@ -85,14 +85,13 @@ def linincl(combos: Sequence[Combo]) -> Term:
         if any(c == 0 for c in cs):
             raise EvalError("zero coefficients are not allowed")
         for b in bases:
-            dom = b.fn.domain if isinstance(b, Smooth) else b.domain
-            if isinstance(b, Smooth) and b.fn.cod_dim != 1:
+            if isinstance(b, PolyFun) and b.cod_dim != 1:
                 raise EvalError("base functions must be scalar-valued")
             if domain is None:
-                domain = dom
-            elif domain != dom:
+                domain = b.domain
+            elif domain != b.domain:
                 raise EvalError("base functions must share one domain")
-            flat_bases.append(Base(b))
+            flat_bases.append(b)
         lengths.append(len(cs))
         all_coeffs.append(cs)
     assert domain is not None
@@ -106,8 +105,8 @@ def linincl(combos: Sequence[Combo]) -> Term:
         g_comps.append(p)
         offset += len(cs)
     g = PolyFun.make(Box.full(total), g_comps)
-    return Comp(Comp(Base(Smooth(g)), TupleT(tuple(flat_bases))),
-                Base(Smooth(diag(domain, total))))
+    return Comp(Comp(g, TupleT(tuple(flat_bases))),
+                diag(domain, total))
 
 
 def linincl_of_polyfun(f: PolyFun) -> Term:
@@ -119,10 +118,10 @@ def linincl_of_polyfun(f: PolyFun) -> Term:
     for p in f.components:
         if p.is_zero:
             combos.append(([Fraction(1)],
-                           [Smooth(PolyFun.make(f.domain, [Poly.zero(m)]))]))
+                           [PolyFun.make(f.domain, [Poly.zero(m)])]))
             continue
         coeffs = [c for _, c in p.terms]
-        bases = [Smooth(PolyFun.make(f.domain, [Poly.make(m, {k: 1})]))
+        bases = [PolyFun.make(f.domain, [Poly.make(m, {k: 1})])
                  for k, _ in p.terms]
         combos.append((coeffs, bases))
     return linincl(combos)

@@ -40,10 +40,6 @@ class DomainMismatchError(PolyError):
 # scalar polynomials
 
 
-def _grlex_key(k: Key) -> tuple:
-    return (sum(k), k)
-
-
 def _mul_terms(a: Mapping[Key, Fraction], b: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
     """Product of two term dicts, not yet canonical: ``Poly.make`` drops
     the zero coefficients and sorts."""
@@ -78,7 +74,7 @@ class Poly:
                 k = tuple(k)
                 clean[k] = clean[k] + c if k in clean else c
         items = tuple(sorted(((k, c) for k, c in clean.items() if c),
-                             key=lambda kc: _grlex_key(kc[0])))
+                             key=lambda kc: (sum(kc[0]), kc[0])))
         return Poly(arity, items)
 
     @staticmethod
@@ -99,13 +95,10 @@ class Poly:
 
     # -- ring operations -----------------------------------------------------
 
-    def _tdict(self) -> dict[Key, Fraction]:
-        return dict(self.terms)
-
     def add(self, other: "Poly") -> "Poly":
         if self.arity != other.arity:
             raise PolyError("arity mismatch in +")
-        out = self._tdict()
+        out = dict(self.terms)
         for k, c in other.terms:
             out[k] = out[k] + c if k in out else c
         return Poly.make(self.arity, out)
@@ -119,7 +112,7 @@ class Poly:
     def mul(self, other: "Poly") -> "Poly":
         if self.arity != other.arity:
             raise PolyError("arity mismatch in *")
-        return Poly.make(self.arity, _mul_terms(self._tdict(), other._tdict()))
+        return Poly.make(self.arity, _mul_terms(dict(self.terms), dict(other.terms)))
 
     def scale(self, c: RatLike) -> "Poly":
         c = rat(c)
@@ -128,7 +121,7 @@ class Poly:
         return Poly(self.arity, tuple((k, c * co) for k, co in self.terms))
 
     def pow(self, e: int) -> "Poly":
-        base = self._tdict()
+        base = dict(self.terms)
         out = {(0,) * self.arity: Fraction(1)}
         for _ in range(e):
             out = _mul_terms(out, base)
@@ -195,7 +188,7 @@ class Poly:
             raise PolyError("substitution arguments disagree on arity")
         # powers[j][e] is args[j]^e as a plain term dict, filled on demand
         one = (0,) * tgt
-        bases = [a._tdict() for a in args]
+        bases = [dict(a.terms) for a in args]
         powers = [[{one: Fraction(1)}] for _ in args]
         out: dict[Key, Fraction] = {}
         for k, c in self.terms:
@@ -216,9 +209,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(k) for k, _ in self.terms), default=0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -273,13 +263,6 @@ class PolyFun:
     @staticmethod
     def identity(domain: Box) -> "PolyFun":
         return _picks(domain, range(1, domain.dim + 1))
-
-    @staticmethod
-    def scalar(domain: Box, p: Poly) -> "PolyFun":
-        return PolyFun.make(domain, [p])
-
-    def tag_partial(self) -> "PolyFun":
-        return PolyFun(self.domain, self.components, True)
 
     def restrict(self, sub: Box) -> "PolyFun":
         if sub.dim != self.arity:
@@ -379,8 +362,7 @@ def tuple_(fs: Sequence[PolyFun]) -> PolyFun:
         comps.extend(p.remap(m, mapping) for p in f.components)
         offset += f.arity
         partial = partial or f.is_partial
-    out = PolyFun.make(dom, comps)
-    return out.tag_partial() if partial else out
+    return PolyFun.make(dom, comps, partial)
 
 
 def vsum(f: PolyFun, g: PolyFun) -> PolyFun:

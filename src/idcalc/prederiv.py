@@ -162,9 +162,8 @@ class PreDeriv:
         return self.scale(-1)
 
 
-def identity_core(m: int, radius: RatLike = 1) -> GermCore:
-    dom = Box((Ray1.bounded(-rat(radius), rat(radius)),) * m)
-    return GermCore(PolyFun.identity(dom))
+def identity_core(m: int) -> GermCore:
+    return GermCore(PolyFun.identity(Box.cube(-1, 1, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,6 @@ def apply(dv: PreDeriv, w: PolyFun) -> list[PolyFun]:
     if not w.domain.contains(zero):
         raise PreDerivError("function domain must contain 0")
     grouped: dict[int, PolyFun] = {}
-    order: list[int] = []
     for core, u in dv.summands:
         l = core.source_dim
         wz = compose_germ(w, core.fn)
@@ -230,8 +228,7 @@ def apply(dv: PreDeriv, w: PolyFun) -> list[PolyFun]:
             grouped[l] = vsum(prev.restrict(common), acc.restrict(common))
         else:
             grouped[l] = acc
-            order.append(l)
-    return [grouped[l] for l in order]
+    return list(grouped.values())
 
 
 def eval_smooth(dv: PreDeriv) -> tuple[Fraction, ...]:
@@ -307,18 +304,16 @@ def smooth_kernel_test(dv: PreDeriv) -> bool:
     return all(c == 0 for c in eval_smooth(dv))
 
 
-def nontriviality_witness(l: int, ell: int, u: Sequence[RatLike],
-                          target_dim: int = 1) -> PolyFun:
+def nontriviality_witness(l: int, ell: int, u: Sequence[RatLike]) -> PolyFun:
     """Iterated integral of the directional derivative of the map
-    x -> (x_ell, 0, ..., 0); its first component is the closed product
+    x -> x_ell; it is the scalar closed product
     u_ell * prod_i (x_{2i} - x_{2i-1})."""
     if not 1 <= ell <= l:
         raise PreDerivError("component index out of range")
     uu = [rat(c) for c in u]
     if len(uu) != l:
         raise PreDerivError("direction length must be l")
-    comps = [Poly.const(l, uu[ell - 1])] + [Poly.zero(l)] * (target_dim - 1)
-    cur = PolyFun.make(Box.full(l), comps)
+    cur = PolyFun.make(Box.full(l), [Poly.const(l, uu[ell - 1])])
     for j in range(l, 0, -1):
         cur = smint(cur, j)
     return cur

@@ -26,13 +26,9 @@ from .evaluation import eval_term, instantiate, linincl, linincl_of_polyfun
 from .polynomials import (Orientation, Poly, PolyFun, apply_word, const_fun, coord,
                           diag, format_polyfun, incl, proj_block, proje, switch,
                           vecminus, vecprod, vecsum)
-from .terms import (Act, Base, Comp, Opaque, Smooth, Term, TupleT, format_term, mult_t,
-                    scal_t, signature, sum_t)
+from .terms import (Act, Comp, Opaque, Term, TupleT, format_term, mult_t, scal_t,
+                    signature, sum_t)
 from .words import D, Gen, GenKind, I, Q, Word, p, q
-
-
-def B(f: PolyFun) -> Term:
-    return Base(Smooth(f))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +117,9 @@ def rand_slot(ctx: Ctx, domain: Box, cod_dim: int) -> Term:
     carries opaque generators, registered in the shared instantiation."""
     rng = ctx.rng
     if cod_dim == 0:
-        return B(PolyFun.make(domain, []))
+        return PolyFun.make(domain, [])
     if rng.random() < 0.5:
-        return B(rand_polyfun(rng, domain, cod_dim))
+        return rand_polyfun(rng, domain, cod_dim)
     combos = []
     for _ in range(cod_dim):
         k = rng.randint(1, 2)
@@ -135,7 +131,7 @@ def rand_slot(ctx: Ctx, domain: Box, cod_dim: int) -> Term:
                 ctx.inst[name] = rand_polyfun(rng, domain, 1)
                 bases.append(Opaque(name, domain))
             else:
-                bases.append(Smooth(rand_polyfun(rng, domain, 1)))
+                bases.append(rand_polyfun(rng, domain, 1))
         combos.append((coeffs, bases))
     return linincl(combos)
 
@@ -147,7 +143,7 @@ def _equal_pair(ctx: Ctx, domain: Box, cod_dim: int) -> tuple[Term, Term]:
     if style == 0:
         return x, x
     if style == 1:
-        return x, Comp(B(PolyFun.identity(Box.full(cod_dim))), x)
+        return x, Comp(PolyFun.identity(Box.full(cod_dim)), x)
     return x, Act(Word(), x)
 
 
@@ -206,8 +202,8 @@ def _t_r1(ctx: Ctx, k: int) -> Trial:
     dom = rand_box(rng, rng.randint(1, 2))
     x = rand_slot(ctx, dom, sum(ls))
     blocks = [Box.full(l) for l in ls]
-    parts = [Comp(B(proj_block(blocks, i + 1)), x) for i in range(len(ls))]
-    rhs = Comp(TupleT(tuple(parts)), B(diag(dom, len(ls))))
+    parts = [Comp(proj_block(blocks, i + 1), x) for i in range(len(ls))]
+    rhs = Comp(TupleT(tuple(parts)), diag(dom, len(ls)))
     return x, rhs
 
 
@@ -216,9 +212,9 @@ def _t_r1bis(ctx: Ctx, k: int) -> Trial:
     u1, u2 = rand_box(rng, rng.randint(1, 2)), rand_box(rng, rng.randint(1, 2))
     n1, n2 = rng.randint(1, 2), rng.randint(1, 2)
     x1 = rand_slot(ctx, u1, n1)
-    x2 = B(rand_polyfun(rng, u2, n2))  # second factor stays in the smooth fragment
-    lhs = Comp(B(proj_block([Box.full(n1), Box.full(n2)], 1)), TupleT((x1, x2)))
-    rhs = Comp(x1, B(proj_block([u1, u2], 1)))
+    x2 = rand_polyfun(rng, u2, n2)  # second factor stays in the smooth fragment
+    lhs = Comp(proj_block([Box.full(n1), Box.full(n2)], 1), TupleT((x1, x2)))
+    rhs = Comp(x1, proj_block([u1, u2], 1))
     return lhs, rhs
 
 
@@ -228,8 +224,8 @@ def _t_r2(ctx: Ctx, k: int) -> Trial:
     cod = rng.randint(1, 2)
     x = rand_slot(ctx, dom, cod)
     n = rng.randint(2, 3)
-    lhs = Comp(TupleT((x,) * n), B(diag(dom, n)))
-    rhs = Comp(B(diag(Box.full(cod), n)), x)
+    lhs = Comp(TupleT((x,) * n), diag(dom, n))
+    rhs = Comp(diag(Box.full(cod), n), x)
     return lhs, rhs
 
 
@@ -239,8 +235,8 @@ def _t_r3(ctx: Ctx, k: int) -> Trial:
     n1, n2 = rng.randint(1, 2), rng.randint(1, 2)
     x1, x2 = rand_slot(ctx, u1, n1), rand_slot(ctx, u2, n2)
     lhs = TupleT((x1, x2))
-    outer = B(switch([Box.full(n2), Box.full(n1)], [2, 1]))
-    inner = B(switch([u1, u2], [2, 1]))
+    outer = switch([Box.full(n2), Box.full(n1)], [2, 1])
+    inner = switch([u1, u2], [2, 1])
     rhs = Comp(Comp(outer, TupleT((x2, x1))), inner)
     return lhs, rhs
 
@@ -261,7 +257,7 @@ def _t_r7(ctx: Ctx, k: int) -> Trial:
     rng = ctx.rng
     x = rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
     n = signature(x).cod_dim
-    return x, Comp(B(PolyFun.identity(Box.full(n))), x)
+    return x, Comp(PolyFun.identity(Box.full(n)), x)
 
 
 def _t_s7bis(ctx: Ctx, k: int) -> Trial:
@@ -270,8 +266,8 @@ def _t_s7bis(ctx: Ctx, k: int) -> Trial:
     n = rng.randint(1, 2)
     x = rand_slot(ctx, dom, n)
     z = rand_slot(ctx, dom, n)
-    inner = Comp(B(vecprod(1, n)), TupleT((B(const_fun(dom, [0])), z)))
-    rhs = Comp(Comp(B(vecsum(n, 2)), TupleT((x, inner))), B(diag(dom, 3)))
+    inner = Comp(vecprod(1, n), TupleT((const_fun(dom, [0]), z)))
+    rhs = Comp(Comp(vecsum(n, 2), TupleT((x, inner))), diag(dom, 3))
     return x, rhs
 
 
@@ -279,13 +275,13 @@ def _t_r7ter(ctx: Ctx, k: int) -> Trial:
     rng = ctx.rng
     dom = rand_box(rng, rng.randint(1, 2))
     x = rand_slot(ctx, dom, rng.randint(1, 2))
-    return x, Comp(x, B(incl(dom)))
+    return x, Comp(x, incl(dom))
 
 
 def _t_r7quater(ctx: Ctx, k: int) -> Trial:
     rng = ctx.rng
     kdim = rng.randint(1, 2)
-    y = B(rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), kdim))
+    y = rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), kdim)
     x = rand_slot(ctx, Box.full(kdim), rng.randint(1, 2))
     z = rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), signature(y).dom.dim)
     return Comp(Comp(x, y), z), Comp(x, Comp(y, z))
@@ -334,7 +330,7 @@ def _t_r9_3(ctx: Ctx, k: int) -> Trial:
     x, dom, m, _, i = _integrated_slot(ctx)
     dup = PolyFun.make(dom, [Poly.var(m, j) for j in
                              list(range(1, i + 1)) + [i] + list(range(i + 1, m + 1))])
-    return Comp(Act(Word.of(I(i)), x), B(dup)), scal_t(0, x)
+    return Comp(Act(Word.of(I(i)), x), dup), scal_t(0, x)
 
 
 def _t_r9bis(ctx: Ctx, k: int) -> Trial:
@@ -344,8 +340,8 @@ def _t_r9bis(ctx: Ctx, k: int) -> Trial:
     w = rand_box(rng, m)
     u = rand_subbox(rng, w)
     x = rand_slot(ctx, w, rng.randint(1, 2))
-    lhs = Act(Word.of(I(i)), Comp(x, B(incl(u))))
-    rhs = Comp(Act(Word.of(I(i)), x), B(incl(domint(u, i))))
+    lhs = Act(Word.of(I(i)), Comp(x, incl(u)))
+    rhs = Comp(Act(Word.of(I(i)), x), incl(domint(u, i)))
     return lhs, rhs
 
 
@@ -361,8 +357,8 @@ def _t_r9ter(ctx: Ctx, k: int) -> Trial:
     d1 = domint(u1, i)
     pincl2 = PolyFun.make(d1, [Poly.var(m1 + 1, j) for j in range(1, m1 + 2)]
                           + [Poly.zero(m1 + 1)] * m2)
-    lhs = Act(Word.of(I(i)), Comp(x, B(pincl)))
-    rhs = Comp(Act(Word.of(I(i)), x), B(pincl2))
+    lhs = Act(Word.of(I(i)), Comp(x, pincl))
+    rhs = Comp(Act(Word.of(I(i)), x), pincl2)
     return lhs, rhs
 
 
@@ -395,10 +391,10 @@ def _t_r10(ctx: Ctx, k: int) -> Trial:
     ys = []
     for j in range(n):
         if L[j] < i <= L[j + 1]:
-            ys.append(Comp(Act(Word.of(I(i - L[j])), xs[j]), B(proj_block(blocks, j + 1))))
+            ys.append(Comp(Act(Word.of(I(i - L[j])), xs[j]), proj_block(blocks, j + 1)))
         else:
-            ys.append(mult_t(Comp(xs[j], B(proj_block(blocks, j + 1))), B(length)))
-    rhs = Comp(TupleT(tuple(ys)), B(diag(ext_dom, n)))
+            ys.append(mult_t(Comp(xs[j], proj_block(blocks, j + 1)), length))
+    rhs = Comp(TupleT(tuple(ys)), diag(ext_dom, n))
     return lhs, rhs
 
 
@@ -407,8 +403,8 @@ def _t_r10_1(ctx: Ctx, k: int) -> Trial:
     perm = list(range(1, m + 2))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
     sw = switch([Box.full(1)] * (m + 1), perm)
-    lhs = Comp(Act(Word.of(I(i)), x), Comp(B(sw), B(incl(domint(dom, i)))))
-    rhs = Comp(B(vecminus(n)), Act(Word.of(I(i)), x))
+    lhs = Comp(Act(Word.of(I(i)), x), Comp(sw, incl(domint(dom, i))))
+    rhs = Comp(vecminus(n), Act(Word.of(I(i)), x))
     return lhs, rhs
 
 
@@ -440,7 +436,7 @@ def _t_r11(ctx: Ctx, k: int) -> Trial:
             ys.append(Act(Word.of(D(i - M[j])), xs[j]))
         else:
             zero = const_fun(Box.full(cods[j]), [0] * cods[j])
-            ys.append(Comp(B(zero), xs[j]))
+            ys.append(Comp(zero, xs[j]))
     return lhs, TupleT(tuple(ys))
 
 
@@ -464,7 +460,7 @@ def _t_r12_1(ctx: Ctx, k: int) -> Trial:
     i = rng.randint(1, 4)
     x = rand_slot(ctx, dom, n)
     zero = const_fun(Box.full(n), [0] * n)
-    return Act(Word.of(D(i)), x), sum_t(Act(Word.of(D(i)), x), Comp(B(zero), x))
+    return Act(Word.of(D(i)), x), sum_t(Act(Word.of(D(i)), x), Comp(zero, x))
 
 
 def _t_r13(ctx: Ctx, k: int) -> Trial:
@@ -477,9 +473,9 @@ def _t_r13(ctx: Ctx, k: int) -> Trial:
     if n == 0:
         rhs: Term = x
     elif i <= n:
-        rhs = Comp(B(coord(n, i)), x)
+        rhs = Comp(coord(n, i), x)
     else:
-        rhs = Comp(B(const_fun(Box.full(n), [0])), x)
+        rhs = Comp(const_fun(Box.full(n), [0]), x)
     return lhs, rhs
 
 
@@ -499,7 +495,7 @@ def _endpoint_slot(ctx: Ctx, k: int, extra: int) -> tuple[Term, Box, int, int, i
     if k > 0:
         return _indexed_slot(ctx, extra)
     dom = Box.full(1)
-    return B(PolyFun.make(dom, [Poly.var(1, 1)])), dom, 1, 1, 1
+    return PolyFun.make(dom, [Poly.var(1, 1)]), dom, 1, 1, 1
 
 
 def _t_r14(ctx: Ctx, k: int) -> Trial:
@@ -507,28 +503,28 @@ def _t_r14(ctx: Ctx, k: int) -> Trial:
     lhs = Act(Word.of(q(i)), x)
     if i <= m:
         # upper-endpoint substitution deletes coordinate i
-        rhs = Comp(x, Comp(B(proje(m, i)), B(incl(domint(dom, i)))))
+        rhs = Comp(x, Comp(proje(m, i), incl(domint(dom, i))))
     else:
-        rhs = Comp(x, B(proj_block([dom, Box.full(i - m + 1)], 1)))
+        rhs = Comp(x, proj_block([dom, Box.full(i - m + 1)], 1))
     return lhs, rhs
 
 
 def _t_r15(ctx: Ctx, k: int) -> Trial:
     x, dom, m, n, i = _endpoint_slot(ctx, k, 2)
     lhs = Act(Word.of(Q(i)), x)
-    neg_x = Comp(B(vecminus(n)), x)
+    neg_x = Comp(vecminus(n), x)
     if i <= m:
         # lower-endpoint substitution deletes coordinate i + 1 and negates
-        rhs = Comp(neg_x, Comp(B(proje(m, i + 1)), B(incl(domint(dom, i)))))
+        rhs = Comp(neg_x, Comp(proje(m, i + 1), incl(domint(dom, i))))
     else:
-        rhs = Comp(neg_x, B(proj_block([dom, Box.full(i - m + 1)], 1)))
+        rhs = Comp(neg_x, proj_block([dom, Box.full(i - m + 1)], 1))
     return lhs, rhs
 
 
 def _t_r16(ctx: Ctx, k: int) -> Trial:
     x, _, _, n, i = _endpoint_slot(ctx, k, 1)
     return Act(Word.of(q(i)), x), \
-        sum_t(Act(Word.of(I(i), D(i)), x), Comp(B(vecminus(n)), Act(Word.of(Q(i)), x)))
+        sum_t(Act(Word.of(I(i), D(i)), x), Comp(vecminus(n), Act(Word.of(Q(i)), x)))
 
 
 def _slot_pair(ctx: Ctx) -> tuple[Term, Term, int, int]:
@@ -552,7 +548,7 @@ def _t_r16_1(ctx: Ctx, k: int) -> Trial:
 
 def _t_r16_2(ctx: Ctx, k: int) -> Trial:
     x1, x2, i, n = _slot_pair(ctx)
-    inner = Act(Word.of(Q(i)), Comp(B(vecminus(n)), Act(Word.of(Q(i)), x2)))
+    inner = Act(Word.of(Q(i)), Comp(vecminus(n), Act(Word.of(Q(i)), x2)))
     return Act(Word.of(I(i + 1)), mult_t(x1, Act(Word.of(Q(i)), x2))), \
         mult_t(Act(Word.of(I(i + 1)), x1), inner)
 
@@ -566,21 +562,21 @@ def _t_r16_3(ctx: Ctx, k: int) -> Trial:
 def _t_r16_4(ctx: Ctx, k: int) -> Trial:
     x, dom, _, n, i = _indexed_slot(ctx, 0)
     lhs = Act(Word.of(Q(i), I(i)), x)
-    rhs = Comp(B(vecminus(n)), Act(Word.of(q(i + 1), I(i)), x))
+    rhs = Comp(vecminus(n), Act(Word.of(q(i + 1), I(i)), x))
     return lhs, rhs
 
 
 def _t_r16_5(ctx: Ctx, k: int) -> Trial:
     x, dom, _, n, i = _indexed_slot(ctx, 0)
     lhs = Act(Word.of(Q(i), q(i)), x)
-    rhs = Comp(B(vecminus(n)), Act(Word.of(q(i + 1), q(i)), x))
+    rhs = Comp(vecminus(n), Act(Word.of(q(i + 1), q(i)), x))
     return lhs, rhs
 
 
 def _rand_smooth_term(ctx: Ctx, depth: int = 2) -> Term:
     rng = ctx.rng
     if depth == 0 or rng.random() < 0.4:
-        return B(rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2)))
+        return rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
     kind = rng.randrange(3)
     if kind == 0:
         return TupleT(tuple(_rand_smooth_term(ctx, depth - 1)
@@ -588,8 +584,8 @@ def _rand_smooth_term(ctx: Ctx, depth: int = 2) -> Term:
     if kind == 1:
         inner = _rand_smooth_term(ctx, depth - 1)
         cod = signature(inner, strict=False).cod_dim
-        outer = B(rand_polyfun(rng, Box.full(cod), rng.randint(1, 2))) if cod else \
-            B(PolyFun.make(Box.point(), []))
+        outer = rand_polyfun(rng, Box.full(cod), rng.randint(1, 2)) if cod else \
+            PolyFun.make(Box.point(), [])
         return Comp(outer, inner)
     w = rand_word(rng, max_len=1)
     return Act(w, _rand_smooth_term(ctx, depth - 1))
@@ -610,8 +606,8 @@ def _t_r17bis(ctx: Ctx, k: int) -> Trial:
     f = rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
     acted = apply_word(w, f, ctx.orientation)
     if acted.cod_dim == 0:
-        return Act(w, B(f)), B(acted)
-    return Act(w, B(f)), linincl_of_polyfun(acted)
+        return Act(w, f), acted
+    return Act(w, f), linincl_of_polyfun(acted)
 
 
 CATALOGUE: dict[str, Builder] = {

@@ -1,12 +1,12 @@
 """The free expression-tree language over base functions.
 
-A term is one of: a base leaf (an exact polynomial function, or a named
-opaque scalar generator), an n-ary cartesian tuple, a binary composition,
-or the action of an operator word.  The module provides signature
-inference, occurrence addressing and simultaneous substitution, the
-smooth/continuous fragment classification, the unique fully
-right-associated normal form, and the derived sum/product/scalar
-constructors.
+A term is one of: a leaf, which is the base function itself (a
+``PolyFun``, or an ``Opaque`` named scalar generator), an n-ary cartesian
+tuple, a binary composition, or the action of an operator word.  The
+module provides signature inference, occurrence addressing and
+simultaneous substitution, the smooth/continuous fragment classification,
+the unique fully right-associated normal form, and the derived
+sum/product/scalar constructors.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ class TermError(IdcalcError):
 
 
 # ---------------------------------------------------------------------------
-# base functions and term nodes
-
-
-@dataclass(frozen=True)
-class Smooth:
-    fn: PolyFun
+# term nodes; a leaf is a PolyFun or an Opaque value
 
 
 @dataclass(frozen=True)
@@ -40,14 +35,6 @@ class Opaque:
 
     name: str
     domain: Box
-
-
-BaseFn = Union[Smooth, Opaque]
-
-
-@dataclass(frozen=True)
-class Base:
-    fn: BaseFn
 
 
 @dataclass(frozen=True)
@@ -71,18 +58,18 @@ class Act:
     body: "Term"
 
 
-Term = Union[Base, TupleT, Comp, Act]
+Term = Union[PolyFun, Opaque, TupleT, Comp, Act]
 Occurrence = tuple[int, ...]
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Base):
-        return ()
     if isinstance(t, TupleT):
         return t.items
     if isinstance(t, Comp):
         return (t.left, t.right)
-    return (t.body,)
+    if isinstance(t, Act):
+        return (t.body,)
+    return ()
 
 
 def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
@@ -100,10 +87,10 @@ def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
 
 
 def signature(t: Term, strict: bool = True) -> Signature:
-    if isinstance(t, Base):
-        if isinstance(t.fn, Smooth):
-            return Signature(t.fn.fn.domain, t.fn.fn.cod_dim)
-        return Signature(t.fn.domain, 1)
+    if isinstance(t, PolyFun):
+        return Signature(t.domain, t.cod_dim)
+    if isinstance(t, Opaque):
+        return Signature(t.domain, 1)
     if isinstance(t, TupleT):
         sigs = [signature(x, strict) for x in t.items]
         return Signature(product([s.dom for s in sigs]), sum(s.cod_dim for s in sigs))
@@ -169,8 +156,7 @@ def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
 
 
 def opaque_leaves(t: Term) -> list[tuple[Occurrence, Opaque]]:
-    return [(path, node.fn) for path, node in _walk(t)
-            if isinstance(node, Base) and isinstance(node.fn, Opaque)]
+    return [(path, node) for path, node in _walk(t) if isinstance(node, Opaque)]
 
 
 def opaque_set(t: Term) -> set[str]:
@@ -213,7 +199,7 @@ def max_augment(t: Term) -> Term:
     """Fully right-associate every composition chain, recursively through
     tuples and actions; leaf order is preserved and the result is the
     unique fixed point."""
-    if isinstance(t, Base):
+    if isinstance(t, (PolyFun, Opaque)):
         return t
     if isinstance(t, TupleT):
         return TupleT(tuple(max_augment(x) for x in t.items))
@@ -243,8 +229,8 @@ def _pointwise(ts: Sequence[Term], op: Callable[[list[int]], PolyFun]) -> Term:
     dom = sigs[0].dom
     if any(s.dom != dom for s in sigs):
         raise TermError("operands live on different domains")
-    return Comp(Comp(Base(Smooth(op([s.cod_dim for s in sigs]))), TupleT(tuple(ts))),
-                Base(Smooth(diag(dom, len(ts)))))
+    return Comp(Comp(op([s.cod_dim for s in sigs]), TupleT(tuple(ts))),
+                diag(dom, len(ts)))
 
 
 def _vecsum_of(ns: list[int]) -> PolyFun:
@@ -267,7 +253,7 @@ def mult_t(t1: Term, t2: Term) -> Term:
 
 def scal_t(a: RatLike, t: Term) -> Term:
     """Scalar multiple via a constant first factor."""
-    return mult_t(Base(Smooth(const_fun(signature(t).dom, [rat(a)]))), t)
+    return mult_t(const_fun(signature(t).dom, [rat(a)]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +264,16 @@ def scal_t(a: RatLike, t: Term) -> Term:
 #   base := identifier (opaque, declared in the environment)
 #         | "{" polyfun literal "}"
 
+# Most constructors the parser lets enclose a subterm: the term functions
+# recurse per level, so this keeps them inside Python's recursion limit.
+MAX_TERM_DEPTH = 256
+
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Base):
-        if isinstance(t.fn, Opaque):
-            return t.fn.name
-        return "{" + format_polyfun(t.fn.fn) + "}"
+    if isinstance(t, Opaque):
+        return t.name
+    if isinstance(t, PolyFun):
+        return "{" + format_polyfun(t) + "}"
     if isinstance(t, TupleT):
         return "<" + ", ".join(format_term(x) for x in t.items) + ">"
     if isinstance(t, Comp):
@@ -313,21 +303,23 @@ class _Parser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse_term(self) -> Term:
+    def parse_term(self, depth: int = 0) -> Term:
+        if depth > MAX_TERM_DEPTH:
+            raise self.error(f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}")
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            left = self.parse_term()
+            left = self.parse_term(depth + 1)
             self.expect(".")
-            right = self.parse_term()
+            right = self.parse_term(depth + 1)
             self.expect(")")
             return Comp(left, right)
         if ch == "<":
             self.pos += 1
-            items = [self.parse_term()]
+            items = [self.parse_term(depth + 1)]
             while self.peek() == ",":
                 self.pos += 1
-                items.append(self.parse_term())
+                items.append(self.parse_term(depth + 1))
             self.expect(">")
             return TupleT(tuple(items))
         if ch == "[":
@@ -337,7 +329,7 @@ class _Parser:
                 raise self.error("unterminated word action")
             word = parse_word(self.text[self.pos:end])
             self.pos = end + 1
-            return Act(word, self.parse_term())
+            return Act(word, self.parse_term(depth + 1))
         if ch == "{":
             self.pos += 1
             end = self.text.find("}", self.pos)
@@ -345,7 +337,7 @@ class _Parser:
                 raise self.error("unterminated inline polynomial")
             fn = parse_polyfun(self.text[self.pos:end])
             self.pos = end + 1
-            return Base(Smooth(fn))
+            return fn
         start = self.pos
         while self.pos < len(self.text) and (self.text[self.pos].isalnum()
                                              or self.text[self.pos] == "_"):
@@ -355,7 +347,7 @@ class _Parser:
             raise self.error("expected a term")
         if name not in self.env:
             raise TermError(f"opaque generator {name!r} is not declared")
-        return Base(Opaque(name, self.env[name]))
+        return Opaque(name, self.env[name])
 
 
 def parse_term(text: str, env: Optional[Mapping[str, Box]] = None) -> Term:

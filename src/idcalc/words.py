@@ -500,8 +500,7 @@ def _random_polyfun(rng: random.Random) -> PolyFun:
     return PolyFun.make(Box.full(m), comps)
 
 
-def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0,
-            orientation: Orientation = Orientation.UPPER):
+def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0):
     """Decide equality: identical normal forms, else a semantic battery.
 
     Any exact disagreement on a random polynomial refutes equality;
@@ -515,8 +514,8 @@ def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0,
     rng = random.Random(seed)
     for _ in range(trials):
         f = _random_polyfun(rng)
-        a = apply_word(w1, f, orientation)
-        b = apply_word(w2, f, orientation)
+        a = apply_word(w1, f)
+        b = apply_word(w2, f)
         if a != b:
             return NotEqual(witness=f)
     return Unknown()

@@ -19,7 +19,7 @@ from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction,
 from idcalc.relations import (Ctx, _rand_smooth_term, check_all, check_relation, rand_box,
                               rand_coeff, rand_word)
 from idcalc.sphere import comb_grid, transition
-from idcalc.terms import Smooth, has_left_nested_comp, max_augment
+from idcalc.terms import has_left_nested_comp, max_augment
 from idcalc.words import (Equal, normalize, oriented_steps, relation_holds_on,
                           relation_step, word_eq)
 from test_prederiv import rand_direction, rand_pointed
@@ -243,7 +243,7 @@ def test_criterion_10_linincl_roundtrip():
                 c = rand_coeff(rng)
                 base = rand_pointed(rng, m, 1, deg=2).restrict(dom)
                 coeffs.append(c)
-                bases.append(Smooth(base))
+                bases.append(base)
                 acc = vsum(acc, vscal(c, base))
             combos.append((coeffs, bases))
             expected_comps.append(acc.components[0])

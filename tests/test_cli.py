@@ -8,6 +8,7 @@ import pytest
 import idcalc
 from idcalc import sphere, words
 from idcalc.cli import main
+from idcalc.terms import MAX_TERM_DEPTH
 from idcalc.words import parse_word, relation_step
 
 
@@ -172,7 +173,7 @@ def test_prederiv_apply(capsys):
 
 def test_comb_sphere_csv(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
-    code, out, err = run(capsys, "comb-sphere", "--n", "2", "--grid", "25",
+    code, out, err = run(capsys, "comb-sphere", "--grid", "25",
                          "--eps", "0.1", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
@@ -291,3 +292,52 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, token):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and token in lines[0], lines
+
+
+LEAF = "{poly 1->1 on R : 1 x1}"
+NESTINGS = {
+    "action": lambda d: "[D1] " * d + LEAF,
+    "composition": lambda d: "(" * d + LEAF + f" . {LEAF})" * d,
+    "tuple": lambda d: "<" * d + LEAF + ">" * d,
+}
+TERM_COMMANDS = ["parse", "typecheck", "normalize-term", "eval"]
+
+
+@pytest.mark.parametrize("command", TERM_COMMANDS)
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_term_nested_to_the_bound_passes(capsys, shape, command):
+    code, out, err = run(capsys, command, NESTINGS[shape](MAX_TERM_DEPTH))
+    assert code == 0
+    assert out and err == ""
+
+
+@pytest.mark.parametrize("command", TERM_COMMANDS)
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_term_nested_past_the_bound_is_one_error_line(capsys, shape, command):
+    code, out, err = run(capsys, command, NESTINGS[shape](MAX_TERM_DEPTH + 1))
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["word-eq", "q1"], "error: the following arguments are required: word2"),
+    (["check-relations", "--trials", "x"], "error: argument --trials: invalid int value: 'x'"),
+    (["normalize-word", "q1", "--frobnicate"], "error: unrecognized arguments: --frobnicate"),
+    ([], "error: the following arguments are required: command"),
+])
+def test_usage_error_exits_1_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["word-eq", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: idcalc" in capsys.readouterr().out

@@ -8,14 +8,14 @@ from idcalc.evaluation import (EvalError, eval_term, instantiate, linincl,
                                linincl_of_polyfun)
 from idcalc.polynomials import Poly, PolyFun, parse_polyfun, tuple_
 from idcalc.relations import rand_polyfun
-from idcalc.terms import Act, Base, Comp, Opaque, SMOOTH, Smooth, TupleT, classify
+from idcalc.terms import Act, Comp, Opaque, SMOOTH, TupleT, classify
 from idcalc.words import parse_word
 
 F = Fraction
 
 
 def smooth(text):
-    return Base(Smooth(parse_polyfun(text)))
+    return parse_polyfun(text)
 
 
 def test_eval_composition():
@@ -27,7 +27,7 @@ def test_eval_composition():
 def test_eval_tuple_is_pairing():
     f = parse_polyfun("poly 1->1 on R : 1 x1")
     g = parse_polyfun("poly 1->1 on R : 1 x1^3")
-    assert eval_term(TupleT((Base(Smooth(f)), Base(Smooth(g))))) == tuple_([f, g])
+    assert eval_term(TupleT((f, g))) == tuple_([f, g])
 
 
 def test_eval_action_matches_endpoint_orientation():
@@ -39,7 +39,7 @@ def test_eval_action_matches_endpoint_orientation():
 
 def test_eval_opaque_raises():
     with pytest.raises(EvalError):
-        eval_term(Base(Opaque("c", parse_box("(0,1)"))))
+        eval_term(Opaque("c", parse_box("(0,1)")))
 
 
 # ---------------------------------------------------------------------------
@@ -53,29 +53,29 @@ def test_instantiate_noop_without_opaques():
 
 def test_instantiate_swaps_leaf():
     c = Opaque("c", parse_box("(0,1)"))
-    t = Act(parse_word("I1"), Base(c))
+    t = Act(parse_word("I1"), c)
     fn = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
     out = instantiate(t, {"c": fn})
-    assert out == Act(parse_word("I1"), Base(Smooth(fn)))
+    assert out == Act(parse_word("I1"), fn)
     assert classify(out) == SMOOTH
 
 
 def test_instantiate_shared_leaf_single_assignment():
     c = Opaque("c", parse_box("(0,1)"))
-    t = Comp(Base(c), Base(c))
+    t = Comp(c, c)
     fn = parse_polyfun("poly 1->1 on (0,1) : 1/2 x1")
     out = instantiate(t, {"c": fn})
-    assert out == Comp(Base(Smooth(fn)), Base(Smooth(fn)))
+    assert out == Comp(fn, fn)
 
 
 def test_instantiate_missing_or_mismatched():
     c = Opaque("c", parse_box("(0,1)"))
     with pytest.raises(EvalError):
-        instantiate(Base(c), {})
+        instantiate(c, {})
     with pytest.raises(EvalError):
-        instantiate(Base(c), {"c": parse_polyfun("poly 1->1 on R : 1 x1")})
+        instantiate(c, {"c": parse_polyfun("poly 1->1 on R : 1 x1")})
     with pytest.raises(EvalError):
-        instantiate(Base(c), {"c": parse_polyfun("poly 1->2 on (0,1) : 1 x1; 1 x1")})
+        instantiate(c, {"c": parse_polyfun("poly 1->2 on (0,1) : 1 x1; 1 x1")})
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +83,22 @@ def test_instantiate_missing_or_mismatched():
 
 
 def test_linincl_single_base_identity():
-    base = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1^2"))
+    base = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
     t = linincl([([F(1)], [base])])
-    assert eval_term(t, permissive=True) == base.fn
+    assert eval_term(t, permissive=True) == base
 
 
 def test_linincl_combination():
     u = parse_box("(0,1)")
-    x = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1"))
-    x2 = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1^2"))
+    x = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
+    x2 = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
     t = linincl([([F(2), F(3)], [x, x2])])
     assert eval_term(t, permissive=True) == \
         parse_polyfun("poly 1->1 on (0,1) : 3 x1^2 + 2 x1")
 
 
 def test_linincl_rejects_zero_coefficients():
-    base = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1"))
+    base = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
     with pytest.raises(EvalError):
         linincl([([F(0)], [base])])
 
@@ -118,12 +118,12 @@ def test_linincl_handles_zero_component():
 def test_eval_instantiate_commutes_with_substitute_on_disjoint_addresses():
     a = Opaque("a", parse_box("(0,1)"))
     b = Opaque("b", parse_box("(0,1)"))
-    t = TupleT((Base(a), Act(parse_word("I1"), Base(b))))
+    t = TupleT((a, Act(parse_word("I1"), b)))
     fa = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
     fb = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
     # substitute one leaf by hand, instantiate the rest
     from idcalc.terms import substitute
-    partial_sub = substitute(t, {(0,): Base(Smooth(fa))})
+    partial_sub = substitute(t, {(0,): fa})
     via_substitute = eval_term(instantiate(partial_sub, {"b": fb}),
                                permissive=True)
     via_instantiate = eval_term(instantiate(t, {"a": fa, "b": fb}),
@@ -132,8 +132,8 @@ def test_eval_instantiate_commutes_with_substitute_on_disjoint_addresses():
 
 
 def test_linincl_rejects_mixed_domains():
-    a = Smooth(parse_polyfun("poly 1->1 on (0,1) : 1 x1"))
-    b = Smooth(parse_polyfun("poly 1->1 on R : 1 x1"))
+    a = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
+    b = parse_polyfun("poly 1->1 on R : 1 x1")
     with pytest.raises(EvalError):
         linincl([([F(1), F(1)], [a, b])])
     with pytest.raises(EvalError):

@@ -7,8 +7,8 @@ from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term
 from idcalc.polynomials import diag, parse_polyfun, vecsum, vscal, vsum, vprod
 from idcalc.relations import rand_polyfun
-from idcalc.terms import (Act, Base, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
-                          Opaque, Smooth, TermError, TupleT, classify,
+from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
+                          Opaque, TermError, TupleT, classify,
                           format_term, has_left_nested_comp, max_augment,
                           mult_t, occurrences, opaque_set, parse_term, scal_t,
                           signature, substitute, sum_t)
@@ -18,7 +18,7 @@ F = Fraction
 
 
 def smooth(text):
-    return Base(Smooth(parse_polyfun(text)))
+    return parse_polyfun(text)
 
 
 X2 = "poly 1->1 on (0,1) : 1 x1^2"
@@ -65,17 +65,17 @@ def test_occurrence_of_root():
 
 
 def test_occurrences_of_shared_leaf():
-    leaf = Base(OP_C)
+    leaf = OP_C
     t = TupleT((leaf, leaf))
     assert occurrences(t, leaf) == [(0,), (1,)]
 
 
 def test_occurrences_absent():
-    assert occurrences(smooth(X2), Base(OP_C)) == []
+    assert occurrences(smooth(X2), OP_C) == []
 
 
 def test_substitute_roundtrip():
-    leaf = Base(OP_C)
+    leaf = OP_C
     t = Comp(leaf, smooth(X2))
     locs = occurrences(t, leaf)
     replaced = substitute(t, {loc: smooth(X2) for loc in locs})
@@ -84,13 +84,13 @@ def test_substitute_roundtrip():
 
 
 def test_substitute_rejects_overlap():
-    t = Comp(Base(OP_C), smooth(X2))
+    t = Comp(OP_C, smooth(X2))
     with pytest.raises(TermError):
         substitute(t, {(): smooth(X2), (0,): smooth(X2)})
 
 
 def test_substitute_replaces_leaf():
-    t = Comp(Base(OP_C), smooth(X2))
+    t = Comp(OP_C, smooth(X2))
     out = substitute(t, {(0,): smooth(X2)})
     assert out == Comp(smooth(X2), smooth(X2))
 
@@ -100,8 +100,8 @@ def test_substitute_replaces_leaf():
 
 
 def test_opaque_set_union_laws():
-    a = Base(Opaque("a", parse_box("(0,1)")))
-    b = Base(Opaque("b", parse_box("(0,1)")))
+    a = Opaque("a", parse_box("(0,1)"))
+    b = Opaque("b", parse_box("(0,1)"))
     assert opaque_set(smooth(X2)) == set()
     assert opaque_set(Comp(a, b)) == {"a", "b"}
     assert opaque_set(TupleT((a, smooth(X2), b))) == {"a", "b"}
@@ -117,17 +117,17 @@ def test_classify_smooth():
 
 
 def test_classify_integral_action_on_opaque():
-    assert classify(Act(parse_word("I1"), Base(OP_C))) == CONTINUOUS_OK
-    assert classify(Act(parse_word("q1 p1"), Base(OP_C))) == CONTINUOUS_OK
+    assert classify(Act(parse_word("I1"), OP_C)) == CONTINUOUS_OK
+    assert classify(Act(parse_word("q1 p1"), OP_C)) == CONTINUOUS_OK
 
 
 def test_classify_derivative_on_opaque_is_illegal():
-    assert classify(Act(parse_word("D1"), Base(OP_C))) == ILLEGAL
+    assert classify(Act(parse_word("D1"), OP_C)) == ILLEGAL
 
 
 def test_classify_derivative_on_smooth_branch_is_fine():
     t = TupleT((Act(parse_word("D1"), smooth(X2)),
-                Act(parse_word("I1"), Base(OP_C))))
+                Act(parse_word("I1"), OP_C)))
     assert classify(t) == CONTINUOUS_OK
 
 
@@ -137,7 +137,7 @@ def test_classify_derivative_on_smooth_branch_is_fine():
 
 def _rand_term(rng, depth=3):
     if depth == 0 or rng.random() < 0.35:
-        return Base(Smooth(rand_polyfun(rng, Box.full(rng.randint(1, 2)), rng.randint(1, 2))))
+        return rand_polyfun(rng, Box.full(rng.randint(1, 2)), rng.randint(1, 2))
     kind = rng.randrange(3)
     if kind == 0:
         return TupleT(tuple(_rand_term(rng, depth - 1) for _ in range(rng.randint(1, 2))))
@@ -186,8 +186,8 @@ def test_sum_t_is_the_pointwise_tree():
     a = smooth("poly 1->2 on (0,1) : 1 x1; 1 x1^2")
     b = smooth("poly 1->2 on (0,1) : 3; -1 x1")
     dom = parse_box("(0,1)")
-    assert sum_t(a, b) == Comp(Comp(Base(Smooth(vecsum(2, 2))), TupleT((a, b))),
-                               Base(Smooth(diag(dom, 2))))
+    assert sum_t(a, b) == Comp(Comp(vecsum(2, 2), TupleT((a, b))),
+                               diag(dom, 2))
 
 
 def test_scal_t_unit():
@@ -208,7 +208,7 @@ def test_derived_constructors_match_vector_ops():
         f = parse_polyfun("poly 1->2 on R : 1 x1; 3 x1^2")
         g = parse_polyfun("poly 1->2 on R : -1 x1 + 2; 1 x1^3")
         h = parse_polyfun("poly 1->2 on R : 1/2 x1^2; -4")
-        tf, tg, th = Base(Smooth(f)), Base(Smooth(g)), Base(Smooth(h))
+        tf, tg, th = f, g, h
         assert eval_term(sum_t(tf, tg)) == vsum(f, g)
         assert eval_term(sum_t(tf, tg, th)) == vsum(vsum(f, g), h)
         assert eval_term(mult_t(tf, tg)) == vprod(f, g)
