@@ -133,13 +133,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     cs.add_argument("--eps", type=float, default=0.1)
     cs.add_argument("--out", help="CSV output path (default stdout)")
 
-    args = None
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except IdcalcError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        if getattr(args, "json", False):
+        # the tokens, not the parsed args, so usage errors honour --json (or --js)
+        if any(len(tok) > 2 and "--json".startswith(tok) for tok in argv):
             print(json.dumps(payload), file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)

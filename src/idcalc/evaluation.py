@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from .boxes import Box, IdcalcError
 from .polynomials import (Orientation, Poly, PolyFun, RatLike, apply_word, compose,
                           diag, rat, tuple_)
-from .terms import Comp, Opaque, Term, TupleT, opaque_leaves, substitute
+from .terms import Comp, Opaque, Term, TupleT, _fold, opaque_leaves, substitute
 
 
 class EvalError(IdcalcError):
@@ -28,18 +28,18 @@ Instantiation = Mapping[str, PolyFun]
 def eval_term(t: Term, permissive: bool = False,
               orientation: Orientation = Orientation.UPPER) -> PolyFun:
     """Evaluate a smooth term; raises on opaque leaves."""
-    if isinstance(t, PolyFun):
-        return t
-    if isinstance(t, Opaque):
-        raise EvalError(f"opaque generator {t.name!r} cannot be evaluated; "
-                        "instantiate it first")
-    if isinstance(t, TupleT):
-        return tuple_([eval_term(x, permissive, orientation) for x in t.items])
-    if isinstance(t, Comp):
-        return compose(eval_term(t.left, permissive, orientation),
-                       eval_term(t.right, permissive, orientation),
-                       permissive=permissive)
-    return apply_word(t.word, eval_term(t.body, permissive, orientation), orientation)
+    def visit(node: Term, fns: list[PolyFun]) -> PolyFun:
+        if isinstance(node, PolyFun):
+            return node
+        if isinstance(node, Opaque):
+            raise EvalError(f"opaque generator {node.name!r} cannot be evaluated; "
+                            "instantiate it first")
+        if isinstance(node, TupleT):
+            return tuple_(fns)
+        if isinstance(node, Comp):
+            return compose(fns[0], fns[1], permissive=permissive)
+        return apply_word(node.word, fns[0], orientation)
+    return _fold(t, visit)
 
 
 def instantiate(t: Term, assignment: Instantiation) -> Term:

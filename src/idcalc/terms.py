@@ -12,7 +12,7 @@ sum/product/scalar constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .boxes import Box, IdcalcError, product
 from .polynomials import (PolyFun, RatLike, const_fun, diag, format_polyfun, parse_polyfun,
@@ -60,6 +60,7 @@ class Act:
 
 Term = Union[PolyFun, Opaque, TupleT, Comp, Act]
 Occurrence = tuple[int, ...]
+V = TypeVar("V")
 
 
 def children(t: Term) -> tuple[Term, ...]:
@@ -82,41 +83,47 @@ def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
     return t
 
 
+def _fold(t: Term, visit: Callable[[Term, list[V]], V],
+          expand: Callable[[Term], Sequence[Term]] = children) -> V:
+    """``visit(node, values of its children)`` bottom-up, left to right over
+    the children ``expand`` gives; an explicit stack allows any depth."""
+    root: list[V] = []
+    stack: list[tuple[Term, list[V], Optional[list[V]]]] = [(t, root, None)]
+    while stack:
+        node, dest, vals = stack.pop()
+        if vals is None:
+            vals = []
+            stack.append((node, dest, vals))
+            stack.extend((kid, vals, None) for kid in reversed(expand(node)))
+        else:
+            dest.append(visit(node, vals))
+    return root[0]
+
+
 # ---------------------------------------------------------------------------
 # signatures
 
 
 def signature(t: Term, strict: bool = True) -> Signature:
-    if isinstance(t, PolyFun):
-        return Signature(t.domain, t.cod_dim)
-    if isinstance(t, Opaque):
-        return Signature(t.domain, 1)
-    if isinstance(t, TupleT):
-        sigs = [signature(x, strict) for x in t.items]
-        return Signature(product([s.dom for s in sigs]), sum(s.cod_dim for s in sigs))
-    if isinstance(t, Comp):
-        ls = signature(t.left, strict)
-        rs = signature(t.right, strict)
-        if strict and rs.cod_dim != ls.dom.dim:
-            raise TermError(
-                f"composition dimension mismatch: inner codomain {rs.cod_dim}, "
-                f"outer domain dimension {ls.dom.dim}")
-        return Signature(rs.dom, ls.cod_dim)
-    return signature_effect(t.word, signature(t.body, strict))
+    def visit(node: Term, sigs: list[Signature]) -> Signature:
+        if isinstance(node, PolyFun):
+            return Signature(node.domain, node.cod_dim)
+        if isinstance(node, Opaque):
+            return Signature(node.domain, 1)
+        if isinstance(node, TupleT):
+            return Signature(product([s.dom for s in sigs]), sum(s.cod_dim for s in sigs))
+        if isinstance(node, Comp):
+            ls, rs = sigs
+            if strict and rs.cod_dim != ls.dom.dim:
+                raise TermError(f"composition dimension mismatch: inner codomain "
+                                f"{rs.cod_dim}, outer domain dimension {ls.dom.dim}")
+            return Signature(rs.dom, ls.cod_dim)
+        return signature_effect(node.word, sigs[0])
+    return _fold(t, visit)
 
 
 # ---------------------------------------------------------------------------
 # occurrences and substitution
-
-
-def subterm_at(t: Term, path: Occurrence) -> Term:
-    cur = t
-    for step in path:
-        kids = children(cur)
-        if not 0 <= step < len(kids):
-            raise TermError(f"occurrence path {path} leaves the term")
-        cur = kids[step]
-    return cur
 
 
 def _walk(t: Term) -> Iterator[tuple[Occurrence, Term]]:
@@ -136,23 +143,22 @@ def occurrences(t: Term, pattern: Term) -> list[Occurrence]:
 
 
 def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
-    """Simultaneous replacement at pairwise non-overlapping addresses."""
+    """Simultaneous replacement at non-overlapping addresses; rebuilds only their spines."""
     paths = sorted(assignment)
     for a, b in zip(paths, paths[1:]):
         if b[: len(a)] == a:
             raise TermError(f"overlapping occurrences {a} and {b}")
     for path in paths:
-        subterm_at(t, path)  # validate early
-
-    def walk(node: Term, path: Occurrence) -> Term:
-        if path in assignment:
-            return assignment[path]
-        kids = children(node)
-        if not kids:
-            return node
-        return _rebuild(node, [walk(kid, path + (k,)) for k, kid in enumerate(kids)])
-
-    return walk(t, ())
+        spine = [t]
+        for step in path:
+            kids = children(spine[-1])
+            if not 0 <= step < len(kids):
+                raise TermError(f"occurrence path {path} leaves the term")
+            spine.append(kids[step])
+        t = assignment[path]
+        for node, step in zip(reversed(spine[:-1]), reversed(path)):
+            t = _rebuild(node, children(node)[:step] + (t,) + children(node)[step + 1:])
+    return t
 
 
 def opaque_leaves(t: Term) -> list[tuple[Occurrence, Opaque]]:
@@ -170,52 +176,43 @@ def opaque_set(t: Term) -> set[str]:
 SMOOTH = "Smooth"
 CONTINUOUS_OK = "ContinuousOK"
 ILLEGAL = "Illegal"
+_SEVERITY = (SMOOTH, CONTINUOUS_OK, ILLEGAL)
 
 
 def classify(t: Term) -> str:
     """Smooth when opaque-free; Illegal when a word acting above an opaque
     leaf holds the derivative generator; ContinuousOK otherwise."""
-    leaves = [path for path, _ in opaque_leaves(t)]
-    if not leaves:
-        return SMOOTH
-    for path, node in _walk(t):
-        if (isinstance(node, Act) and not node.word.is_integral()
-                and any(leaf[:len(path)] == path for leaf in leaves)):
+    def visit(node: Term, kids: list[str]) -> str:
+        worst = max(kids, key=_SEVERITY.index,
+                    default=CONTINUOUS_OK if isinstance(node, Opaque) else SMOOTH)
+        if worst == CONTINUOUS_OK and isinstance(node, Act) and not node.word.is_integral():
             return ILLEGAL
-    return CONTINUOUS_OK
+        return worst
+    return _fold(t, visit)
 
 
 # ---------------------------------------------------------------------------
 # right-association normal form
 
 
-def _comp_chain(t: Term) -> list[Term]:
-    if isinstance(t, Comp):
-        return _comp_chain(t.left) + _comp_chain(t.right)
-    return [t]
+def _right_children(t: Term) -> tuple[Term, ...]:
+    """The children of ``t`` once ((a . b) . c) -> (a . (b . c)) leaves no left
+    composition; a rotation moves one off a left spine for good: linear work."""
+    while isinstance(t, Comp) and isinstance(t.left, Comp):
+        t = Comp(t.left.left, Comp(t.left.right, t.right))
+    return children(t)
 
 
 def max_augment(t: Term) -> Term:
     """Fully right-associate every composition chain, recursively through
     tuples and actions; leaf order is preserved and the result is the
     unique fixed point."""
-    if isinstance(t, (PolyFun, Opaque)):
-        return t
-    if isinstance(t, TupleT):
-        return TupleT(tuple(max_augment(x) for x in t.items))
-    if isinstance(t, Act):
-        return Act(t.word, max_augment(t.body))
-    leaves = [max_augment(x) for x in _comp_chain(t)]
-    out = leaves[-1]
-    for x in reversed(leaves[:-1]):
-        out = Comp(x, out)
-    return out
+    return _fold(t, _rebuild, _right_children)
 
 
 def has_left_nested_comp(t: Term) -> bool:
-    if isinstance(t, Comp) and isinstance(t.left, Comp):
-        return True
-    return any(has_left_nested_comp(kid) for kid in children(t))
+    return _fold(t, lambda node, kids: any(kids) or (
+        isinstance(node, Comp) and isinstance(node.left, Comp)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +261,23 @@ def scal_t(a: RatLike, t: Term) -> Term:
 #   base := identifier (opaque, declared in the environment)
 #         | "{" polyfun literal "}"
 
-# Most constructors the parser lets enclose a subterm: the term functions
-# recurse per level, so this keeps them inside Python's recursion limit.
+# Most constructors the parser lets enclose a subterm, which keeps the parser inside
+# the recursion limit; term equality and hashing also recurse, and are not bounded.
 MAX_TERM_DEPTH = 256
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Opaque):
-        return t.name
-    if isinstance(t, PolyFun):
-        return "{" + format_polyfun(t) + "}"
-    if isinstance(t, TupleT):
-        return "<" + ", ".join(format_term(x) for x in t.items) + ">"
-    if isinstance(t, Comp):
-        return f"({format_term(t.left)} . {format_term(t.right)})"
-    return f"[{t.word}] {format_term(t.body)}"
+    def visit(node: Term, texts: list[str]) -> str:
+        if isinstance(node, Opaque):
+            return node.name
+        if isinstance(node, PolyFun):
+            return "{" + format_polyfun(node) + "}"
+        if isinstance(node, TupleT):
+            return "<" + ", ".join(texts) + ">"
+        if isinstance(node, Comp):
+            return f"({texts[0]} . {texts[1]})"
+        return f"[{node.word}] {texts[0]}"
+    return _fold(t, visit)
 
 
 class _Parser:
@@ -338,15 +337,15 @@ class _Parser:
             fn = parse_polyfun(self.text[self.pos:end])
             self.pos = end + 1
             return fn
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        name = self.text[start:self.pos]
+        end = self.pos
+        while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
+            end += 1
+        name = self.text[self.pos:end]
         if not name:
             raise self.error("expected a term")
         if name not in self.env:
-            raise TermError(f"opaque generator {name!r} is not declared")
+            raise self.error(f"opaque generator {name!r} is not declared")
+        self.pos = end
         return Opaque(name, self.env[name])
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -95,18 +96,19 @@ class Word:
 
 
 def parse_word(text: str) -> Word:
-    toks = text.split()
-    if toks == ["1"]:
+    if text.split() == ["1"]:
         return Word()
     kinds = {k.value: k for k in GenKind}
     gens = []
-    for t in toks:
-        if not t or t[0] not in kinds:
-            raise WordError(f"bad generator token {t!r}")
+    for m in re.finditer(r"\S+", text):
+        t = m.group()
+        if t[0] not in kinds:
+            raise WordError(f"bad generator token {t!r} at offset {m.start()} in word text")
         try:
             idx = int(t[1:])
         except ValueError:
-            raise WordError(f"bad generator index in {t!r}") from None
+            raise WordError(f"bad generator index in {t!r} at offset {m.start()} "
+                            "in word text") from None
         gens.append(Gen(kinds[t[0]], idx))
     return Word(tuple(gens))
 

@@ -335,6 +335,32 @@ def test_usage_error_exits_1_with_one_line(capsys, argv, message):
     assert err.strip().splitlines() == [message]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["word-eq", "q1", "--json"], "the following arguments are required: word2"),
+    (["check-relations", "--json", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["word-eq", "q1", "--js"], "the following arguments are required: word2"),
+])
+def test_usage_error_under_json_is_one_json_object(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err) == {"error": "IdcalcError", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normalize-word", "D1 X3"], "bad generator token 'X3' at offset 3 in word text"),
+    (["normalize-word", "D1  Dx"], "bad generator index in 'Dx' at offset 4 in word text"),
+    (["parse", "(mystery . {poly 1->1 on R : 1 x1})"],
+     "opaque generator 'mystery' is not declared at offset 1 in term text"),
+])
+def test_parse_errors_name_their_offset(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["word-eq", "-h"]])
 def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ from idcalc.boxes import Box, IdcalcError, Ray1
 from idcalc.polynomials import Orientation
 from idcalc.relations import (CATALOGUE, Ctx, check_all, check_relation, rand_subbox,
                               reports_to_json)
-from idcalc.terms import format_term
+from idcalc.terms import classify, format_term
 
 ALL_RULES = ["R5", "R4bis", "S0", "R1", "R1bis", "R2", "R3", "S3", "R7",
              "S7bis", "R7ter", "R7quater", "R7penta", "R9", "R9.1", "R9.2",
@@ -127,3 +128,22 @@ def test_catalogue_terms_are_pinned():
                     digest.update((format_term(lhs) + "\n" + format_term(rhs) + "\n").encode())
     assert digest.hexdigest() == \
         "cd9a43cf53634a5dedb72de5e3a528df30d466f2bb5788867bc741504fe233b7"
+
+
+def test_catalogue_classification_is_pinned():
+    """The fragment class of both sides of every upper-orientation trial
+    term, seeds 0 and 1 with 20 trials each, in catalogue order. Counts and
+    digest were computed at commit 010efac, before `classify` became a fold."""
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for seed in (0, 1):
+        for rule in ALL_RULES:
+            rng = random.Random(f"{seed}:{rule}")
+            for k in range(20):
+                for side in CATALOGUE[rule](Ctx(rng, Orientation.UPPER), k):
+                    fragment = classify(side)
+                    counts[fragment] += 1
+                    digest.update((fragment + "\n").encode())
+    assert counts == {"Smooth": 1638, "ContinuousOK": 1101, "Illegal": 141}
+    assert digest.hexdigest() == \
+        "862bcb9e7425c71ebbcc945177043d50c66bbefa8da406092f88d2a3dc8a5544"

@@ -5,7 +5,7 @@ import pytest
 
 from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term
-from idcalc.polynomials import diag, parse_polyfun, vecsum, vscal, vsum, vprod
+from idcalc.polynomials import diag, format_polyfun, parse_polyfun, vecsum, vscal, vsum, vprod
 from idcalc.relations import rand_polyfun
 from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
                           Opaque, TermError, TupleT, classify,
@@ -237,6 +237,13 @@ def test_parse_undeclared_opaque():
         parse_term("mystery")
 
 
+def test_parse_undeclared_opaque_names_its_offset():
+    env = {"c": parse_box("(0,1)")}
+    with pytest.raises(TermError) as exc:
+        parse_term("<c, [D1]  mystery>", env)
+    assert str(exc.value) == "opaque generator 'mystery' is not declared at offset 10 in term text"
+
+
 def test_parse_format_roundtrip():
     env = {"c": parse_box("(0,1)")}
     text = "<([I1] c . {poly 2->1 on (0,1)x(0,1) : 1 x1 x2}), c>"
@@ -256,3 +263,47 @@ def test_derived_constructors_reject_mismatches():
         sum_t(a, a, c)  # the third operand differs
     with pytest.raises(TermError):
         sum_t()  # no operand
+
+
+# ---------------------------------------------------------------------------
+# depth: terms built in code have no depth limit
+
+DEEP = 10_000
+LEAF = smooth("poly 1->1 on R : 1 x1")
+LEAF_TEXT = "{poly 1->1 on R : 1 x1}"
+D1 = parse_word("D1")
+# shape: (wrap one level, the child step towards the deepest leaf, the text
+# one level adds before and after the deepest leaf)
+DEEP_SHAPES = {
+    "act": (lambda t: Act(D1, t), 0, "[D1] ", ""),
+    "right_comp": (lambda t: Comp(LEAF, t), 1, f"({LEAF_TEXT} . ", ")"),
+    "left_comp": (lambda t: Comp(t, LEAF), 0, "(", f" . {LEAF_TEXT})"),
+    "tuple": (lambda t: TupleT((t,)), 0, "<", ">"),
+}
+
+
+def _deep(wrap, depth):
+    t = LEAF
+    for _ in range(depth):
+        t = wrap(t)
+    return t
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_terms_built_in_code(shape):
+    """Every term function runs at 10,000 levels; results are checked by
+    text, signature and length, since term equality itself recurses."""
+    wrap, step, before, after = DEEP_SHAPES[shape]
+    t = _deep(wrap, DEEP)
+    assert format_term(t) == before * DEEP + LEAF_TEXT + after * DEEP
+    assert signature(t) == signature(LEAF)
+    assert classify(t) == SMOOTH
+    assert has_left_nested_comp(t) is (shape == "left_comp")
+    _, _, r_before, r_after = DEEP_SHAPES["right_comp" if shape == "left_comp" else shape]
+    assert format_term(max_augment(t)) == r_before * DEEP + LEAF_TEXT + r_after * DEEP
+    assert format_polyfun(eval_term(t)) == format_polyfun(eval_term(_deep(wrap, 3)))
+    out = substitute(t, {(step,) * DEEP: Opaque("c", Box.full(1))})
+    out_text = format_term(out)
+    assert len(out_text) == (len(before) + len(after)) * DEEP + 1
+    assert out_text == before * DEEP + "c" + after * DEEP
+    assert classify(out) == (ILLEGAL if shape == "act" else CONTINUOUS_OK)

@@ -35,6 +35,17 @@ def test_step_projection_absorption():
     assert relation_step(w("p1 p4"), 0, "coordint.i", BACKWARD) == w("p4")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("D1 X3", "bad generator token 'X3' at offset 3 in word text"),
+    ("  q1\tp", "bad generator index in 'p' at offset 5 in word text"),
+    ("I1 D", "bad generator index in 'D' at offset 3 in word text"),
+])
+def test_parse_word_errors_name_the_token_offset(text, message):
+    with pytest.raises(WordError) as exc:
+        parse_word(text)
+    assert str(exc.value) == message
+
+
 def test_step_rejects_wrong_side_condition():
     with pytest.raises(WordError):
         relation_step(w("I2 I1"), 0, "intint", FORWARD)
