@@ -12,6 +12,7 @@ with the interval arithmetic used by the polynomial range guard.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -28,9 +29,16 @@ class BoxError(IdcalcError):
     pass
 
 
+# the text forms of a rational: an integer, a p/q fraction or a decimal;
+# exponent notation would let a short literal expand to millions of digits
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*")
+
+
 def rat(x: RatLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise BoxError(f"not a rational number: {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -200,8 +208,8 @@ def parse_ray(text: str) -> Ray1:
     if len(parts) != 2:
         raise BoxError(f"bad interval syntax: {text!r}")
     lo_s, hi_s = parts[0].strip(), parts[1].strip()
-    lo = None if lo_s in ("-inf", "-oo") else rat(lo_s)
-    hi = None if hi_s in ("inf", "+inf", "oo") else rat(hi_s)
+    lo = None if lo_s == "-inf" else rat(lo_s)
+    hi = None if hi_s == "inf" else rat(hi_s)
     return Ray1(lo, hi)
 
 

@@ -16,7 +16,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .boxes import (Box, BoxError, Enclosure, IdcalcError, RatLike, domint, parse_box,
                     product, rat)
@@ -370,7 +370,8 @@ def vsum(f: PolyFun, g: PolyFun) -> PolyFun:
         raise DomainMismatchError("vsum needs equal domains")
     if f.cod_dim != g.cod_dim:
         raise DomainMismatchError("vsum needs equal codomain dimensions")
-    return PolyFun.make(f.domain, [a.add(b) for a, b in zip(f.components, g.components)])
+    return PolyFun.make(f.domain, [a.add(b) for a, b in zip(f.components, g.components)],
+                        f.is_partial or g.is_partial)
 
 
 def vneg(f: PolyFun) -> PolyFun:
@@ -388,12 +389,13 @@ def vprod(f: PolyFun, g: PolyFun) -> PolyFun:
     if f.domain != g.domain:
         raise DomainMismatchError("vprod needs equal domains")
     m, n = f.cod_dim, g.cod_dim
+    partial = f.is_partial or g.is_partial
     if m == 0 and n == 0:
-        return PolyFun.make(f.domain, [])
+        return PolyFun.make(f.domain, [], partial)
     ar = f.arity
     fc = list(f.components) if m else [Poly.zero(ar)]
     gc = list(g.components) if n else [Poly.zero(ar)]
-    return PolyFun.make(f.domain, [a.mul(b) for a in fc for b in gc])
+    return PolyFun.make(f.domain, [a.mul(b) for a in fc for b in gc], partial)
 
 
 # -- named primitives -----------------------------------------------------------
@@ -404,14 +406,8 @@ def const_fun(domain: Box, values: Sequence[RatLike]) -> PolyFun:
     return PolyFun.make(domain, [Poly.const(m, v) for v in values])
 
 
-def incl(sub: Box, sup: Optional[Box] = None) -> PolyFun:
+def incl(sub: Box) -> PolyFun:
     """Identity restricted to the sub-box, viewed into R^m."""
-    if sup is not None:
-        if sup.dim != sub.dim:
-            raise BoxError("inclusion across different dimensions")
-        inter = sub.intersect(sup)
-        if inter != sub:
-            raise BoxError("inclusion source is not contained in the target")
     return PolyFun.identity(sub)
 
 
@@ -430,34 +426,26 @@ def proj_block(blocks: Sequence[Box], idx: int) -> PolyFun:
     return _picks(product(list(blocks)), range(offset + 1, offset + blocks[idx - 1].dim + 1))
 
 
-def coord(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
-    dom = domain if domain is not None else Box.full(m)
-    if dom.dim != m:
-        raise BoxError("coord domain dimension mismatch")
+def coord(m: int, i: int) -> PolyFun:
     if not 1 <= i <= m:
         raise PolyError(f"variable index {i} out of range for arity {m}")
-    return _picks(dom, [i])
+    return _picks(Box.full(m), [i])
 
 
-def proje(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
+def proje(m: int, i: int) -> PolyFun:
     """R^(m+1) -> R^m deleting coordinate i: components read x_k for k < i
     and x_(k+1) for k >= i."""
     if not 1 <= i <= m + 1:
         raise PolyError("proje index out of range")
-    dom = domain if domain is not None else Box.full(m + 1)
-    if dom.dim != m + 1:
-        raise BoxError("proje domain dimension mismatch")
-    return _picks(dom, [k if k < i else k + 1 for k in range(1, m + 1)])
+    return _picks(Box.full(m + 1), [k if k < i else k + 1 for k in range(1, m + 1)])
 
 
-def sectn(m: int, i: int, domain: Optional[Box] = None) -> PolyFun:
+def sectn(m: int, i: int) -> PolyFun:
     """R^(m+1) -> R^m zeroing slot i and dropping the pair."""
     if not 1 <= i <= m:
         raise PolyError("sectn index out of range")
-    dom = domain if domain is not None else Box.full(m + 1)
-    if dom.dim != m + 1:
-        raise BoxError("sectn domain dimension mismatch")
-    return _picks(dom, [k if k < i else (0 if k == i else k + 1) for k in range(1, m + 1)])
+    return _picks(Box.full(m + 1),
+                  [k if k < i else (0 if k == i else k + 1) for k in range(1, m + 1)])
 
 
 def switch(blocks: Sequence[Box], perm: Sequence[int]) -> PolyFun:
@@ -472,14 +460,11 @@ def switch(blocks: Sequence[Box], perm: Sequence[int]) -> PolyFun:
                   [offsets[t - 1] + i for t in perm for i in range(1, blocks[t - 1].dim + 1)])
 
 
-def trasl(t: Sequence[RatLike], domain: Optional[Box] = None) -> PolyFun:
+def trasl(t: Sequence[RatLike]) -> PolyFun:
     """s -> s + t."""
     m = len(t)
-    dom = domain if domain is not None else Box.full(m)
-    if dom.dim != m:
-        raise BoxError("translation domain dimension mismatch")
     comps = [Poly.var(m, i).add(Poly.const(m, t[i - 1])) for i in range(1, m + 1)]
-    return PolyFun.make(dom, comps)
+    return PolyFun.make(Box.full(m), comps)
 
 
 def vecsum(m: int, k: int) -> PolyFun:
@@ -520,8 +505,6 @@ def partial(f: PolyFun, i: int) -> PolyFun:
     i exceeds the domain dimension."""
     if i < 1:
         raise PolyError("partial index must be >= 1")
-    if i > f.arity:
-        return PolyFun.zero(f.domain, f.cod_dim)
     return PolyFun(f.domain, tuple(p.partial(i) for p in f.components), f.is_partial)
 
 
@@ -548,8 +531,6 @@ def smint(f: PolyFun, j: int) -> PolyFun:
         f = _extend(f, j - f.arity)
     m = f.arity
     dom = domint(f.domain, j)
-    if f.cod_dim == 0:
-        return PolyFun.make(dom, [])
     up_map = [k if k < j else (j + 1 if k == j else k + 1) for k in range(1, m + 1)]
     lo_map = [k if k <= j else k + 1 for k in range(1, m + 1)]
     comps = []
@@ -601,9 +582,8 @@ def apply_gen(gen, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> 
         n = f.cod_dim
         if n == 0:
             return f
-        if i <= n:
-            return PolyFun(f.domain, (f.components[i - 1],), f.is_partial)
-        return PolyFun.zero(f.domain, 1)
+        comp = f.components[i - 1] if i <= n else Poly.zero(m)
+        return PolyFun(f.domain, (comp,), f.is_partial)
     if gen.kind is GenKind.SUB_HI:
         if i <= m:
             j = i if orientation is Orientation.UPPER else i + 1
@@ -697,14 +677,3 @@ def polyfun_to_json(f: PolyFun) -> dict:
         "domain": str(f.domain),
         "components": [[[list(k), str(c)] for k, c in p.terms] for p in f.components],
     }
-
-
-def polyfun_from_json(obj: Mapping) -> PolyFun:
-    dom = parse_box(obj["domain"])
-    comps = []
-    for comp in obj["components"]:
-        comps.append(Poly.make(obj["arity"], {tuple(k): rat(c) for k, c in comp}))
-    f = PolyFun.make(dom, comps)
-    if f.cod_dim != obj["codim"]:
-        raise PolyError("codim field does not match the component count")
-    return f

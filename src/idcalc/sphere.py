@@ -83,7 +83,7 @@ def transition(x: np.ndarray) -> np.ndarray:
     r = _norm(x)
     if np.any((r <= 1 / 3) | (r >= 1)):
         raise SphereError("transition needs 1/3 < |x| < 1")
-    return ((4.0 / 3.0 - r) / r)[..., None] * x
+    return _transition_unchecked(x)
 
 
 def _transition_unchecked(x: np.ndarray) -> np.ndarray:

@@ -126,20 +126,32 @@ def signature(t: Term, strict: bool = True) -> Signature:
 # occurrences and substitution
 
 
-def _walk(t: Term) -> Iterator[tuple[Occurrence, Term]]:
-    """Every subterm with its address, in preorder; an explicit stack keeps
-    each step O(1) at any depth."""
-    stack: list[tuple[Occurrence, Term]] = [((), t)]
+_Chain = Optional[tuple[int, "_Chain"]]  # an address as (last step, parent chain)
+
+
+def _walk(t: Term) -> Iterator[tuple[_Chain, Term]]:
+    """Every subterm with the chain of its address, in preorder; the chains
+    share their parents and an explicit stack allows any depth, so each step
+    is O(1)."""
+    stack: list[tuple[_Chain, Term]] = [(None, t)]
     while stack:
-        path, node = stack.pop()
-        yield path, node
+        chain, node = stack.pop()
+        yield chain, node
         kids = children(node)
         for k in range(len(kids) - 1, -1, -1):
-            stack.append((path + (k,), kids[k]))
+            stack.append(((k, chain), kids[k]))
+
+
+def _address(chain: _Chain) -> Occurrence:
+    steps = []
+    while chain is not None:
+        step, chain = chain
+        steps.append(step)
+    return tuple(reversed(steps))
 
 
 def occurrences(t: Term, pattern: Term) -> list[Occurrence]:
-    return [path for path, node in _walk(t) if node == pattern]
+    return [_address(chain) for chain, node in _walk(t) if node == pattern]
 
 
 def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
@@ -162,11 +174,11 @@ def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
 
 
 def opaque_leaves(t: Term) -> list[tuple[Occurrence, Opaque]]:
-    return [(path, node) for path, node in _walk(t) if isinstance(node, Opaque)]
+    return [(_address(chain), node) for chain, node in _walk(t) if isinstance(node, Opaque)]
 
 
 def opaque_set(t: Term) -> set[str]:
-    return {op.name for _, op in opaque_leaves(t)}
+    return {node.name for _, node in _walk(t) if isinstance(node, Opaque)}
 
 
 # ---------------------------------------------------------------------------

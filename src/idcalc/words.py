@@ -116,35 +116,66 @@ def parse_word(text: str) -> Word:
 # ---------------------------------------------------------------------------
 # the relation table
 #
-# Each relation is a two-sided rule between one- or two-generator windows.
-# Patterns are lists of (kind, var, offset): the matched generator index
-# must equal var + offset, where var is one of the rule variables i, j, or
-# None for the fixed index offset.  Every side names i, and every side of
-# a rule that uses j names j.
+# Each relation is a two-sided rule between one- or two-generator windows,
+# held as the matcher of its forward direction; the backward matcher swaps
+# the sides.  The table writes a side as a list of (kind, var, offset), and
+# _rel stores each kind as its code (its position in GenKind): the matched
+# generator index must equal var + offset, where var is one of the rule
+# variables i, j, or None for the fixed index offset.  Every side names i,
+# and every side of a rule that uses j names j.  Matchers read a word as
+# two int lists, its kind codes and its indices.  The window at a position
+# is the pair of kind codes there and at the next position (_END past the
+# end of the word).  A table holds, per window, only the matchers whose
+# source kinds it has, so a matcher checks indices and the side condition
+# alone.
 
+_KINDS = tuple(GenKind)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_END = len(_KINDS)
 
-Pat = tuple[GenKind, Optional[str], int]
+FORWARD = "forward"
+BACKWARD = "backward"
+
+_Pat = tuple[int, Optional[str], int]
 
 
 @dataclass(frozen=True)
-class Relation:
+class _Matcher:
     rule_id: str
-    left: tuple[Pat, ...]
-    right: tuple[Pat, ...]
+    direction: str
+    src: tuple[_Pat, ...]
+    dst: tuple[_Pat, ...]
     cond: Callable[[int, Optional[int]], bool]
+    priority: Optional[int] = None  # the normalizer's class of the rule
 
     @property
     def uses_j(self) -> bool:
-        return any(var == "j" for _, var, _ in self.left + self.right)
+        return any(var == "j" for _, var, _ in self.src + self.dst)
+
+    def bind(self, idx: Sequence[int], pos: int) -> Optional[dict]:
+        """The rule variables at the window starting at pos, whose kinds
+        are the source kinds, or None when an index or the side condition
+        does not fit."""
+        binding: dict[str, int] = {}
+        for k, (_, var, off) in enumerate(self.src):
+            val = idx[pos + k] - off
+            if var is None:
+                if val != 0:
+                    return None
+            elif val < 1 or binding.setdefault(var, val) != val:
+                return None
+        return binding if self.cond(binding["i"], binding.get("j")) else None
 
 
 def _rel(rule_id, left, right, cond=lambda i, j: True):
-    return Relation(rule_id, tuple(left), tuple(right), cond)
+    def coded(pats):
+        return tuple((_CODE[kind], var, off) for kind, var, off in pats)
+    return _Matcher(rule_id, FORWARD, coded(left), coded(right), cond)
 
 
 K = GenKind
 
-RELATIONS: dict[str, Relation] = {r.rule_id: r for r in [
+RELATIONS: dict[str, _Matcher] = {r.rule_id: r for r in [
     _rel("intint",
          [(K.INT, "i", 0), (K.INT, "j", 0)], [(K.INT, "j", 1), (K.INT, "i", 0)],
          lambda i, j: i < j),
@@ -208,61 +239,8 @@ RELATIONS: dict[str, Relation] = {r.rule_id: r for r in [
          lambda i, j: i + 1 > j),
 ]}
 
-FORWARD = "forward"
-BACKWARD = "backward"
 
-
-# ---------------------------------------------------------------------------
-# compiled matchers
-#
-# Every relation compiles once per direction, at import, into a matcher of
-# its source window.  Matchers read a word as two int lists, its kind codes
-# (positions in GenKind) and its indices.  The window at a position is the
-# pair of kind codes there and at the next position (_END past the end of
-# the word).  A table holds, per window, only the matchers whose source
-# kinds it has, so a matcher checks indices and the side condition alone.
-
-_KINDS = tuple(GenKind)
-_CODE = {kind: code for code, kind in enumerate(_KINDS)}
-_END = len(_KINDS)
-
-_CodedPat = tuple[int, Optional[str], int]  # a Pat with its kind as a code
-
-
-@dataclass(frozen=True)
-class _Matcher:
-    rule_id: str
-    direction: str
-    src: tuple[_CodedPat, ...]
-    dst: tuple[_CodedPat, ...]
-    cond: Callable[[int, Optional[int]], bool]
-    priority: Optional[int] = None  # the normalizer's class of the rule
-
-    def bind(self, idx: Sequence[int], pos: int) -> Optional[dict]:
-        """The rule variables at the window starting at pos, whose kinds
-        are the source kinds, or None when an index or the side condition
-        does not fit."""
-        binding: dict[str, int] = {}
-        for k, (_, var, off) in enumerate(self.src):
-            val = idx[pos + k] - off
-            if var is None:
-                if val != 0:
-                    return None
-            elif val < 1 or binding.setdefault(var, val) != val:
-                return None
-        return binding if self.cond(binding["i"], binding.get("j")) else None
-
-
-def _coded(pats: Sequence[Pat]) -> tuple[_CodedPat, ...]:
-    return tuple((_CODE[kind], var, off) for kind, var, off in pats)
-
-
-def _compile(rel: Relation, direction: str, priority: Optional[int] = None) -> _Matcher:
-    src, dst = (rel.left, rel.right) if direction == FORWARD else (rel.right, rel.left)
-    return _Matcher(rel.rule_id, direction, _coded(src), _coded(dst), rel.cond, priority)
-
-
-def _emit(pats: Sequence[_CodedPat], binding: dict) -> tuple[Gen, ...]:
+def _emit(pats: Sequence[_Pat], binding: dict) -> tuple[Gen, ...]:
     return tuple(Gen(_KINDS[code], off if var is None else binding[var] + off)
                  for code, var, off in pats)
 
@@ -285,13 +263,13 @@ def _window_table(matchers: Sequence[_Matcher]) -> tuple[tuple[_Matcher, ...], .
 
 
 _MATCHERS: dict[tuple[str, str], _Matcher] = {
-    (rule_id, direction): _compile(rel, direction)
-    for rule_id, rel in RELATIONS.items() for direction in (FORWARD, BACKWARD)}
+    (m.rule_id, m.direction): m for fwd in RELATIONS.values()
+    for m in (fwd, replace(fwd, direction=BACKWARD, src=fwd.dst, dst=fwd.src))}
 
 _STEP_TABLE = _window_table(list(_MATCHERS.values()))
 
 
-def relation_step(w: Word, pos: int, rule_id: str, direction: str = FORWARD) -> Word:
+def relation_step(w: Word, pos: int, rule_id: str, direction: str) -> Word:
     """Apply one relation at a window starting at pos (0-based)."""
     if rule_id not in RELATIONS:
         raise WordError(f"unknown relation {rule_id!r}")
@@ -358,14 +336,13 @@ _PRIORITY_CLASSES: tuple[tuple[tuple[str, str], ...], ...] = (
     (("derint.i", FORWARD),),        # D_i D_j -> D_j D_i       (i < j)
 )
 
-# the relations as the normalizer orients them
-_ORIENTED = {**RELATIONS,
-             "derint.i": replace(RELATIONS["derint.i"], cond=lambda i, j: i < j)}
+# the matchers as the normalizer orients them
+_ORIENTED = {**_MATCHERS,
+             ("derint.i", FORWARD): replace(RELATIONS["derint.i"], cond=lambda i, j: i < j)}
 
 # the oriented rules, in priority then class order
-_CLASS_TABLE = _window_table([_compile(_ORIENTED[rule_id], direction, c)
-                              for c, rules in enumerate(_PRIORITY_CLASSES)
-                              for rule_id, direction in rules])
+_CLASS_TABLE = _window_table([replace(_ORIENTED[rule], priority=c)
+                              for c, rules in enumerate(_PRIORITY_CLASSES) for rule in rules])
 
 _NORMALIZE_CAP = 200_000
 
@@ -525,13 +502,12 @@ def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0):
 
 def _relation_sides(rule_id: str, i: int, j: Optional[int]) -> tuple[Word, Word]:
     """Both sides of one relation instance."""
-    rel = RELATIONS[rule_id]
-    if rel.uses_j and j is None:
+    m = RELATIONS[rule_id]
+    if m.uses_j and j is None:
         raise WordError(f"{rule_id} needs j")
-    if not rel.cond(i, j):
+    if not m.cond(i, j):
         raise WordError(f"side condition fails for {rule_id} with i={i}, j={j}")
     binding = {"i": i} if j is None else {"i": i, "j": j}
-    m = _MATCHERS[rule_id, FORWARD]
     return Word(_emit(m.src, binding)), Word(_emit(m.dst, binding))
 
 
@@ -542,10 +518,10 @@ def relation_holds_on(rule_id: str, i: int, j: Optional[int], f: PolyFun,
     return apply_word(lhs, f, orientation) == apply_word(rhs, f, orientation)
 
 
-def relation_instances(max_index: int = 4) -> Iterable[tuple[str, int, Optional[int]]]:
-    """All relation instances with indices bounded by max_index."""
-    indices = range(1, max_index + 1)
-    for rule_id, rel in RELATIONS.items():
-        for i, j in itertools.product(indices, indices if rel.uses_j else (None,)):
-            if rel.cond(i, j):
+def relation_instances() -> Iterable[tuple[str, int, Optional[int]]]:
+    """All relation instances with indices up to 4."""
+    indices = range(1, 5)
+    for rule_id, m in RELATIONS.items():
+        for i, j in itertools.product(indices, indices if m.uses_j else (None,)):
+            if m.cond(i, j):
                 yield rule_id, i, j

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idcalc.boxes import (Box, BoxError, Enclosure, Ray1, domint, parse_box,
-                          parse_ray, product)
+                          parse_ray, product, rat)
 
 
 def test_contains_midpoint():
@@ -94,6 +94,20 @@ def test_parse_ray_forms():
     assert parse_ray("(-inf,3)") == Ray1.below(3)
     assert parse_ray("(1/2,inf)") == Ray1.above(Fraction(1, 2))
     assert parse_box("R0") == Box.point()
+
+
+@pytest.mark.parametrize("text", ["(-oo,3)", "(0,oo)", "(0,+inf)", "(0,1e3)", "(0,1E-2)"])
+def test_parse_ray_refuses_other_spellings(text):
+    with pytest.raises(BoxError, match="not a rational number"):
+        parse_ray(text)
+
+
+def test_rational_text_forms():
+    assert [rat(t) for t in ["3", "-3", "1/3", "-1/3", "0.25", ".5"]] == \
+        [3, -3, Fraction(1, 3), Fraction(-1, 3), Fraction(1, 4), Fraction(1, 2)]
+    for text in ["1e1000000", "1_000", "inf", "nan", "0x10", ""]:
+        with pytest.raises(BoxError, match="not a rational number"):
+            rat(text)
 
 
 def test_intersection():

@@ -269,6 +269,16 @@ def test_zero_denominator_is_a_domain_error(capsys, argv):
     assert lines == ["error: zero denominator in '1/0'"]
 
 
+@pytest.mark.parametrize("text", ["{poly 1->1 on (0,1e1000000) : 1 x1}",
+                                  "{poly 1->1 on R : 1e1000000 x1}"],
+                         ids=["box-endpoint", "coefficient"])
+def test_exponent_notation_is_one_error_line(capsys, text):
+    code, out, err = run(capsys, "eval", text)
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == ["error: not a rational number: '1e1000000'"]
+
+
 @pytest.mark.parametrize("argv, token", [
     (["eval", "{poly 1->1 on R : 1 x}"], "'x'"),
     (["eval", "{poly 1->1 on R : 1 x1^}"], "'x1^'"),

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from idcalc.boxes import Box, domint, parse_box, product
-from idcalc.evaluation import eval_term
+from idcalc.evaluation import eval_term, instantiate
 from idcalc.polynomials import diag, format_polyfun, parse_polyfun, vecsum, vscal, vsum, vprod
 from idcalc.relations import rand_polyfun
 from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
@@ -307,3 +308,22 @@ def test_deep_terms_built_in_code(shape):
     assert len(out_text) == (len(before) + len(after)) * DEEP + 1
     assert out_text == before * DEEP + "c" + after * DEEP
     assert classify(out) == (ILLEGAL if shape == "act" else CONTINUOUS_OK)
+
+
+def test_addresses_cost_linear_time_in_depth():
+    """At 50,000 levels the walk over addresses stays fast; it used to copy
+    the whole path at every step.  No deep term is compared with ==."""
+    depth = 50_000
+    leaf = Opaque("c", Box.full(1))
+    t = leaf
+    for _ in range(depth):
+        t = Act(D1, t)
+    start = time.perf_counter()
+    assert occurrences(t, leaf) == [(0,) * depth]
+    assert opaque_set(t) == {"c"}
+    out = instantiate(t, {"c": LEAF})
+    assert time.perf_counter() - start < 2
+    assert opaque_set(out) == set()
+    for _ in range(depth):
+        out = out.body
+    assert out is LEAF

@@ -228,7 +228,7 @@ def test_signature_unit():
 
 def test_signature_invariant_under_every_relation():
     base = Signature(Box.cube(0, 1, 4), 2)
-    for rule_id, i, j in relation_instances(4):
+    for rule_id, i, j in relation_instances():
         lhs, rhs = _relation_sides(rule_id, i, j)
         assert signature_effect(lhs, base) == signature_effect(rhs, base), \
             (rule_id, i, j)
@@ -246,7 +246,7 @@ def test_every_relation_instance_acts_identically():
     is redrawn until the left side moves it."""
     rng = random.Random(9)
     extends = (GenKind.INT, GenKind.SUB_HI, GenKind.SUB_LO)
-    for rule_id, i, j in relation_instances(4):
+    for rule_id, i, j in relation_instances():
         sides = _relation_sides(rule_id, i, j)
         gens = sides[0].gens + sides[1].gens
         arity = max(g.index for g in gens) + max(
