@@ -32,8 +32,10 @@ g = parse_polyfun("poly 1->1 on R : 1 x1^2")
 print("\nintegral of x^2:", format_polyfun(smint(g, 1)))
 print("derivative back:", format_polyfun(partial(smint(g, 1), 2)))
 
-# Composition is exact substitution, guarded by a conservative range
-# enclosure (closed interval arithmetic, monomial by monomial).
+# Composition is exact substitution, guarded on its range: an affine
+# inner component is checked exactly (an open interval fits in an equal
+# one), and one of degree >= 2 by a closed enclosure (interval
+# arithmetic, monomial by monomial), as range_bound shows.
 inner = parse_polyfun("poly 1->1 on (-1/2,1/2) : 1 x1 + 1")
 outer = parse_polyfun("poly 1->1 on (0,2) : 1 x1^2")
 print("\nrange of x+1 on (-1/2,1/2):", str(range_bound(inner)[0]))

@@ -13,6 +13,7 @@ with the interval arithmetic used by the polynomial range guard.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -34,17 +35,24 @@ class BoxError(IdcalcError):
 _RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*")
 
 
+def _echo(text: str) -> str:
+    """The literal as an error message quotes it, cut short past 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:20]) + "..."
+
+
 def rat(x: RatLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and not _RATIONAL.fullmatch(x):
-        raise BoxError(f"not a rational number: {x!r}")
+        raise BoxError(f"not a rational number: {_echo(x)}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
-        raise BoxError(f"zero denominator in {x!r}") from None
-    except ValueError:
-        raise BoxError(f"not a rational number: {x!r}") from None
+        raise BoxError(f"zero denominator in {_echo(x)}") from None
+    except ValueError:  # a well-formed literal past sys.get_int_max_str_digits()
+        raise BoxError(f"rational literal too long ({len(x)} characters, at most "
+                       f"{sys.get_int_max_str_digits()} digits per integer): "
+                       f"{_echo(x)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 ``PolyFun`` bundles a box domain with a tuple of components and carries
 the whole calculus: evaluation, partial derivatives, the one-variable
 definite integral with domain extension (``smint``), composition with a
-conservative range guard, tupling, the vector-space/product operations,
-the named primitive functions, and the action of the operator generators.
+sound range guard (exact on affine components), tupling, the
+vector-space/product operations, the named primitive functions, and the
+action of the operator generators.
 
 Everything is exact; no floats enter this module.
 """
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .boxes import (Box, BoxError, Enclosure, IdcalcError, RatLike, domint, parse_box,
+from .boxes import (Box, BoxError, Enclosure, IdcalcError, RatLike, Ray1, domint, parse_box,
                     product, rat)
 
 Key = tuple[int, ...]
@@ -29,7 +31,8 @@ class PolyError(IdcalcError):
 
 
 class CompositionGuardError(PolyError):
-    """The conservative range enclosure escapes the target domain."""
+    """The range guard cannot certify that the inner function maps into
+    the target domain."""
 
 
 class DomainMismatchError(PolyError):
@@ -41,7 +44,7 @@ class DomainMismatchError(PolyError):
 
 
 def _mul_terms(a: Mapping[Key, Fraction], b: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
-    """Product of two term dicts, not yet canonical: ``Poly.make`` drops
+    """Product of two term dicts, not yet canonical: ``_canonical`` drops
     the zero coefficients and sorts."""
     out: dict[Key, Fraction] = {}
     for k1, c1 in a.items():
@@ -49,6 +52,15 @@ def _mul_terms(a: Mapping[Key, Fraction], b: Mapping[Key, Fraction]) -> dict[Key
             k = tuple(x + y for x, y in zip(k1, k2))
             out[k] = out[k] + c1 * c2 if k in out else c1 * c2
     return out
+
+
+def _canonical(arity: int, terms: Mapping[Key, Fraction]) -> "Poly":
+    """The Poly of a term dict whose keys are exponent tuples of length
+    ``arity`` and whose values are Fractions: zero terms dropped, the rest
+    sorted.  The kernel's own operations build such dicts; input from
+    elsewhere goes through ``Poly.make``, which checks it first."""
+    return Poly(arity, tuple(sorted([kc for kc in terms.items() if kc[1]],
+                                    key=lambda kc: (sum(kc[0]), kc[0]))))
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,8 @@ class Poly:
 
     @staticmethod
     def make(arity: int, terms: Mapping[Key, RatLike]) -> "Poly":
+        """The Poly of a term dict from outside the kernel: keys are checked
+        for length and sign, coefficients parsed with ``rat``."""
         clean: dict[Key, Fraction] = {}
         for k, c in terms.items():
             c = rat(c)
@@ -73,13 +87,11 @@ class Poly:
             if c:
                 k = tuple(k)
                 clean[k] = clean[k] + c if k in clean else c
-        items = tuple(sorted(((k, c) for k, c in clean.items() if c),
-                             key=lambda kc: (sum(kc[0]), kc[0])))
-        return Poly(arity, items)
+        return _canonical(arity, clean)
 
     @staticmethod
     def zero(arity: int) -> "Poly":
-        return Poly.make(arity, {})
+        return Poly(arity, ())
 
     @staticmethod
     def const(arity: int, c: RatLike) -> "Poly":
@@ -91,7 +103,7 @@ class Poly:
         if not 1 <= i <= arity:
             raise PolyError(f"variable index {i} out of range for arity {arity}")
         k = tuple(1 if j == i - 1 else 0 for j in range(arity))
-        return Poly.make(arity, {k: 1})
+        return Poly(arity, ((k, Fraction(1)),))
 
     # -- ring operations -----------------------------------------------------
 
@@ -101,7 +113,7 @@ class Poly:
         out = dict(self.terms)
         for k, c in other.terms:
             out[k] = out[k] + c if k in out else c
-        return Poly.make(self.arity, out)
+        return _canonical(self.arity, out)
 
     def neg(self) -> "Poly":
         return Poly(self.arity, tuple((k, -c) for k, c in self.terms))
@@ -112,7 +124,7 @@ class Poly:
     def mul(self, other: "Poly") -> "Poly":
         if self.arity != other.arity:
             raise PolyError("arity mismatch in *")
-        return Poly.make(self.arity, _mul_terms(dict(self.terms), dict(other.terms)))
+        return _canonical(self.arity, _mul_terms(dict(self.terms), dict(other.terms)))
 
     def scale(self, c: RatLike) -> "Poly":
         c = rat(c)
@@ -125,7 +137,7 @@ class Poly:
         out = {(0,) * self.arity: Fraction(1)}
         for _ in range(e):
             out = _mul_terms(out, base)
-        return Poly.make(self.arity, out)
+        return _canonical(self.arity, out)
 
     # -- calculus ------------------------------------------------------------
 
@@ -153,7 +165,7 @@ class Poly:
                 continue
             nk = k[: i - 1] + (e - 1,) + k[i:]
             out[nk] = out[nk] + c * e if nk in out else c * e
-        return Poly.make(self.arity, out)
+        return _canonical(self.arity, out)
 
     def antideriv(self, i: int) -> "Poly":
         """An antiderivative with respect to x_i (no constant term in x_i)."""
@@ -163,21 +175,26 @@ class Poly:
             nk = k[: i - 1] + (e + 1,) + k[i:]
             d = c / (e + 1)
             out[nk] = out[nk] + d if nk in out else d
-        return Poly.make(self.arity, out)
+        return _canonical(self.arity, out)
 
     def remap(self, new_arity: int, mapping: Sequence[int]) -> "Poly":
-        """Rename variable j (1-based) to ``mapping[j-1]`` in a larger or
-        equal variable space; the mapping must be injective."""
+        """Substitute x_j := x_mapping[j-1] (1-based) in a space of
+        ``new_arity`` variables, by renaming with no products; 0 substitutes
+        the zero polynomial, and a repeated target adds the exponents."""
         if len(mapping) != self.arity:
             raise PolyError("remap length mismatch")
         out: dict[Key, Fraction] = {}
         for k, c in self.terms:
             nk = [0] * new_arity
             for e, tgt in zip(k, mapping):
-                nk[tgt - 1] += e
-            key = tuple(nk)
-            out[key] = out[key] + c if key in out else c
-        return Poly.make(new_arity, out)
+                if e:
+                    if not tgt:
+                        break
+                    nk[tgt - 1] += e
+            else:
+                key = tuple(nk)
+                out[key] = out[key] + c if key in out else c
+        return _canonical(new_arity, out)
 
     def subst(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute x_i := args[i-1]; all args share one arity."""
@@ -202,7 +219,7 @@ class Poly:
                 term = _mul_terms(term, table[e])
             for tk, tc in term.items():
                 out[tk] = out[tk] + tc if tk in out else tc
-        return Poly.make(tgt, out)
+        return _canonical(tgt, out)
 
     # -- misc -----------------------------------------------------------------
 
@@ -229,10 +246,10 @@ class Poly:
 class PolyFun:
     """Vector polynomial restricted to an open box.
 
-    ``is_partial`` marks a composition whose conservative range guard did
-    not certify containment: the polynomial formula is exact, but the
-    function it denotes may only be the restriction to the preimage of
-    the target domain.  Equality ignores the flag.
+    ``is_partial`` marks a composition whose range guard did not certify
+    containment: the polynomial formula is exact, but the function it
+    denotes may only be the restriction to the preimage of the target
+    domain.  Equality ignores the flag.
     """
 
     domain: Box
@@ -311,16 +328,55 @@ def range_bound(f: PolyFun) -> list[Enclosure]:
     return [_enclose(p, factors, powers) for p in f.components]
 
 
+def _affine_fits(p: Poly, rays: Sequence[Ray1], ray: Ray1) -> Optional[bool]:
+    """Whether p maps the open box with factors ``rays`` into ``ray``,
+    decided exactly when p is affine; None when p has degree >= 2.
+
+    On an open box a nonconstant c0 + sum c_j x_j takes exactly the open
+    interval between its infimum and supremum, which may equal the ray; a
+    constant takes one point, which must lie strictly inside it."""
+    terms = p.terms
+    if terms and sum(terms[-1][0]) > 1:  # graded order: the last term has the top degree
+        return None
+    c0 = Fraction(0)
+    if terms and not any(terms[0][0]):  # and the constant term comes first
+        c0, terms = terms[0][1], terms[1:]
+    if not terms:
+        return ray.contains(c0)
+    lo: Optional[Fraction] = c0
+    hi: Optional[Fraction] = c0
+    for k, c in terms:
+        r = rays[k.index(1)]
+        low_end, high_end = (r.lo, r.hi) if c > 0 else (r.hi, r.lo)
+        lo = None if lo is None or low_end is None else lo + c * low_end
+        hi = None if hi is None or high_end is None else hi + c * high_end
+    return ((ray.lo is None or (lo is not None and ray.lo <= lo))
+            and (ray.hi is None or (hi is not None and hi <= ray.hi)))
+
+
 def range_fits(f: PolyFun, target: Box) -> bool:
-    """Whether range_bound(f) fits in the target, componentwise.  Only the
-    components whose target ray has a finite end are enclosed, since any
-    enclosure fits in R, and the first misfit ends the check."""
+    """Whether f certifiably maps its open domain into the target,
+    componentwise: an affine component is decided exactly
+    (``_affine_fits``), one of degree >= 2 by whether its monomial-wise
+    enclosure over the closed domain fits.  Only the components whose
+    target ray has a finite end are checked, and the first misfit ends
+    the check."""
     if f.cod_dim != target.dim:
         return False
-    factors = [r.closure() for r in f.domain.factors]
+    rays = f.domain.factors
+    factors: Optional[list[Enclosure]] = None  # closed factors, built on first need
     powers: dict[tuple[int, int], Enclosure] = {}
-    return all(ray.is_full or _enclose(p, factors, powers).fits_within(ray)
-               for p, ray in zip(f.components, target.factors))
+    for p, ray in zip(f.components, target.factors):
+        if ray.is_full:
+            continue
+        fits = _affine_fits(p, rays, ray)
+        if fits is None:
+            if factors is None:
+                factors = [r.closure() for r in rays]
+            fits = _enclose(p, factors, powers).fits_within(ray)
+        if not fits:
+            return False
+    return True
 
 
 # -- classical operations ------------------------------------------------------
@@ -329,7 +385,7 @@ def range_fits(f: PolyFun, target: Box) -> bool:
 def compose(f: PolyFun, g: PolyFun, permissive: bool = False) -> PolyFun:
     """f after g, by exact substitution; domain is g's domain.
 
-    The conservative guard checks range_bound(g) inside f's open domain;
+    The guard (``range_fits``) checks g's range inside f's open domain;
     in permissive mode a failing guard tags the result partial instead of
     raising (mirroring restriction of the composite to the preimage).
     """
@@ -338,14 +394,32 @@ def compose(f: PolyFun, g: PolyFun, permissive: bool = False) -> PolyFun:
     guard_ok = range_fits(g, f.domain)
     if not guard_ok and not permissive:
         raise CompositionGuardError(
-            f"range enclosure of inner function is not certified inside {f.domain}")
+            f"range of inner function is not certified inside {f.domain}")
     return _substitute(f, g, not guard_ok)
+
+
+def _pick_index(p: Poly) -> Optional[int]:
+    """j when p is the coordinate x_j with coefficient 1, 0 when p is zero,
+    None otherwise."""
+    if not p.terms:
+        return 0
+    if len(p.terms) == 1:
+        (k, c), = p.terms
+        if c == 1 and sum(k) == 1:
+            return k.index(1) + 1
+    return None
 
 
 def _substitute(f: PolyFun, g: PolyFun, uncertified: bool) -> PolyFun:
     """f after g with no range guard; the caller has run it, and the
-    result is partial when it did not certify or either side is partial."""
-    comps = [p.subst(list(g.components)) for p in f.components]
+    result is partial when it did not certify or either side is partial.
+    When g only picks coordinates (or is zero) componentwise, as the
+    coordinate maps do, substitution is a renaming of f's variables."""
+    picks = [_pick_index(q) for q in g.components]
+    if None in picks:
+        comps = [p.subst(list(g.components)) for p in f.components]
+    else:
+        comps = [p.remap(g.arity, picks) for p in f.components]
     return PolyFun.make(g.domain, comps, uncertified or g.is_partial or f.is_partial)
 
 
@@ -609,8 +683,17 @@ def apply_word(word, f: PolyFun, orientation: Orientation = Orientation.UPPER) -
 # text and JSON forms
 
 
+def _unprintable() -> PolyError:
+    # str() of an int refuses past sys.get_int_max_str_digits() with a ValueError
+    return PolyError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits "
+                     "and cannot be printed")
+
+
 def format_polyfun(f: PolyFun) -> str:
-    comps = "; ".join(str(p) for p in f.components)
+    try:
+        comps = "; ".join(str(p) for p in f.components)
+    except ValueError:
+        raise _unprintable() from None
     return f"poly {f.arity}->{f.cod_dim} on {f.domain} : {comps}"
 
 
@@ -671,9 +754,8 @@ def parse_polyfun(text: str) -> PolyFun:
 
 
 def polyfun_to_json(f: PolyFun) -> dict:
-    return {
-        "arity": f.arity,
-        "codim": f.cod_dim,
-        "domain": str(f.domain),
-        "components": [[[list(k), str(c)] for k, c in p.terms] for p in f.components],
-    }
+    try:
+        comps = [[[list(k), str(c)] for k, c in p.terms] for p in f.components]
+    except ValueError:
+        raise _unprintable() from None
+    return {"arity": f.arity, "codim": f.cod_dim, "domain": str(f.domain), "components": comps}

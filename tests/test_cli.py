@@ -103,6 +103,40 @@ def test_guard_failure_exit_code(capsys):
     assert code == 1
 
 
+def test_strict_composition_into_an_equal_open_box_succeeds(capsys):
+    """(0,1) maps into (0,1): the guard decides affine components exactly,
+    so strict composition through a coordinate pick is certified."""
+    code, out, err = run(capsys, "eval",
+                         "({poly 1->1 on (0,1) : 1 x1} . {poly 1->1 on (0,1) : 1 x1})")
+    assert code == 0 and err == ""
+    assert out.strip() == "poly 1->1 on (0,1) : 1 x1"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_coefficient_too_long_to_print_is_one_error_line(capsys, json_flag):
+    sevens = "7" * 4000  # squared, it has 7,999 digits
+    code, out, err = run(capsys, "eval", *json_flag,
+                         f"({{poly 1->1 on R : 1 x1^2}} . {{poly 1->1 on R : {sevens} x1}})")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    message = (f"a coefficient has more than {sys.get_int_max_str_digits()} digits "
+               "and cannot be printed")
+    if json_flag:
+        assert [json.loads(line)["message"] for line in lines] == [message]
+    else:
+        assert lines == ["error: " + message]
+
+
+@pytest.mark.parametrize("literal", ["7" * 4400, "1/" + "7" * 4400, "0." + "7" * 4400],
+                         ids=["integer", "fraction", "decimal"])
+def test_over_long_literal_is_named_and_cut_short(capsys, literal):
+    code, out, err = run(capsys, "eval", f"{{poly 1->1 on R : {literal} x1}}")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert lines == [f"error: rational literal too long ({len(literal)} characters, at most "
+                     f"{sys.get_int_max_str_digits()} digits per integer): {literal[:20]!r}..."]
+
+
 def test_normalize_term(capsys):
     text = "(({poly 1->1 on R : 1 x1} . {poly 1->1 on R : 2 x1}) . {poly 1->1 on R : 3 x1})"
     code, out, _ = run(capsys, "normalize-term", text)

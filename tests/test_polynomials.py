@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from idcalc.boxes import Box, Enclosure, Ray1, domint, parse_box
 from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFun,
-                                apply_gen, apply_word, compose, const_fun, coord,
+                                _substitute, apply_gen, apply_word, compose, const_fun, coord,
                                 diag, eval_at, format_polyfun, incl, parse_polyfun,
                                 partial, polyfun_to_json,
                                 proj_block, proje, range_bound, range_fits, sectn,
@@ -335,16 +336,82 @@ def _rand_ray(rng):
     return rng.choice([Ray1.full(), Ray1.above(a), Ray1.below(b), Ray1.bounded(a, b)])
 
 
-def test_range_fits_is_the_componentwise_enclosure_test():
+def _vertex_fits(p, box, ray):
+    """Whether the affine p maps the open box into the open ray, from its
+    values at the vertices of the closed box: a nonconstant p takes the
+    open interval between its least and greatest vertex value, unbounded
+    on a side where a variable it reads has an infinite end; a constant
+    takes one point."""
+    coeffs = {k.index(1): c for k, c in p.terms if sum(k) == 1}
+    unbounded_lo = unbounded_hi = False
+    choices = []
+    for j, r in enumerate(box.factors):
+        c = coeffs.get(j)
+        if c is None:  # p does not read x_j: any value will do
+            choices.append([F(0)])
+            continue
+        if r.lo is None:
+            unbounded_lo, unbounded_hi = unbounded_lo or c > 0, unbounded_hi or c < 0
+        if r.hi is None:
+            unbounded_lo, unbounded_hi = unbounded_lo or c < 0, unbounded_hi or c > 0
+        choices.append([e for e in (r.lo, r.hi) if e is not None] or [F(0)])
+    values = [p.eval(pt) for pt in itertools.product(*choices)]
+    if not coeffs:
+        return ray.contains(values[0])
+    return ((ray.lo is None or (not unbounded_lo and ray.lo <= min(values)))
+            and (ray.hi is None or (not unbounded_hi and max(values) <= ray.hi)))
+
+
+def _open_point(rng, box):
+    """A rational point of the open box, each coordinate a multiple of
+    1/1024 of the way across its factor; an infinite end is replaced as
+    in ``_closure_point``."""
+    xs = []
+    for r in box.factors:
+        lo = r.lo if r.lo is not None else (r.hi - 6 if r.hi is not None else F(-3))
+        hi = r.hi if r.hi is not None else lo + 6
+        xs.append(lo + (hi - lo) * F(rng.randint(1, 1023), 1024))
+    return xs
+
+
+def test_range_fits_is_exact_on_affine_components_and_encloses_the_rest():
+    """range_fits agrees with the vertex verdict on each affine component
+    and with the enclosure on each of degree >= 2, its yes is sound on
+    sampled points, and strict compose follows it.  A third of the inner
+    maps only pick coordinates, with targets equal to the picked factors,
+    where the enclosure alone could never certify."""
     rng = random.Random(37)
     # verdicts, split by whether some target ray has a finite end
     outcomes = {(fits, finite): 0 for fits in (True, False) for finite in (True, False)}
-    for _ in range(400):
-        g = rand_polyfun(rng, rand_box(rng, rng.randint(1, 3)), rng.randint(1, 3))
-        target = Box(tuple(_rand_ray(rng) for _ in range(g.cod_dim)))
+    # component verdicts on finite targets, split by affine or not
+    decided = {(fits, affine): 0 for fits in (True, False) for affine in (True, False)}
+    for _ in range(600):
+        dom = rand_box(rng, rng.randint(1, 3))
+        kind = rng.randrange(3)
+        if kind == 2:
+            picks = [rng.randint(0, dom.dim) for _ in range(rng.randint(1, 3))]
+            g = PolyFun.make(dom, [Poly.var(dom.dim, i) if i else Poly.zero(dom.dim)
+                                   for i in picks])
+            target = Box(tuple(dom.factors[i - 1] if i and rng.random() < 0.8 else _rand_ray(rng)
+                               for i in picks))
+        else:
+            g = rand_polyfun(rng, dom, rng.randint(1, 3), 1 if kind else 3)
+            target = Box(tuple(_rand_ray(rng) for _ in range(g.cod_dim)))
         fits = range_fits(g, target)
-        assert fits == all(e.fits_within(r) for e, r in zip(range_bound(g), target.factors))
+        expected = True
+        for comp, ray in zip(g.components, target.factors):
+            if ray.is_full:
+                continue
+            affine = all(sum(k) <= 1 for k, _ in comp.terms)
+            ok = (_vertex_fits(comp, dom, ray) if affine
+                  else range_bound(PolyFun.make(dom, [comp]))[0].fits_within(ray))
+            decided[ok, affine] += 1
+            expected = expected and ok
+        assert fits == expected, (format_polyfun(g), str(target))
         assert not range_fits(g, Box.full(g.cod_dim + 1))
+        if fits:
+            for _ in range(5):
+                assert target.contains(eval_at(g, _open_point(rng, dom)))
         f = rand_polyfun(rng, target, 1)
         if fits:
             assert not compose(f, g).is_partial
@@ -354,9 +421,73 @@ def test_range_fits_is_the_componentwise_enclosure_test():
         outcomes[fits, not all(r.is_full for r in target.factors)] += 1
     assert outcomes[False, False] == 0
     assert min(outcomes[True, True], outcomes[True, False], outcomes[False, True]) >= 30, outcomes
+    assert min(decided.values()) >= 10, decided
 
 
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("g, target, fits", [
+    ("poly 1->1 on (0,1) : 1 x1", "(0,1)", True),
+    ("poly 1->1 on (0,inf) : 1 x1", "(0,inf)", True),
+    ("poly 1->1 on (0,inf) : 1 x1", "(0,5)", False),
+    ("poly 1->1 on (0,1) : 2 x1 + -1", "(-1,1)", True),
+    ("poly 1->1 on (0,1) : 2 x1 + -1", "(-1,1/2)", False),
+    ("poly 1->1 on (0,1) : -1 x1", "(-1,0)", True),
+    ("poly 2->2 on (0,1)x(2,3) : 1 x2; 1 x1", "(2,3)x(0,1)", True),
+    ("poly 1->1 on R : 1", "(1,2)", False),
+    ("poly 1->1 on R : 2", "(1,2)", False),
+    ("poly 1->1 on R : 3/2", "(1,2)", True),
+    ("poly 1->1 on R : 0", "(-1,1)", True),
+    ("poly 1->1 on R : 0", "(0,1)", False),
+    ("poly 2->1 on Rx(0,1) : 1 x2", "(0,1)", True),
+    ("poly 2->1 on Rx(0,1) : 1 x1 + 1 x2", "(0,1)", False),
+    ("poly 1->1 on (-1,1) : 1 x1^2", "(-1,2)", False),
+], ids=["equal-factor", "equal-half-ray", "unbounded-factor", "affine-equal-ends",
+        "affine-past-end", "negative-coefficient", "swapped-factors", "constant-on-lower-end",
+        "constant-on-upper-end", "constant-inside", "zero-inside", "zero-on-end",
+        "zero-coefficient-on-R", "nonzero-coefficient-on-R", "square-still-enclosed"])
+def test_range_fits_boundary_cases(g, target, fits):
+    """An open factor fits in an equal open factor and a constant must lie
+    strictly inside; a variable with coefficient 0 does not count, however
+    wide its factor.  Degree >= 2 keeps the enclosure: [-1,1] encloses
+    x1^2 on (-1,1), whose true range [0,1) fits."""
+    assert range_fits(pf(g), parse_box(target)) is fits
+
+
+COORDINATE_MAPS = {
+    "identity": lambda rng: PolyFun.identity(rand_box(rng, rng.randint(0, 3))),
+    "diag": lambda rng: diag(rand_box(rng, rng.randint(1, 2)), rng.randint(1, 3)),
+    "proj_block": lambda rng: proj_block([rand_box(rng, rng.randint(0, 2)) for _ in range(3)],
+                                         rng.randint(1, 3)),  # may project onto R^0
+    "coord": lambda rng: coord(3, rng.randint(1, 3)),
+    "proje": lambda rng: proje(3, rng.randint(1, 4)),
+    "sectn": lambda rng: sectn(3, rng.randint(1, 3)),
+    "switch": lambda rng: switch([rand_box(rng, rng.randint(0, 2)) for _ in range(3)],
+                                 rng.sample([1, 2, 3], 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_MAPS))
+def test_substitution_through_coordinate_maps_relabels(name, monkeypatch):
+    """Composing through a map that only picks coordinates (zero components
+    and repeated indices included) renames variables, with no call to
+    Poly.subst, and gives exactly what Poly.subst gives.  Into R^0,
+    where Poly.subst has no argument to read the arity from, each
+    component is f's constant on g's domain."""
+    rng = random.Random(name)
+    for _ in range(40):
+        g = COORDINATE_MAPS[name](rng)
+        f = rand_polyfun(rng, rand_box(rng, g.cod_dim), rng.randint(1, 3))
+        if g.cod_dim:
+            expected = [p.subst(list(g.components)) for p in f.components]
+        else:
+            expected = [Poly.const(g.arity, p.eval([])) for p in f.components]
+        with monkeypatch.context() as mp:
+            mp.setattr(Poly, "subst", None)
+            out = _substitute(f, g, False)
+        assert out.domain == g.domain and list(out.components) == expected
+        assert [p.terms for p in out.components] == [p.terms for p in expected]
+
+
+# # ---------------------------------------------------------------------------
 # generator actions
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from idcalc.boxes import Box, IdcalcError, Ray1
+from idcalc import polynomials
 from idcalc.polynomials import Orientation
 from idcalc.relations import (CATALOGUE, Ctx, check_all, check_relation, rand_subbox,
                               reports_to_json)
@@ -147,3 +148,24 @@ def test_catalogue_classification_is_pinned():
     assert counts == {"Smooth": 1638, "ContinuousOK": 1101, "Illegal": 141}
     assert digest.hexdigest() == \
         "862bcb9e7425c71ebbcc945177043d50c66bbefa8da406092f88d2a3dc8a5544"
+
+
+def test_partial_compositions_stay_bounded(monkeypatch):
+    """Partial compositions over check_all(3, 0), counted at the one
+    substitution that every guarded composition runs.  The bound is the
+    count when the guard began deciding affine components exactly (57 of
+    552; the enclosure alone tagged 293): a guard that falls back to
+    being conservative fails here."""
+    counts = collections.Counter()
+
+    def counted(f, g, uncertified):
+        out = substitute(f, g, uncertified)
+        counts["compositions"] += 1
+        counts["partial"] += out.is_partial
+        return out
+
+    substitute = polynomials._substitute
+    monkeypatch.setattr(polynomials, "_substitute", counted)
+    check_all(3, 0)
+    assert counts["compositions"] > 0
+    assert counts["partial"] <= 57, counts
