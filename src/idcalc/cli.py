@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Optional
 
 from .boxes import IdcalcError, parse_box
 from .evaluation import eval_term, instantiate
-from .polynomials import Orientation, format_polyfun, parse_polyfun, polyfun_to_json
+from .polynomials import (Orientation, format_polyfun, format_rat, parse_polyfun,
+                          polyfun_to_json)
 from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
                        eval_smooth, format_prederiv, parse_prederiv,
                        smooth_kernel_test)
@@ -218,9 +219,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         payload: dict = {"prederiv": format_prederiv(dv)}
         lines = []
         if args.eval_smooth or not (args.apply or args.kernel or args.canonical):
-            vec = eval_smooth(dv)
-            payload["eval_smooth"] = [str(c) for c in vec]
-            lines.append("eval-smooth (" + ", ".join(str(c) for c in vec) + ")")
+            vec = [format_rat(c) for c in eval_smooth(dv)]
+            payload["eval_smooth"] = vec
+            lines.append("eval-smooth (" + ", ".join(vec) + ")")
         if args.apply:
             germs = pd_apply(dv, parse_polyfun(args.apply))
             payload["apply"] = [format_polyfun(g) for g in germs]
@@ -233,9 +234,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             if len(dv.summands) != 1:
                 raise PreDerivError("canonical direction needs exactly one summand")
             core, u = dv.summands[0]
-            vec = canonical_direction(core, u)
-            payload["canonical"] = [str(c) for c in vec]
-            lines.append("canonical (" + ", ".join(str(c) for c in vec) + ")")
+            vec = [format_rat(c) for c in canonical_direction(core, u)]
+            payload["canonical"] = vec
+            lines.append("canonical (" + ", ".join(vec) + ")")
         _emit(payload, args.json, "\n".join(lines))
         return 0
 

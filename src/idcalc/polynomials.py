@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .boxes import (Box, BoxError, Enclosure, IdcalcError, RatLike, Ray1, domint, parse_box,
                     product, rat)
@@ -154,6 +154,10 @@ class Poly:
             total += term
         return total
 
+    def at_zero(self) -> Fraction:
+        """The value at 0: the constant term."""
+        return _constant_split(self)[0]
+
     def partial(self, i: int) -> "Poly":
         """d/dx_i (1-based); zero if i exceeds the arity."""
         if i > self.arity:
@@ -234,7 +238,7 @@ class Poly:
         for k, c in reversed(self.terms):  # display leading terms first
             vars_ = " ".join(f"x{j + 1}" + (f"^{e}" if e > 1 else "")
                              for j, e in enumerate(k) if e > 0)
-            parts.append(f"{c} {vars_}".strip())
+            parts.append(f"{format_rat(c)} {vars_}".strip())
         return " + ".join(parts)
 
 
@@ -323,9 +327,16 @@ def _enclose(p: Poly, factors: Sequence[Enclosure],
 def range_bound(f: PolyFun) -> list[Enclosure]:
     """Closed conservative enclosure of each component over the closure of
     the domain, by monomial-wise interval arithmetic."""
-    factors = [r.closure() for r in f.domain.factors]
-    powers: dict[tuple[int, int], Enclosure] = {}
-    return [_enclose(p, factors, powers) for p in f.components]
+    enclose = _encloser(f.domain.factors)
+    return [enclose(p) for p in f.components]
+
+
+def _constant_split(p: Poly) -> tuple[Fraction, tuple[tuple[Key, Fraction], ...]]:
+    """(p(0), the nonconstant terms): graded order puts a constant term first."""
+    terms = p.terms
+    if terms and not any(terms[0][0]):
+        return terms[0][1], terms[1:]
+    return Fraction(0), terms
 
 
 def _affine_fits(p: Poly, rays: Sequence[Ray1], ray: Ray1) -> Optional[bool]:
@@ -335,12 +346,9 @@ def _affine_fits(p: Poly, rays: Sequence[Ray1], ray: Ray1) -> Optional[bool]:
     On an open box a nonconstant c0 + sum c_j x_j takes exactly the open
     interval between its infimum and supremum, which may equal the ray; a
     constant takes one point, which must lie strictly inside it."""
-    terms = p.terms
-    if terms and sum(terms[-1][0]) > 1:  # graded order: the last term has the top degree
+    if p.terms and sum(p.terms[-1][0]) > 1:  # graded order: the last term has the top degree
         return None
-    c0 = Fraction(0)
-    if terms and not any(terms[0][0]):  # and the constant term comes first
-        c0, terms = terms[0][1], terms[1:]
+    c0, terms = _constant_split(p)
     if not terms:
         return ray.contains(c0)
     lo: Optional[Fraction] = c0
@@ -354,26 +362,75 @@ def _affine_fits(p: Poly, rays: Sequence[Ray1], ray: Ray1) -> Optional[bool]:
             and (ray.hi is None or (hi is not None and hi <= ray.hi)))
 
 
+def _half_widths(rays: Sequence[Ray1]) -> Optional[list[Fraction]]:
+    """[h_1, ..., h_m] when the box is centred at 0, each factor (-h_j, h_j);
+    None from the first factor that is not."""
+    out = []
+    for r in rays:
+        if r.hi is None or r.lo != -r.hi:
+            return None
+        out.append(r.hi)
+    return out
+
+
+def _centred_enclose(p: Poly, half: Sequence[Fraction],
+                     powers: dict[tuple[int, int], tuple[int, int]]) -> Enclosure:
+    """``_enclose`` over the closed box of factors [-h_j, h_j], in closed
+    form; ``powers`` caches h_j^e as a (numerator, denominator) pair.
+
+    There the enclosure of every power [-h, h]^e is [-h^e, h^e] and
+    products of symmetric intervals stay symmetric, so p = c0 + sum c_a x^a
+    encloses to exactly [c0 - S, c0 + S], with S = sum |c_a| h^a over the
+    nonconstant terms."""
+    c0, terms = _constant_split(p)
+    num, den = 0, 1  # S = num / den, summed in integers and reduced once
+    for k, c in terms:
+        tn, td = abs(c.numerator), c.denominator
+        for j, e in enumerate(k):
+            if e:
+                pw = powers.get((j, e))
+                if pw is None:
+                    h = half[j] ** e
+                    pw = powers[j, e] = (h.numerator, h.denominator)
+                tn *= pw[0]
+                td *= pw[1]
+        num, den = num * td + tn * den, den * td
+    s = Fraction(num, den)
+    return Enclosure(c0 - s, c0 + s)
+
+
+def _encloser(rays: Sequence[Ray1]) -> Callable[[Poly], Enclosure]:
+    """p -> its monomial-wise enclosure over the closure of the box with
+    factors ``rays``, caching powers across calls; on a box centred at 0
+    in closed form, with no interval products."""
+    half = _half_widths(rays)
+    if half is not None:
+        half_powers: dict[tuple[int, int], tuple[int, int]] = {}
+        return lambda p: _centred_enclose(p, half, half_powers)
+    factors = [r.closure() for r in rays]
+    powers: dict[tuple[int, int], Enclosure] = {}
+    return lambda p: _enclose(p, factors, powers)
+
+
 def range_fits(f: PolyFun, target: Box) -> bool:
     """Whether f certifiably maps its open domain into the target,
     componentwise: an affine component is decided exactly
     (``_affine_fits``), one of degree >= 2 by whether its monomial-wise
-    enclosure over the closed domain fits.  Only the components whose
-    target ray has a finite end are checked, and the first misfit ends
-    the check."""
+    enclosure over the closed domain fits (``_encloser``, in closed form on
+    a domain centred at 0).  Only the components whose target ray has a
+    finite end are checked, and the first misfit ends the check."""
     if f.cod_dim != target.dim:
         return False
     rays = f.domain.factors
-    factors: Optional[list[Enclosure]] = None  # closed factors, built on first need
-    powers: dict[tuple[int, int], Enclosure] = {}
+    enclose: Optional[Callable[[Poly], Enclosure]] = None  # built on first need
     for p, ray in zip(f.components, target.factors):
         if ray.is_full:
             continue
         fits = _affine_fits(p, rays, ray)
         if fits is None:
-            if factors is None:
-                factors = [r.closure() for r in rays]
-            fits = _enclose(p, factors, powers).fits_within(ray)
+            if enclose is None:
+                enclose = _encloser(rays)
+            fits = enclose(p).fits_within(ray)
         if not fits:
             return False
     return True
@@ -683,17 +740,17 @@ def apply_word(word, f: PolyFun, orientation: Orientation = Orientation.UPPER) -
 # text and JSON forms
 
 
-def _unprintable() -> PolyError:
-    # str() of an int refuses past sys.get_int_max_str_digits() with a ValueError
-    return PolyError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits "
-                     "and cannot be printed")
+def format_rat(c: Fraction) -> str:
+    """The text of a rational, as every printed form of the kernel shows it."""
+    try:
+        return str(c)
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits() refuses
+        raise PolyError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                        "digits and cannot be printed") from None
 
 
 def format_polyfun(f: PolyFun) -> str:
-    try:
-        comps = "; ".join(str(p) for p in f.components)
-    except ValueError:
-        raise _unprintable() from None
+    comps = "; ".join(str(p) for p in f.components)
     return f"poly {f.arity}->{f.cod_dim} on {f.domain} : {comps}"
 
 
@@ -754,8 +811,5 @@ def parse_polyfun(text: str) -> PolyFun:
 
 
 def polyfun_to_json(f: PolyFun) -> dict:
-    try:
-        comps = [[[list(k), str(c)] for k, c in p.terms] for p in f.components]
-    except ValueError:
-        raise _unprintable() from None
+    comps = [[[list(k), format_rat(c)] for k, c in p.terms] for p in f.components]
     return {"arity": f.arity, "codim": f.cod_dim, "domain": str(f.domain), "components": comps}

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from .boxes import Box, IdcalcError, Ray1, rat
 from .polynomials import (CompositionGuardError, Poly, PolyFun, RatLike, _substitute,
-                          format_polyfun, parse_polyfun, partial, range_fits, smint, vscal,
-                          vsum)
+                          format_polyfun, format_rat, parse_polyfun, partial, range_fits,
+                          smint, vscal, vsum)
 
 
 class PreDerivError(IdcalcError):
@@ -104,11 +104,9 @@ class GermCore:
     fn: PolyFun
 
     def __post_init__(self) -> None:
-        l = self.fn.arity
-        zero = [Fraction(0)] * l
-        if not self.fn.domain.contains(zero):
+        if not self.fn.domain.contains([0] * self.fn.arity):
             raise PreDerivError("core domain must contain 0")
-        if any(p.eval(zero) != 0 for p in self.fn.components):
+        if any(p.at_zero() for p in self.fn.components):
             raise PreDerivError("core must vanish at 0")
 
     @property
@@ -242,16 +240,24 @@ def eval_smooth(dv: PreDeriv) -> tuple[Fraction, ...]:
 
 
 def jacobian_at_zero(f: PolyFun) -> list[list[Fraction]]:
-    l = f.arity
-    zero = [Fraction(0)] * l
-    return [[p.partial(j).eval(zero) for j in range(1, l + 1)] for p in f.components]
+    """Jac(f, 0): entry (i, j) is the coefficient of x_j in component i."""
+    rows = []
+    for p in f.components:
+        row = [Fraction(0)] * f.arity
+        for k, c in p.terms:
+            deg = sum(k)
+            if deg > 1:  # graded order: the linear terms come first
+                break
+            if deg:
+                row[k.index(1)] = c
+        rows.append(row)
+    return rows
 
 
 def pre_diff(f: PolyFun, dv: PreDeriv) -> PreDeriv:
     """Push the pre-derivation forward along a pointed function: cores
     become f o z, directions are unchanged."""
-    zero = [Fraction(0)] * f.arity
-    if not f.domain.contains(zero) or any(p.eval(zero) != 0 for p in f.components):
+    if not f.domain.contains([0] * f.arity) or any(p.at_zero() for p in f.components):
         raise PreDerivError("the transported function must be pointed at 0")
     if f.arity != dv.target_dim:
         raise PreDerivError("function arity differs from the target dimension")
@@ -328,7 +334,7 @@ def format_prederiv(dv: PreDeriv) -> str:
         return f"0[m={dv.target_dim}]"
     parts = []
     for core, u in dv.summands:
-        vec = ", ".join(str(c) for c in u)
+        vec = ", ".join(format_rat(c) for c in u)
         parts.append(f"D{{ core={format_polyfun(core.fn)}; u=({vec}); }}")
     return " + ".join(parts)
 

@@ -127,6 +127,27 @@ def test_coefficient_too_long_to_print_is_one_error_line(capsys, json_flag):
         assert lines == ["error: " + message]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("query, core, u", [
+    # Jac(z, 0) u = 7...7^2 has 7,999 digits
+    ("--eval-smooth", f"poly 1->1 on (-1,1) : {'7' * 4000} x1", "7" * 4000),
+    # u minus its projection onto (1, 1) has denominators of 8,000 digits
+    ("--canonical", "poly 2->1 on (-1,1)x(-1,1) : 1 x1 + -1 x2",
+     f"1/{'7' * 4000}, 1/{'3' * 3999}1"),
+], ids=["eval-smooth", "canonical"])
+def test_prederiv_vector_too_long_to_print_is_one_error_line(capsys, json_flag, query, core, u):
+    code, out, err = run(capsys, "prederiv", f"D{{ core={core}; u=({u}); }}", query, *json_flag)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    message = (f"a coefficient has more than {sys.get_int_max_str_digits()} digits "
+               "and cannot be printed")
+    if json_flag:
+        assert [json.loads(line) for line in lines] == [{"error": "PolyError",
+                                                         "message": message}]
+    else:
+        assert lines == ["error: " + message]
+
+
 @pytest.mark.parametrize("literal", ["7" * 4400, "1/" + "7" * 4400, "0." + "7" * 4400],
                          ids=["integer", "fraction", "decimal"])
 def test_over_long_literal_is_named_and_cut_short(capsys, literal):

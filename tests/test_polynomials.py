@@ -6,13 +6,13 @@ import pytest
 
 from idcalc.boxes import Box, Enclosure, Ray1, domint, parse_box
 from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFun,
-                                _substitute, apply_gen, apply_word, compose, const_fun, coord,
-                                diag, eval_at, format_polyfun, incl, parse_polyfun,
-                                partial, polyfun_to_json,
+                                _affine_fits, _enclose, _substitute, apply_gen, apply_word,
+                                compose, const_fun, coord, diag, eval_at, format_polyfun,
+                                incl, parse_polyfun, partial, polyfun_to_json,
                                 proj_block, proje, range_bound, range_fits, sectn,
                                 smint, switch, trasl, tuple_, vecminus, vecprod,
                                 vecsum, vneg, vprod, vscal, vsum)
-from idcalc.relations import rand_box, rand_polyfun
+from idcalc.relations import rand_box, rand_coeff, rand_polyfun
 from idcalc.words import D, I, Q, Word, p, q
 
 F = Fraction
@@ -450,6 +450,112 @@ def test_range_fits_boundary_cases(g, target, fits):
     wide its factor.  Degree >= 2 keeps the enclosure: [-1,1] encloses
     x1^2 on (-1,1), whose true range [0,1) fits."""
     assert range_fits(pf(g), parse_box(target)) is fits
+
+
+def _general_fits(g, target):
+    """range_fits' verdict by its general path, the one a box not centred
+    at 0 takes: ``_affine_fits``, else the monomial-wise enclosure."""
+    rays = g.domain.factors
+    factors = [r.closure() for r in rays]
+    for p, ray in zip(g.components, target.factors):
+        if ray.is_full:
+            continue
+        fits = _affine_fits(p, rays, ray)
+        if fits is None:
+            fits = _enclose(p, factors, {}).fits_within(ray)
+        if not fits:
+            return False
+    return True
+
+
+def _half_width(rng):
+    return F(rng.randint(1, 4), rng.choice((1, 2, 4)))
+
+
+def test_range_fits_on_centred_boxes_matches_the_general_path(monkeypatch):
+    """On a box centred at 0 (a cube or unequal half-widths, dimension 0
+    to 3) the enclosure has a closed form, equal to the monomial-wise one,
+    and range_fits uses no interval product and gives the general path's
+    verdict.  Each target end is drawn at, just inside or just outside the
+    ends of the component's enclosure, so that ends touching c0 +- S are
+    frequent."""
+    products = [0]
+    mul = Enclosure.mul
+
+    def counted(self, other):
+        products[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(Enclosure, "mul", counted)
+    # component verdicts on finite targets, by kind and by fits
+    decided = {(kind, fits): 0 for kind in ("constant", "affine", "higher")
+               for fits in (True, False)}
+    touching = 0  # affine components that fit with a ray end at c0 +- S
+    rng = random.Random(14)
+    for _ in range(600):
+        m = rng.randint(0, 3)
+        if rng.random() < 0.5:
+            h = _half_width(rng)
+            dom = Box.cube(-h, h, m)
+        else:
+            dom = Box(tuple(Ray1.bounded(-h, h) for h in
+                            (_half_width(rng) for _ in range(m))))
+        comps = [Poly.const(m, rand_coeff(rng)) if rng.random() < 0.2 else p
+                 for p in rand_polyfun(rng, dom, rng.randint(1, 3), rng.randint(1, 3)).components]
+        g = PolyFun.make(dom, comps)
+        closed = [r.closure() for r in dom.factors]
+        encs = [range_bound(PolyFun.make(dom, [p]))[0] for p in comps]
+        assert encs == [_enclose(p, closed, {}) for p in comps]
+        rays = []
+        for enc in encs:
+            lo = enc.lo + rng.choice((F(-1, 2), F(0), F(0), F(1, 4)))
+            hi = enc.hi + rng.choice((F(1, 2), F(0), F(0), F(-1, 4)))
+            kind = rng.randrange(4)
+            rays.append(Ray1.full() if kind == 0 else Ray1.above(lo) if kind == 1 or lo >= hi
+                        else Ray1.below(hi) if kind == 2 else Ray1.bounded(lo, hi))
+        target = Box(tuple(rays))
+        before = products[0]
+        fits = range_fits(g, target)
+        assert products[0] == before, (format_polyfun(g), str(target))
+        assert fits == _general_fits(g, target), (format_polyfun(g), str(target))
+        for p, enc, ray in zip(comps, encs, rays):
+            if ray.is_full:
+                continue
+            one = _general_fits(PolyFun.make(dom, [p]), Box.of(ray))
+            degree = max((sum(k) for k, _ in p.terms), default=0)
+            decided[("constant", "affine", "higher")[min(degree, 2)], one] += 1
+            touching += degree == 1 and one and (ray.lo == enc.lo or ray.hi == enc.hi)
+    assert min(decided.values()) >= 10, decided
+    assert touching >= 10
+
+
+@pytest.mark.parametrize("g, target, fits", [
+    # 1 + 2 x1 - 2 x2 on (-1,1)x(-1/2,1/2): c0 = 1, S = 3, the open range (-2,4)
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + -2 x2", "(-2,4)", True),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + -2 x2", "(-2,inf)", True),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + -2 x2", "(-inf,4)", True),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + -2 x2", "(-2,7/2)", False),
+    # 1 + 2 x1 + 8 x2^3: the same S and the same open range, enclosed by [-2,4]
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + 8 x2^3", "(-2,4)", False),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + 8 x2^3", "(-2,inf)", False),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + 8 x2^3", "(-inf,4)", False),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 + 2 x1 + 8 x2^3", "(-3,5)", True),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : -4 x1 x2", "(-2,2)", False),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : -4 x1 x2", "(-3,3)", True),
+    ("poly 2->1 on (-1,1)x(-1,1) : 3", "(3,4)", False),
+    ("poly 2->1 on (-1,1)x(-1,1) : 3", "(2,4)", True),
+    ("poly 0->1 on R0 : 2", "(1,3)", True),
+    ("poly 0->1 on R0 : 2", "(2,3)", False),
+], ids=["affine-both-ends", "affine-lower-end", "affine-upper-end", "affine-past-end",
+        "cubic-both-ends", "cubic-lower-end", "cubic-upper-end", "cubic-inside",
+        "product-on-ends", "product-inside", "constant-on-end", "constant-inside",
+        "point-domain-inside", "point-domain-on-end"])
+def test_range_fits_centred_boundary_cases(g, target, fits):
+    """On a centred box an affine component takes the open interval
+    (c0 - S, c0 + S), so a ray ending at c0 +- S still holds it; any other
+    component is held to its closed enclosure [c0 - S, c0 + S], and a
+    constant must lie strictly inside."""
+    assert range_fits(pf(g), parse_box(target)) is fits
+    assert _general_fits(pf(g), parse_box(target)) is fits
 
 
 COORDINATE_MAPS = {

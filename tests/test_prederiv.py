@@ -1,18 +1,20 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from idcalc.boxes import Box
-from idcalc.polynomials import Poly, PolyFun, parse_polyfun
+from idcalc import prederiv
+from idcalc.boxes import Box, Enclosure, Ray1
+from idcalc.polynomials import Poly, PolyFun, format_polyfun, parse_polyfun
 from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
-                             canonical_direction, chain_check, eval_smooth,
+                             canonical_direction, chain_check, compose_germ, eval_smooth,
                              format_prederiv, germ_equal, identity_core,
                              jacobian_at_zero, kernel_basis,
                              nontriviality_witness, parse_prederiv, pre_diff,
                              project_onto_span, smooth_kernel_test,
                              vanishing_space)
-from idcalc.relations import rand_polyfun
+from idcalc.relations import rand_box, rand_box_around_zero, rand_polyfun
 
 F = Fraction
 
@@ -21,12 +23,15 @@ def core(text):
     return GermCore(parse_polyfun(text))
 
 
-def rand_pointed(rng, l, m, deg=3):
-    """A core on (-2,2)^l: the catalogue's polynomial draw with the
-    constant terms removed, so that it vanishes at 0."""
-    f = rand_polyfun(rng, Box.cube(-2, 2, l), m, deg)
-    return PolyFun.make(f.domain, [Poly.make(l, {k: c for k, c in p.terms if any(k)})
+def pointed(f):
+    """f with its constant terms removed, so that it vanishes at 0."""
+    return PolyFun.make(f.domain, [Poly.make(f.arity, {k: c for k, c in p.terms if any(k)})
                                    for p in f.components])
+
+
+def rand_pointed(rng, l, m, deg=3):
+    """A core on (-2,2)^l: the catalogue's polynomial draw, pointed."""
+    return pointed(rand_polyfun(rng, Box.cube(-2, 2, l), m, deg))
 
 
 def rand_direction(rng, l):
@@ -132,7 +137,6 @@ def test_pre_diff_functorial_on_cores():
 
 
 def pre_diff_compose(f, g, dv):
-    from idcalc.prederiv import compose_germ
     composed = compose_germ(f, g)
     return pre_diff(composed, dv)
 
@@ -163,6 +167,76 @@ def test_chain_check_example_and_random():
         dv = PreDeriv.of(z, rand_direction(rng, l))
         f = rand_pointed(rng, m, n)
         assert chain_check(f, dv)
+
+
+# ---------------------------------------------------------------------------
+# germ composition: outputs and work pinned
+
+
+def _outer_box(rng, m):
+    """A box around 0: a small or unit cube, one not centred at 0, or one
+    with unbounded factors."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        r = F(1, rng.choice((1, 5, 40)))
+        return Box.cube(-r, r, m)
+    if kind == 1:
+        return rand_box_around_zero(rng, m)
+    rays = (Ray1.full(), Ray1.above(-1), Ray1.below(2), Ray1.bounded(-3, 1))
+    return Box(tuple(rng.choice(rays) for _ in range(m)))
+
+
+def pinned_compositions():
+    """240 (outer function, pointed core) pairs; the even-numbered cores
+    lie over (-2,2)^l, the odd-numbered over boxes around 0 that are
+    mostly not centred there."""
+    rng = random.Random(14)
+    pairs = []
+    for i in range(240):
+        l, m = rng.randint(1, 3), rng.randint(1, 3)
+        dom = Box.cube(-2, 2, l) if i % 2 == 0 else rand_box_around_zero(rng, l)
+        z = pointed(rand_polyfun(rng, dom, m))
+        pairs.append((rand_polyfun(rng, _outer_box(rng, m), rng.randint(1, 2), 2), z))
+    return pairs
+
+
+def test_compose_germ_is_pinned():
+    """Every composed polynomial and every certified box of the pinned
+    set, byte for byte."""
+    digest = hashlib.sha256()
+    for f, z in pinned_compositions():
+        digest.update(format_polyfun(compose_germ(f, z)).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "42d4cd3a420af703743adeef29870578601ab15fd7a2ae36948c0c601c42f94a"
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_compose_germ_work_counts(monkeypatch):
+    """The guard on a core's box centred at 0 is a coefficient sum with no
+    interval products.  It reaches the monomial-wise enclosure's verdicts,
+    so the pinned set takes the same 379 halvings, and a halving count
+    keeps its meaning."""
+    shrinks = _counting(monkeypatch, prederiv, "_shrink_around_zero")
+    products = _counting(monkeypatch, Enclosure, "mul")
+    pairs = pinned_compositions()
+    for f, z in pairs[::2]:
+        compose_germ(f, z)
+    assert products[0] == 0
+    for f, z in pairs[1::2]:
+        compose_germ(f, z)
+    assert shrinks[0] == 379
+    assert products[0] > 0  # boxes not centred at 0 keep the enclosure
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +355,20 @@ def test_projection_orthogonality():
 def test_jacobian_at_zero():
     f = parse_polyfun("poly 2->2 on RxR : 1 x1 + 3 x2 + 1 x1^2; 2 x2")
     assert jacobian_at_zero(f) == [[F(1), F(3)], [F(0), F(2)]]
+
+
+def test_jacobian_at_zero_is_the_derivative_at_zero():
+    """The Jacobian read from the linear coefficients equals the partial
+    derivatives evaluated at 0, whatever the domain: (-2,2)^l, R^l, or a
+    random box, which need not contain the unit cube or even 0."""
+    rng = random.Random(51)
+    domains = [lambda l: Box.cube(-2, 2, l), Box.full, lambda l: rand_box(rng, l)]
+    for _ in range(300):
+        l = rng.randint(0, 3)
+        f = rand_polyfun(rng, rng.choice(domains)(l), rng.randint(1, 3), rng.randint(0, 4))
+        zero = [F(0)] * l
+        assert jacobian_at_zero(f) == [[p.partial(j).eval(zero) for j in range(1, l + 1)]
+                                       for p in f.components]
 
 
 # ---------------------------------------------------------------------------
