@@ -193,7 +193,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         if inst:
             t = instantiate(t, inst)
         f = eval_term(t, permissive=args.permissive)
-        _emit(polyfun_to_json(f), args.json, format_polyfun(f))
+        _emit({**polyfun_to_json(f), "partial": f.is_partial}, args.json, format_polyfun(f))
+        if f.is_partial and not args.json:
+            print("partial: a composition's range was not certified inside its outer "
+                  "domain", file=sys.stderr)
         return 0
 
     if args.command == "check-relations":

@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, IdcalcError
-from .polynomials import (Orientation, Poly, PolyFun, RatLike, apply_word, compose,
-                          diag, rat, tuple_)
-from .terms import Comp, Opaque, Term, TupleT, _fold, opaque_leaves, substitute
+from .polynomials import (Orientation, Poly, PolyFun, RatLike, _linear_form, apply_word,
+                          compose, rat, tuple_)
+from .terms import Comp, Opaque, Term, TupleT, _fold, _pointwise, opaque_leaves, substitute
 
 
 class EvalError(IdcalcError):
@@ -68,15 +68,14 @@ Combo = tuple[Sequence[RatLike], Sequence[PolyFun | Opaque]]  # (coefficients, b
 
 
 def linincl(combos: Sequence[Combo]) -> Term:
-    """Build the term (g . <bases>) . diag from per-component coefficient
-    lists over base functions sharing one domain; evaluating the term
-    reproduces the linear combinations exactly."""
+    """Build the pointwise term (g . <bases>) . diag from per-component
+    coefficient lists over base functions sharing one domain, g linear;
+    evaluating the term reproduces the linear combinations exactly."""
     if not combos:
         raise EvalError("at least one output component is required")
     domain: Optional[Box] = None
     flat_bases: list[Term] = []
-    lengths: list[int] = []
-    all_coeffs: list[list[Fraction]] = []
+    coeff_maps: list[dict[int, Fraction]] = []
     for coeffs, bases in combos:
         if not coeffs or len(coeffs) != len(bases):
             raise EvalError("each component needs matching, nonempty "
@@ -91,22 +90,11 @@ def linincl(combos: Sequence[Combo]) -> Term:
                 domain = b.domain
             elif domain != b.domain:
                 raise EvalError("base functions must share one domain")
-            flat_bases.append(b)
-        lengths.append(len(cs))
-        all_coeffs.append(cs)
-    assert domain is not None
-    total = sum(lengths)
-    g_comps = []
-    offset = 0
-    for cs in all_coeffs:
-        p = Poly.zero(total)
-        for k, c in enumerate(cs):
-            p = p.add(Poly.var(total, offset + k + 1).scale(c))
-        g_comps.append(p)
-        offset += len(cs)
-    g = PolyFun.make(Box.full(total), g_comps)
-    return Comp(Comp(g, TupleT(tuple(flat_bases))),
-                diag(domain, total))
+        coeff_maps.append(dict(enumerate(cs, len(flat_bases) + 1)))
+        flat_bases.extend(bases)
+    total = len(flat_bases)
+    g = PolyFun.make(Box.full(total), [_linear_form(total, cm) for cm in coeff_maps])
+    return _pointwise(flat_bases, lambda ns: g)
 
 
 def linincl_of_polyfun(f: PolyFun) -> Term:

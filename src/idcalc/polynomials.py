@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .boxes import (Box, BoxError, Enclosure, IdcalcError, RatLike, Ray1, domint, parse_box,
-                    product, rat)
+from .boxes import (Box, Enclosure, IdcalcError, RatLike, Ray1, domint, parse_box, product,
+                    rat)
 
 Key = tuple[int, ...]
 
@@ -514,19 +514,11 @@ def vscal(a: RatLike, f: PolyFun) -> PolyFun:
 
 
 def vprod(f: PolyFun, g: PolyFun) -> PolyFun:
-    """Outer product flattened row-major; dims m, n promote to max(m,1),
-    max(n,1) with the R^0 pseudo-component read as the constant 0, and
-    m = n = 0 yields the R^0-valued function."""
+    """Outer product flattened row-major: ``vecprod`` after the pair (f, g)."""
     if f.domain != g.domain:
         raise DomainMismatchError("vprod needs equal domains")
-    m, n = f.cod_dim, g.cod_dim
-    partial = f.is_partial or g.is_partial
-    if m == 0 and n == 0:
-        return PolyFun.make(f.domain, [], partial)
-    ar = f.arity
-    fc = list(f.components) if m else [Poly.zero(ar)]
-    gc = list(g.components) if n else [Poly.zero(ar)]
-    return PolyFun.make(f.domain, [a.mul(b) for a in fc for b in gc], partial)
+    pair = PolyFun.make(f.domain, f.components + g.components, f.is_partial or g.is_partial)
+    return _substitute(vecprod(f.cod_dim, g.cod_dim), pair, False)
 
 
 # -- named primitives -----------------------------------------------------------
@@ -563,12 +555,17 @@ def coord(m: int, i: int) -> PolyFun:
     return _picks(Box.full(m), [i])
 
 
+def _deletion(m: int, i: int) -> list[int]:
+    """The coordinates R^(m+1) -> R^m keeps when it deletes coordinate i:
+    x_k for k < i and x_(k+1) for k >= i."""
+    return [k if k < i else k + 1 for k in range(1, m + 1)]
+
+
 def proje(m: int, i: int) -> PolyFun:
-    """R^(m+1) -> R^m deleting coordinate i: components read x_k for k < i
-    and x_(k+1) for k >= i."""
+    """R^(m+1) -> R^m deleting coordinate i."""
     if not 1 <= i <= m + 1:
         raise PolyError("proje index out of range")
-    return _picks(Box.full(m + 1), [k if k < i else k + 1 for k in range(1, m + 1)])
+    return _picks(Box.full(m + 1), _deletion(m, i))
 
 
 def sectn(m: int, i: int) -> PolyFun:
@@ -598,18 +595,19 @@ def trasl(t: Sequence[RatLike]) -> PolyFun:
     return PolyFun.make(Box.full(m), comps)
 
 
+def _linear_form(arity: int, coeffs: Mapping[int, Fraction]) -> Poly:
+    """sum_j c_j x_j over the nonzero coefficients {j: c_j} (1-based j)."""
+    return _canonical(arity, {tuple(int(t == j) for t in range(1, arity + 1)): c
+                              for j, c in coeffs.items()})
+
+
 def vecsum(m: int, k: int) -> PolyFun:
     """(R^m)^k -> R^m, sum of the k blocks."""
     if k < 1:
         raise PolyError("vecsum needs k >= 1")
     ar = m * k
-    comps = []
-    for i in range(1, m + 1):
-        p = Poly.zero(ar)
-        for blk in range(k):
-            p = p.add(Poly.var(ar, blk * m + i))
-        comps.append(p)
-    return PolyFun.make(Box.full(ar), comps)
+    return PolyFun.make(Box.full(ar), [_linear_form(ar, {b * m + i: Fraction(1) for b in range(k)})
+                                       for i in range(1, m + 1)])
 
 
 def vecminus(m: int) -> PolyFun:
@@ -641,9 +639,7 @@ def partial(f: PolyFun, i: int) -> PolyFun:
 
 def _extend(f: PolyFun, extra: int) -> PolyFun:
     """Precompose with projection on the first block: pad the domain with
-    R^extra unused variables."""
-    if extra <= 0:
-        return f
+    R^extra unused variables (extra >= 1)."""
     m = f.arity
     dom = product([f.domain, Box.full(extra)])
     comps = [p.remap(m + extra, list(range(1, m + 1))) for p in f.components]
@@ -662,24 +658,12 @@ def smint(f: PolyFun, j: int) -> PolyFun:
         f = _extend(f, j - f.arity)
     m = f.arity
     dom = domint(f.domain, j)
-    up_map = [k if k < j else (j + 1 if k == j else k + 1) for k in range(1, m + 1)]
-    lo_map = [k if k <= j else k + 1 for k in range(1, m + 1)]
+    up_map, lo_map = _deletion(m, j), _deletion(m, j + 1)
     comps = []
     for p in f.components:
         anti = p.antideriv(j)
         comps.append(anti.remap(m + 1, up_map).sub(anti.remap(m + 1, lo_map)))
     return PolyFun(dom, tuple(comps), f.is_partial)
-
-
-def delete_coord(f: PolyFun, j: int, new_domain: Box) -> PolyFun:
-    """Precompose f with deletion of coordinate j (f reads x_k for k < j
-    and x_(k+1) for k >= j), restricted to the given box."""
-    m = f.arity
-    if new_domain.dim != m + 1:
-        raise BoxError("deletion target must have one extra dimension")
-    mapping = [k if k < j else k + 1 for k in range(1, m + 1)]
-    comps = [p.remap(m + 1, mapping) for p in f.components]
-    return PolyFun(new_domain, tuple(comps), f.is_partial)
 
 
 # -- operator-generator action -----------------------------------------------------
@@ -715,16 +699,15 @@ def apply_gen(gen, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> 
             return f
         comp = f.components[i - 1] if i <= n else Poly.zero(m)
         return PolyFun(f.domain, (comp,), f.is_partial)
-    if gen.kind is GenKind.SUB_HI:
-        if i <= m:
-            j = i if orientation is Orientation.UPPER else i + 1
-            return delete_coord(f, j, domint(f.domain, i))
-        return _extend(f, i - m + 1)
-    if gen.kind is GenKind.SUB_LO:
-        if i <= m:
-            j = i + 1 if orientation is Orientation.UPPER else i
-            return vneg(delete_coord(f, j, domint(f.domain, i)))
-        return vneg(_extend(f, i - m + 1))
+    if gen.kind in (GenKind.SUB_HI, GenKind.SUB_LO):
+        if i > m:
+            out = _extend(f, i - m + 1)
+        else:  # f after deleting coordinate i (UPPER q_i, LOWER Q_i) or i + 1
+            deletion = _deletion(m, i + ((gen.kind is GenKind.SUB_LO)
+                                         == (orientation is Orientation.UPPER)))
+            out = PolyFun(domint(f.domain, i), tuple(p.remap(m + 1, deletion)
+                                                     for p in f.components), f.is_partial)
+        return out if gen.kind is GenKind.SUB_HI else vneg(out)
     raise PolyError(f"unknown generator {gen}")
 
 

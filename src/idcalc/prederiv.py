@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .boxes import Box, IdcalcError, Ray1, rat
-from .polynomials import (CompositionGuardError, Poly, PolyFun, RatLike, _substitute,
+from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _substitute,
                           format_polyfun, format_rat, parse_polyfun, partial, range_fits,
                           smint, vscal, vsum)
 
@@ -276,23 +276,19 @@ def chain_check(f: PolyFun, dv: PreDeriv) -> bool:
 
 def vanishing_space(z: GermCore) -> list[tuple[Fraction, ...]]:
     """Basis (reduced echelon form) of the directions u with
-    sum_l u_l d/dx_l z identically zero."""
+    sum_l u_l d/dx_l z identically zero: the kernel of the matrix of that
+    derivation, in which a term c x^k of a component puts c k_j in column j
+    of the row (component, k - e_j)."""
     l = z.source_dim
-    if l == 0:
-        return []
-    partials = [[p.partial(j) for p in z.fn.components] for j in range(1, l + 1)]
-    keys = sorted({k for col in partials for poly in col for k, _ in poly.terms})
-    rows = []
-    for comp in range(z.target_dim):
-        for key in keys:
-            row = []
-            for j in range(l):
-                terms = dict(partials[j][comp].terms)
-                row.append(terms.get(key, Fraction(0)))
-            rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * l]
-    return kernel_basis(rows, l)
+    rows: dict[tuple[int, Key], list[Fraction]] = {}
+    for comp, p in enumerate(z.fn.components):
+        for k, c in p.terms:
+            for j, e in enumerate(k):
+                if e:
+                    row = rows.setdefault((comp, k[:j] + (e - 1,) + k[j + 1:]),
+                                          [Fraction(0)] * l)
+                    row[j] = c * e
+    return kernel_basis(list(rows.values()), l)
 
 
 def canonical_direction(z: GermCore, u: Sequence[RatLike]) -> tuple[Fraction, ...]:

@@ -8,8 +8,9 @@ equality.  Failures are data: the report carries the instantiation and
 both evaluated sides.
 
 Compositions run in permissive mode: several rules are identities between
-restricted (partial) compositions, and a closed conservative range
-enclosure of an open box can never certify strict containment.
+restricted (partial) compositions, and 339 of the 4,046 compositions of
+``check_all(20, 0)`` still come out partial: the range guard is exact on
+affine components but conservative above degree 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .boxes import Box, IdcalcError, Ray1, domint, product
 from .evaluation import eval_term, instantiate, linincl, linincl_of_polyfun
-from .polynomials import (Orientation, Poly, PolyFun, apply_word, const_fun, coord,
+from .polynomials import (Orientation, Poly, PolyFun, _picks, apply_word, const_fun, coord,
                           diag, format_polyfun, incl, proj_block, proje, switch,
                           vecminus, vecprod, vecsum)
 from .terms import (Act, Comp, Opaque, Term, TupleT, format_term, mult_t, scal_t,
@@ -328,8 +329,7 @@ def _integrated_slot(ctx: Ctx) -> tuple[Term, Box, int, int, int]:
 
 def _t_r9_3(ctx: Ctx, k: int) -> Trial:
     x, dom, m, _, i = _integrated_slot(ctx)
-    dup = PolyFun.make(dom, [Poly.var(m, j) for j in
-                             list(range(1, i + 1)) + [i] + list(range(i + 1, m + 1))])
+    dup = _picks(dom, [*range(1, i + 1), i, *range(i + 1, m + 1)])
     return Comp(Act(Word.of(I(i)), x), dup), scal_t(0, x)
 
 
@@ -352,11 +352,8 @@ def _t_r9ter(ctx: Ctx, k: int) -> Trial:
     u1 = rand_box_around_zero(rng, m1)
     u2 = rand_box_around_zero(rng, m2)
     x = rand_slot(ctx, product([u1, u2]), rng.randint(1, 2))
-    pincl = PolyFun.make(u1, [Poly.var(m1, j) for j in range(1, m1 + 1)]
-                         + [Poly.zero(m1)] * m2)
-    d1 = domint(u1, i)
-    pincl2 = PolyFun.make(d1, [Poly.var(m1 + 1, j) for j in range(1, m1 + 2)]
-                          + [Poly.zero(m1 + 1)] * m2)
+    pincl = _picks(u1, [*range(1, m1 + 1)] + [0] * m2)
+    pincl2 = _picks(domint(u1, i), [*range(1, m1 + 2)] + [0] * m2)
     lhs = Act(Word.of(I(i)), Comp(x, pincl))
     rhs = Comp(Act(Word.of(I(i)), x), pincl2)
     return lhs, rhs
@@ -495,7 +492,7 @@ def _endpoint_slot(ctx: Ctx, k: int, extra: int) -> tuple[Term, Box, int, int, i
     if k > 0:
         return _indexed_slot(ctx, extra)
     dom = Box.full(1)
-    return PolyFun.make(dom, [Poly.var(1, 1)]), dom, 1, 1, 1
+    return PolyFun.identity(dom), dom, 1, 1, 1
 
 
 def _t_r14(ctx: Ctx, k: int) -> Trial:

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .boxes import IdcalcError, rat
-from .polynomials import Poly, PolyFun
+from .polynomials import PolyFun, compose, const_fun, eval_at, trasl, vsum
 from .prederiv import PreDeriv, pre_diff
 
 FD_STEP = 1e-5
@@ -356,12 +356,6 @@ def chart_differential(f: PolyFun, dv: PreDeriv,
         raise SphereError("base point dimension differs from the transition arity")
     if not f.domain.contains(point):
         raise SphereError("base point must lie inside the transition domain")
-    m = f.arity
-    shifted_args = [Poly.var(m, j).add(Poly.const(m, point[j - 1]))
-                    for j in range(1, m + 1)]
-    value = [p.eval(point) for p in f.components]
-    comps = [pp.subst(shifted_args).sub(Poly.const(m, value[idx]))
-             for idx, pp in enumerate(f.components)]
     local_dom = f.domain.translate([-c for c in point])
-    localized = PolyFun.make(local_dom, comps)
-    return pre_diff(localized, dv)
+    shifted = compose(f, trasl(point).restrict(local_dom))
+    return pre_diff(vsum(shifted, const_fun(local_dom, [-c for c in eval_at(f, point)])), dv)

@@ -37,8 +37,32 @@ class Opaque:
     domain: Box
 
 
-@dataclass(frozen=True)
-class TupleT:
+class _Node:
+    """Equality and hashing of the inner nodes, on explicit stacks: two
+    terms are equal when their shapes, words and leaves are, at any depth."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            ka, kb = children(a), children(b)
+            if (type(a) is not type(b) or len(ka) != len(kb) or (not ka and a != b)
+                    or (isinstance(a, Act) and a.word != b.word)):
+                return False
+            stack.extend(zip(ka, kb))
+        return True
+
+    def __hash__(self) -> int:
+        return _fold(self, lambda node, hs: hash((type(node), getattr(node, "word", None), *hs))
+                     if hs else hash(node))
+
+
+@dataclass(frozen=True, eq=False)
+class TupleT(_Node):
     items: tuple["Term", ...]
 
     def __post_init__(self) -> None:
@@ -46,14 +70,14 @@ class TupleT:
             raise TermError("tuples need at least one item")
 
 
-@dataclass(frozen=True)
-class Comp:
+@dataclass(frozen=True, eq=False)
+class Comp(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Act:
+@dataclass(frozen=True, eq=False)
+class Act(_Node):
     word: Word
     body: "Term"
 
@@ -274,7 +298,8 @@ def scal_t(a: RatLike, t: Term) -> Term:
 #         | "{" polyfun literal "}"
 
 # Most constructors the parser lets enclose a subterm, which keeps the parser inside
-# the recursion limit; term equality and hashing also recurse, and are not bounded.
+# the recursion limit; every other term function, equality and hashing included,
+# runs on an explicit stack.
 MAX_TERM_DEPTH = 256
 
 

@@ -68,7 +68,25 @@ def test_eval_json_roundtrip(capsys):
     code, out, _ = run(capsys, "eval", "{poly 1->1 on (0,1) : 1 x1}", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["arity"] == 1 and payload["codim"] == 1
+    assert payload["arity"] == 1 and payload["codim"] == 1 and payload["partial"] is False
+
+
+@pytest.mark.parametrize("term, partial", [
+    ("({poly 1->1 on (0,1) : 1 x1} . {poly 1->1 on R : 2 x1})", True),
+    ("({poly 1->1 on (0,1) : 1 x1} . {poly 1->1 on (0,1) : 1 x1})", False),
+], ids=["partial", "certified"])
+def test_eval_permissive_reports_the_partial_tag(capsys, term, partial):
+    code, out, err = run(capsys, "eval", "--permissive", term)
+    assert code == 0
+    assert out.strip() == ("poly 1->1 on R : 2 x1" if partial else
+                           "poly 1->1 on (0,1) : 1 x1")
+    if partial:
+        assert err.startswith("partial: ") and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+    code, out, err = run(capsys, "eval", "--permissive", term, "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["partial"] is partial
 
 
 def test_typecheck_fragments(tmp_path, capsys):

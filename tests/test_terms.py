@@ -8,7 +8,7 @@ from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term, instantiate
 from idcalc.polynomials import diag, format_polyfun, parse_polyfun, vecsum, vscal, vsum, vprod
 from idcalc.relations import rand_polyfun
-from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, SMOOTH,
+from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, MAX_TERM_DEPTH, SMOOTH,
                           Opaque, TermError, TupleT, classify,
                           format_term, has_left_nested_comp, max_augment,
                           mult_t, occurrences, opaque_set, parse_term, scal_t,
@@ -283,8 +283,8 @@ DEEP_SHAPES = {
 }
 
 
-def _deep(wrap, depth):
-    t = LEAF
+def _deep(wrap, depth, leaf=LEAF):
+    t = leaf
     for _ in range(depth):
         t = wrap(t)
     return t
@@ -293,7 +293,7 @@ def _deep(wrap, depth):
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_deep_terms_built_in_code(shape):
     """Every term function runs at 10,000 levels; results are checked by
-    text, signature and length, since term equality itself recurses."""
+    text, signature and length."""
     wrap, step, before, after = DEEP_SHAPES[shape]
     t = _deep(wrap, DEEP)
     assert format_term(t) == before * DEEP + LEAF_TEXT + after * DEEP
@@ -308,6 +308,41 @@ def test_deep_terms_built_in_code(shape):
     assert len(out_text) == (len(before) + len(after)) * DEEP + 1
     assert out_text == before * DEEP + "c" + after * DEEP
     assert classify(out) == (ILLEGAL if shape == "act" else CONTINUOUS_OK)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_terms_compare_and_hash(shape):
+    """Equality and hashing run on explicit stacks: two chains 10,000 deep,
+    built apart, are equal with equal hashes, and a third one differing
+    only in its bottom leaf is not equal."""
+    wrap = DEEP_SHAPES[shape][0]
+    t, same = _deep(wrap, DEEP), _deep(wrap, DEEP, smooth("poly 1->1 on R : 1 x1"))
+    other = _deep(wrap, DEEP, smooth("poly 1->1 on R : 2 x1"))
+    assert t == same and hash(t) == hash(same)
+    assert t != other and not t == other
+
+
+def test_parsed_terms_at_the_depth_bound_compare_and_hash():
+    def text(leaf):
+        return "<" * MAX_TERM_DEPTH + leaf + ">" * MAX_TERM_DEPTH
+    a, b = parse_term(text(LEAF_TEXT)), parse_term(text(LEAF_TEXT))
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_term(text("{poly 1->1 on R : 2 x1}"))
+
+
+def test_equal_terms_hash_equal():
+    """a == b implies hash(a) == hash(b), over random terms and their
+    rebuilt copies; unequal kinds and words compare unequal."""
+    rng = random.Random(21)
+    for _ in range(100):
+        t = _rand_term(rng)
+        copy = parse_term(format_term(t))
+        assert t == copy and hash(t) == hash(copy)
+        assert len({t, copy}) == 1
+    x = smooth("poly 1->1 on R : 1 x1")
+    assert Act(parse_word("D1"), x) != Act(parse_word("D2"), x)
+    assert Comp(x, x) != TupleT((x, x)) and TupleT((x,)) != x and x != TupleT((x,))
+    assert TupleT((x, x)) != TupleT((x,))
 
 
 def test_addresses_cost_linear_time_in_depth():
