@@ -49,7 +49,11 @@ class SphereError(IdcalcError):
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] == 2:  # the same one addition per row, without a reduction
+        a, b = x[..., 0], x[..., 1]
+        return np.sqrt(a * a + b * b)
+    return np.sqrt(np.sum(x ** 2, axis=-1))
 
 
 def _sin_ratio(r: np.ndarray) -> np.ndarray:

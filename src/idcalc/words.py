@@ -18,8 +18,9 @@ import itertools
 import random
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .boxes import Box, IdcalcError, domint
 from .polynomials import Orientation, Poly, PolyFun, apply_word
@@ -82,6 +83,8 @@ class Word:
         return Word(self.gens + other.gens)
 
     def __len__(self) -> int:
+        # perfbench/spans.py tags every traced normalize span with len(word);
+        # tests/test_tracer_targets.py runs that path
         return len(self.gens)
 
     def is_integral(self) -> bool:
@@ -123,11 +126,12 @@ def parse_word(text: str) -> Word:
 # generator index must equal var + offset, where var is one of the rule
 # variables i, j, or None for the fixed index offset.  Every side names i,
 # and every side of a rule that uses j names j.  Matchers read a word as
-# two int lists, its kind codes and its indices.  The window at a position
-# is the pair of kind codes there and at the next position (_END past the
-# end of the word).  A table holds, per window, only the matchers whose
-# source kinds it has, so a matcher checks indices and the side condition
-# alone.
+# two int lists, its kind codes and its indices, each ending in one
+# sentinel letter of kind code _END.  The window at a position is the pair
+# of kind codes there and at the next position, so the last window pairs
+# the last letter with the sentinel.  A table holds, per window, only the
+# matchers whose source kinds it has, so a matcher checks indices and the
+# side condition alone.
 
 _KINDS = tuple(GenKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
@@ -151,6 +155,10 @@ class _Matcher:
     @property
     def uses_j(self) -> bool:
         return any(var == "j" for _, var, _ in self.src + self.dst)
+
+    @cached_property
+    def dst_codes(self) -> tuple[int, ...]:
+        return tuple(code for code, _, _ in self.dst)
 
     def bind(self, idx: Sequence[int], pos: int) -> Optional[dict]:
         """The rule variables at the window starting at pos, whose kinds
@@ -246,13 +254,13 @@ def _emit(pats: Sequence[_Pat], binding: dict) -> tuple[Gen, ...]:
 
 
 def _letters(w: Word) -> tuple[list[int], list[int]]:
-    """The kind codes and the indices of w."""
-    return [_CODE[g.kind] for g in w.gens], [g.index for g in w.gens]
+    """The kind codes and the indices of w, then the sentinel letter."""
+    return [_CODE[g.kind] for g in w.gens] + [_END], [g.index for g in w.gens] + [0]
 
 
 def _window(codes: Sequence[int], pos: int) -> int:
     """The table row of the window starting at pos."""
-    return codes[pos] * (_END + 1) + (codes[pos + 1] if pos + 1 < len(codes) else _END)
+    return codes[pos] * (_END + 1) + codes[pos + 1]
 
 
 def _window_table(matchers: Sequence[_Matcher]) -> tuple[tuple[_Matcher, ...], ...]:
@@ -289,7 +297,7 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
     """All (pos, rule_id, direction) triples that relation_step accepts."""
     codes, idx = _letters(w)
     return [(pos, m.rule_id, m.direction)
-            for pos in range(len(codes))
+            for pos in range(len(w.gens))
             for m in _STEP_TABLE[_window(codes, pos)]
             if m.bind(idx, pos) is not None]
 
@@ -308,16 +316,21 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # to itself forever.  The derivative moves outrank the integral shuffle:
 # the two races on overlapping windows (an integral shared by a shuffle
 # redex and a derivative move) otherwise produce distinct irreducible
-# words.  Within a class, the first rule in class order wins a position.
+# words.  Each class has at most one redex per window: the rules within a
+# class need different kinds or disjoint side conditions.
 #
-# The normalizer contracts exactly that redex at every step without
-# rescanning the word.  It keeps, per class, a bitmask of the window
-# positions that hold a redex of the class; the lowest set bit of the
-# first nonzero mask is the next step.  A step rewrites the letters from
-# pos up to pos + len(dst), so only the windows starting at pos - 1 up to
-# pos + len(dst) - 1 are rechecked.  The windows to their right keep their
-# letters; when the step changes the length (q/Q expansion +1, p1
-# absorption -1), their bits shift by the difference.
+# The normalizer contracts the leftmost redex of the highest class at
+# every step without rescanning the word.  It keeps, per class, a bitmask
+# of the window positions that hold a redex of the class; the lowest set
+# bit of the first nonzero mask is the next step.  A step rewrites the
+# letters from pos up to pos + len(dst), so only the windows starting at
+# pos - 1 up to pos + len(dst) - 1 are read again.  The windows to their
+# right keep their letters; when the step changes the length (q/Q
+# expansion +1, p1 absorption -1), their bits shift by the difference.
+# A window's redexes depend only on its two letters, and a long word
+# shows few distinct windows, so one call reads each distinct window once:
+# its record maps each class with a redex there to the matcher and the
+# ready rewrite, which the step then splices in without matching again.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
@@ -347,14 +360,20 @@ _CLASS_TABLE = _window_table([replace(_ORIENTED[rule], priority=c)
 _NORMALIZE_CAP = 200_000
 
 
-def _redexes(codes: Sequence[int], idx: Sequence[int], pos: int
-             ) -> Iterator[tuple[_Matcher, dict]]:
-    """(matcher, binding) for every oriented rule that matches the window
-    starting at pos, in priority then class order."""
+_Record = dict[int, tuple[_Matcher, list[int]]]
+
+
+def _read_window(codes: Sequence[int], idx: Sequence[int], pos: int) -> _Record:
+    """Per priority class with a redex at the window starting at pos, in
+    class order: its matcher, and the indices of the letters (of kinds
+    m.dst_codes) that replace the window's source letters."""
+    record: _Record = {}
     for m in _CLASS_TABLE[_window(codes, pos)]:
         binding = m.bind(idx, pos)
         if binding is not None:
-            yield m, binding
+            record[m.priority] = (m, [off if var is None else binding[var] + off
+                                      for _, var, off in m.dst])
+    return record
 
 
 def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
@@ -365,9 +384,9 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
     the same normal form (checked by the confluence suite)."""
     codes, idx = _letters(w)
     found: list[list[tuple[int, str, str]]] = [[] for _ in _PRIORITY_CLASSES]
-    for pos in range(len(codes)):
-        for m, _ in _redexes(codes, idx, pos):
-            found[m.priority].append((pos, m.rule_id, m.direction))
+    for pos in range(len(w.gens)):
+        for c, (m, _) in _read_window(codes, idx, pos).items():
+            found[c].append((pos, m.rule_id, m.direction))
     steps = next((steps for steps in found if steps), [])
     return steps[:1] if steps and steps[0][1] == "intint" else steps
 
@@ -376,30 +395,34 @@ def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
     """The normal form of w and the (pos, rule_id, direction) steps that
     reach it; each step is oriented_steps(cur)[0] of the word before it."""
     codes, idx = _letters(w)
+    records: dict[tuple[int, int, int, int], _Record] = {}
     masks = [0] * len(_PRIORITY_CLASSES)
-    for pos in range(len(codes)):
-        for m, _ in _redexes(codes, idx, pos):
-            masks[m.priority] |= 1 << pos
     steps = []
-    for _ in range(_NORMALIZE_CAP):
+    start, stop = 0, len(w.gens)  # the windows to read
+    while True:
+        for k in range(start, stop):
+            key = (codes[k], idx[k], codes[k + 1], idx[k + 1])
+            rec = records.get(key)
+            if rec is None:
+                rec = records[key] = _read_window(codes, idx, k)
+            for c in rec:
+                masks[c] |= 1 << k
+        if len(steps) == _NORMALIZE_CAP:
+            raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         for c, mask in enumerate(masks):
             if mask:
                 break
         else:
-            return Word(tuple(Gen(_KINDS[k], i) for k, i in zip(codes, idx))), steps
+            return Word(tuple(Gen(_KINDS[k], i) for k, i in zip(codes[:-1], idx))), steps
         pos = (mask & -mask).bit_length() - 1
-        m, binding = next((m, b) for m, b in _redexes(codes, idx, pos) if m.priority == c)
-        end, stop = pos + len(m.src), pos + len(m.dst)
-        codes[pos:end] = [code for code, _, _ in m.dst]
-        idx[pos:end] = [off if var is None else binding[var] + off for _, var, off in m.dst]
+        m, dst_idx = records[codes[pos], idx[pos], codes[pos + 1], idx[pos + 1]][c]
+        end, stop = pos + len(m.src), pos + len(dst_idx)
+        codes[pos:end] = m.dst_codes
+        idx[pos:end] = dst_idx
         steps.append((pos, m.rule_id, m.direction))
         start = max(pos - 1, 0)
         keep = (1 << start) - 1
         masks = [mask & keep | mask >> end << stop for mask in masks]
-        for k in range(start, stop):
-            for m, _ in _redexes(codes, idx, k):
-                masks[m.priority] |= 1 << k
-    raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
 
 
 def normalize(w: Word) -> Word:

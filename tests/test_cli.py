@@ -58,6 +58,13 @@ def test_word_eq_not_equal(capsys):
     assert out.startswith("NotEqual")
 
 
+def test_word_eq_unknown(capsys):
+    code, out, err = run(capsys, "word-eq", "p2 p3", "p2 p2")
+    assert (code, out, err) == (2, "Unknown\n", "")
+    code, out, err = run(capsys, "word-eq", "p2 p3", "p2 p2", "--json")
+    assert (code, json.loads(out), err) == (2, {"verdict": "Unknown"}, "")
+
+
 def test_parse_and_eval(capsys):
     code, out, _ = run(capsys, "eval", "[I1] {poly 1->1 on R : 1 x1^2}")
     assert code == 0

@@ -13,7 +13,7 @@ from idcalc.boxes import Box
 from idcalc.cli import main
 from idcalc.polynomials import Poly, PolyFun, parse_polyfun
 from idcalc.prederiv import PreDeriv, eval_smooth, identity_core
-from idcalc.sphere import (MAX_GRID, SphereError, chart_differential,
+from idcalc.sphere import (MAX_GRID, SphereError, _norm, chart_differential,
                            comb_certificate, comb_classical, comb_core,
                            comb_grid, make_bridge, map_north, map_south,
                            transition)
@@ -43,6 +43,18 @@ def test_unit_norm_random():
             continue
         assert abs(np.linalg.norm(map_north(x)) - 1) <= 1e-12
         assert abs(np.linalg.norm(map_south(x)) - 1) <= 1e-12
+
+
+def test_norm_of_two_columns_is_the_reduction_bit_for_bit():
+    """The two-column shortcut adds the same two squares as the general
+    reduction, on contiguous, transposed and strided layouts."""
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-1.0, 1.0, size=(401, 6))
+    for x in (base[:, :2], base[:, 3:5].copy(), base.T[:2].T, base[::3, ::4],
+              base[7, :2], base.reshape(401, 3, 2)):
+        assert x.shape[-1] == 2
+        expected = np.sqrt(np.sum(x ** 2, axis=-1))
+        assert _norm(x).tobytes() == expected.tobytes()
 
 
 def test_map_rejects_outside_disc():

@@ -164,6 +164,19 @@ def test_normalize_length_changing_steps(text, nf, steps):
     assert _normalize_steps(w(text)) == (w(nf), steps)
 
 
+def test_each_class_has_at_most_one_redex_per_window():
+    """The normalizer keeps one rewrite per class and window, so no two
+    rules of a class may match one window: every one- and two-letter
+    window with indices 1-7 is checked."""
+    gens = [Gen(kind, i) for kind in GenKind for i in range(1, 8)]
+    windows = [(g,) for g in gens] + list(itertools.product(gens, repeat=2))
+    for window in windows:
+        codes, idx = words._letters(Word(window))
+        classes = [m.priority for m in words._CLASS_TABLE[words._window(codes, 0)]
+                   if m.bind(idx, 0) is not None]
+        assert len(classes) == len(set(classes)), window
+
+
 def test_normalize_step_cap_is_a_word_error(monkeypatch):
     monkeypatch.setattr(words, "_NORMALIZE_CAP", 3)
     with pytest.raises(WordError, match="step cap"):
