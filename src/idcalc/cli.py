@@ -243,19 +243,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return 0
 
-    if args.command == "comb-sphere":
-        from .sphere import comb_grid, grid_csv
-        data = comb_grid(2, args.grid, args.eps)
-        if args.out:
-            _write_text(args.out, grid_csv(data))
-        else:
-            sys.stdout.writelines(grid_csv(data))
-        print(f"vanishing-radius={data['vanishing_radius']:.4f} "
-              f"min-certificate={data['min_certificate']:.3e} "
-              f"grid={args.grid} eps={args.eps}", file=sys.stderr)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    # comb-sphere, the one subcommand left: argparse requires a subcommand
+    from .sphere import comb_grid, grid_csv
+    data = comb_grid(2, args.grid, args.eps)
+    if args.out:
+        _write_text(args.out, grid_csv(data))
+    else:
+        sys.stdout.writelines(grid_csv(data))
+    print(f"vanishing-radius={data['vanishing_radius']:.4f} "
+          f"min-certificate={data['min_certificate']:.3e} "
+          f"grid={args.grid} eps={args.eps}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

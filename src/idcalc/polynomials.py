@@ -699,16 +699,15 @@ def apply_gen(gen, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> 
             return f
         comp = f.components[i - 1] if i <= n else Poly.zero(m)
         return PolyFun(f.domain, (comp,), f.is_partial)
-    if gen.kind in (GenKind.SUB_HI, GenKind.SUB_LO):
-        if i > m:
-            out = _extend(f, i - m + 1)
-        else:  # f after deleting coordinate i (UPPER q_i, LOWER Q_i) or i + 1
-            deletion = _deletion(m, i + ((gen.kind is GenKind.SUB_LO)
-                                         == (orientation is Orientation.UPPER)))
-            out = PolyFun(domint(f.domain, i), tuple(p.remap(m + 1, deletion)
-                                                     for p in f.components), f.is_partial)
-        return out if gen.kind is GenKind.SUB_HI else vneg(out)
-    raise PolyError(f"unknown generator {gen}")
+    # the endpoint substitutions q_i (SUB_HI) and Q_i (SUB_LO)
+    if i > m:
+        out = _extend(f, i - m + 1)
+    else:  # f after deleting coordinate i (UPPER q_i, LOWER Q_i) or i + 1
+        deletion = _deletion(m, i + ((gen.kind is GenKind.SUB_LO)
+                                     == (orientation is Orientation.UPPER)))
+        out = PolyFun(domint(f.domain, i), tuple(p.remap(m + 1, deletion)
+                                                 for p in f.components), f.is_partial)
+    return out if gen.kind is GenKind.SUB_HI else vneg(out)
 
 
 def apply_word(word, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> PolyFun:

@@ -156,9 +156,6 @@ class PreDeriv:
                         tuple((core, tuple(a * c for c in u))
                               for core, u in self.summands))
 
-    def __neg__(self) -> "PreDeriv":
-        return self.scale(-1)
-
 
 def identity_core(m: int) -> GermCore:
     return GermCore(PolyFun.identity(Box.cube(-1, 1, m)))

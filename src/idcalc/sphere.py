@@ -179,8 +179,9 @@ def make_bridge(eps: float) -> Bridge:
     lk, rk = 1 / 3 + eps, 2 / 3 - eps
     arc1 = _hermite(lk, 0.5, lk - 4 / 3, 0.0, 1.0, 1.0)
     arc2 = _hermite(0.5, rk, 0.0, rk, 1.0, 1.0)
-    if _hermite_deriv_min(arc1) <= 0 or _hermite_deriv_min(arc2) <= 0:
-        raise SphereError("bridge arcs are not strictly increasing")  # pragma: no cover
+    # for eps just below 1/6, rk rounds to 1/2 and the second arc has zero width
+    if _hermite_deriv_min(arc1) <= 0 or rk <= 0.5 or _hermite_deriv_min(arc2) <= 0:
+        raise SphereError("bridge arcs are not strictly increasing")
     return Bridge(eps, arc1, arc2)
 
 
@@ -266,15 +267,10 @@ def _chart_point(y: Sequence[float], n: int) -> np.ndarray:
 
 def comb_classical(y: Sequence[float], n: int, eps: float) -> np.ndarray:
     """Classical projection of the combing field: the derivative of the
-    core at offset 0; the constant -e1 inside the inner region."""
+    core at offset 0; the constant -e1 inside the inner region, where the
+    core is -t e1 and its central difference is exactly -1."""
     br = make_bridge(eps)
-    core = _prepare(_chart_point(y, n), br)
-    if core.annulus is None:
-        # the core is -t e1 here, whose central difference at 0 is exactly -1
-        out = np.zeros(n)
-        out[0] = -1.0
-        return out
-    return _core_slope(core, 0.0, br)
+    return _core_slope(_prepare(_chart_point(y, n), br), 0.0, br)
 
 
 def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:

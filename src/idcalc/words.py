@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .boxes import Box, IdcalcError, domint
+from .boxes import Box, IdcalcError
 from .polynomials import Orientation, Poly, PolyFun, apply_word
 
 
@@ -407,13 +407,13 @@ def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
                 rec = records[key] = _read_window(codes, idx, k)
             for c in rec:
                 masks[c] |= 1 << k
-        if len(steps) == _NORMALIZE_CAP:
-            raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         for c, mask in enumerate(masks):
             if mask:
                 break
         else:
             return Word(tuple(Gen(_KINDS[k], i) for k, i in zip(codes[:-1], idx))), steps
+        if len(steps) == _NORMALIZE_CAP:
+            raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         pos = (mask & -mask).bit_length() - 1
         m, dst_idx = records[codes[pos], idx[pos], codes[pos + 1], idx[pos + 1]][c]
         end, stop = pos + len(m.src), pos + len(dst_idx)
@@ -442,18 +442,10 @@ class Signature:
 
 
 def signature_effect(w: Word, sig: Signature) -> Signature:
-    """Fold the dom/cod recursion right-to-left over the word."""
-    dom, cod = sig.dom, sig.cod_dim
-    for g in reversed(w.gens):
-        if g.kind is GenKind.INT:
-            dom = domint(dom, g.index)
-        elif g.kind is GenKind.PART:
-            pass
-        elif g.kind is GenKind.PROJ:
-            cod = 0 if cod == 0 else 1
-        else:  # endpoint substitutions, via their derivative-integral form
-            dom = domint(dom, g.index)
-    return Signature(dom, cod)
+    """The signature of w's action on functions of signature sig: the
+    action itself on the zero function there."""
+    f = apply_word(w, PolyFun.zero(sig.dom, sig.cod_dim))
+    return Signature(f.domain, f.cod_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -457,3 +457,45 @@ def test_help_still_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: idcalc" in capsys.readouterr().out
+
+
+_ONE_SUMMAND = "D{ core=poly 1->1 on (-1,1) : 1 x1; u=(1); }"
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    # each input error ends in one error line and exit 1
+    (["eval", "<>"], 1, "error: expected a term at offset 1 in term text"),
+    (["eval", "[I1 {poly 1->1 on R : 1 x1}"], 1,
+     "error: unterminated word action at offset 1 in term text"),
+    (["eval", "{poly 1->1 on R : 1 x1"], 1,
+     "error: unterminated inline polynomial at offset 1 in term text"),
+    (["eval", "{poly 1->1 on R : 1 x1} x"], 1,
+     "error: trailing input after term at offset 24 in term text"),
+    (["eval", "({poly 1->1 on R : 1 x1} {poly 1->1 on R : 1 x1})"], 1,
+     "error: expected '.' at offset 25 in term text"),
+    (["prederiv", "D{ core=nonsense }"], 1, "error: bad pre-derivation syntax near offset 0"),
+    (["prederiv", "   "], 1, "error: empty pre-derivation text"),
+    (["prederiv", f"{_ONE_SUMMAND} {_ONE_SUMMAND}"], 1,
+     "error: expected '+' between summands"),
+    (["prederiv", f"{_ONE_SUMMAND} + {_ONE_SUMMAND}", "--canonical"], 1,
+     "error: canonical direction needs exactly one summand"),
+    (["eval", "{poly 1->1 on [0,1] : 1 x1}"], 1, "error: bad interval syntax: '[0,1]'"),
+    (["eval", "{poly 1->1 on (2,1) : 1 x1}"], 1, "error: empty interval (2,1)"),
+    (["eval", "{poly 2->1 on R : 1 x1}"], 1, "error: declared arity does not match the domain"),
+    (["eval", "{poly 1->2 on R : 1 x1}"], 1, "error: expected 2 components, found 1"),
+    (["eval", "{poly 1->1 on R : 1 x3}"], 1, "error: variable x3 out of range for arity 1"),
+    (["eval", "{poly 1->1 on R : 1 x1 + }"], 1, "error: empty monomial"),
+    (["eval", "{pol 1->1 on R : 1 x1}"], 1,
+     "error: not a polynomial function literal: 'pol 1->1 on R : 1 x1'"),
+    (["normalize-word", "D0"], 1, "error: generator index must be >= 1"),
+    (["comb-sphere", "--grid", "3", "--eps", "0.16666666666666663"], 1,
+     "error: bridge arcs are not strictly increasing"),
+    # and two inputs that succeed: the empty word, a coefficient-free monomial
+    (["normalize-word", "1"], 0, "1"),
+    (["eval", "{poly 1->1 on R : x1}"], 0, "poly 1->1 on R : 1 x1"),
+])
+def test_cli_error_contract(capsys, argv, code, expected):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert (out if code == 0 else err).splitlines() == [expected]
+    assert (err if code == 0 else out) == ""

@@ -127,6 +127,18 @@ def test_bridge_rejects_bad_eps():
         make_bridge(0.0)
 
 
+def test_bridge_refuses_an_eps_that_leaves_an_arc_of_zero_width():
+    """For the float just below 1/6, 2/3 - eps rounds to exactly 1/2, so the
+    second arc has zero width; one float further down the first arc is not
+    increasing."""
+    eps = math.nextafter(1 / 6, 0)
+    assert eps == 0.16666666666666663 and 2 / 3 - eps == 0.5
+    with pytest.raises(SphereError, match="bridge arcs are not strictly increasing"):
+        make_bridge(eps)
+    with pytest.raises(SphereError, match="bridge arcs are not strictly increasing"):
+        make_bridge(0.1666666666666666)
+
+
 # ---------------------------------------------------------------------------
 # the combing field
 

@@ -184,6 +184,14 @@ def test_normalize_step_cap_is_a_word_error(monkeypatch):
     assert normalize(w("q1")) == w("D2 I1")
 
 
+def test_normalize_step_cap_admits_a_word_that_needs_exactly_the_cap(monkeypatch):
+    """The cap refuses a step past it, not the normal form reached at it."""
+    monkeypatch.setattr(words, "_NORMALIZE_CAP", 1)
+    assert words._normalize_steps(w("q1")) == (w("D2 I1"), [(0, "leftproj.i", "forward")])
+    with pytest.raises(WordError, match="step cap of 1"):
+        normalize(w("q1 q1"))
+
+
 def test_normalize_idempotent_random():
     rng = random.Random(5)
     for _ in range(300):
