@@ -205,11 +205,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         failed = [r for r in reports if r.verdict != "Verified"]
         report_path = args.report or ("relation_report.json" if failed else None)
         report = reports_to_json(reports)
-        if report_path:
-            _write_text(report_path, [report])
         lines = [f"seed={args.seed} trials={args.trials} orientation={orientation.value}"]
         lines.extend(r.line() for r in reports)
         if report_path:
+            _write_text(report_path, [report])
             lines.append(f"report written to {report_path}")
         payload = {"seed": args.seed, "trials": args.trials,
                    "orientation": orientation.value, "reports": json.loads(report),

@@ -760,11 +760,8 @@ def _parse_monomial(text: str, arity: int) -> tuple[Key, Fraction]:
 
 
 def _parse_poly(text: str, arity: int) -> Poly:
-    t = text.strip()
-    if t in ("0", ""):
-        return Poly.zero(arity)
     out: dict[Key, Fraction] = {}
-    for raw in t.split("+"):
+    for raw in text.split("+"):
         k, c = _parse_monomial(raw.strip(), arity)
         out[k] = out.get(k, Fraction(0)) + c
     return Poly.make(arity, out)

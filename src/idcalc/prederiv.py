@@ -52,8 +52,6 @@ def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
                 c = mat[r][col]
                 mat[r] = [a - c * b for a, b in zip(mat[r], mat[lead])]
         lead += 1
-        if lead == len(mat):
-            break
     return [r for r in mat if any(v != 0 for v in r)]
 
 

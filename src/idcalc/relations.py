@@ -581,7 +581,8 @@ def _rand_smooth_term(ctx: Ctx, depth: int = 2) -> Term:
     if kind == 1:
         inner = _rand_smooth_term(ctx, depth - 1)
         cod = signature(inner, strict=False).cod_dim
-        return Comp(rand_polyfun(rng, Box.full(cod), rng.randint(1, 2)), inner)
+        outer = rand_polyfun(rng, Box.full(cod), rng.randint(1, 2))
+        return Comp(outer, inner)
     w = rand_word(rng, max_len=1)
     return Act(w, _rand_smooth_term(ctx, depth - 1))
 
@@ -590,14 +591,16 @@ def _t_r17(ctx: Ctx, k: int) -> Trial:
     # every draw has codomain >= 1: rand_polyfun draws codomain 1-2, tuples
     # add codomains and p<i> maps to codomain 1
     t = _rand_smooth_term(ctx)
-    return t, linincl_of_polyfun(eval_term(t, permissive=True, orientation=ctx.orientation))
+    f = eval_term(t, permissive=True, orientation=ctx.orientation)
+    return t, linincl_of_polyfun(f)
 
 
 def _t_r17bis(ctx: Ctx, k: int) -> Trial:
     rng = ctx.rng
     w = rand_word(rng, max_len=5, max_index=3)
     f = rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-    return Act(w, f), linincl_of_polyfun(apply_word(w, f, ctx.orientation))
+    acted = apply_word(w, f, ctx.orientation)
+    return Act(w, f), linincl_of_polyfun(acted)
 
 
 CATALOGUE: dict[str, Builder] = {

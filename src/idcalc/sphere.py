@@ -270,7 +270,8 @@ def comb_classical(y: Sequence[float], n: int, eps: float) -> np.ndarray:
     core at offset 0; the constant -e1 inside the inner region, where the
     core is -t e1 and its central difference is exactly -1."""
     br = make_bridge(eps)
-    return _core_slope(_prepare(_chart_point(y, n), br), 0.0, br)
+    core = _prepare(_chart_point(y, n), br)
+    return _core_slope(core, 0.0, br)
 
 
 def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:

@@ -1,15 +1,16 @@
 """Line ledger: which lines of src/idcalc never run.
 
-    python3 tools/line_ledger.py [--seed 4]
+    python3 tools/line_ledger.py
 
 Run from the root of a checkout.  The script runs the tier-1 suite
 (``tests/``) in this process under ``sys.settrace``, restricted to the
 files of ``src/idcalc``.  It then runs one warm-up and one round of each
-``perfbench/workloads.py`` workload twice: untraced, and with perfbench's
-span tracer (``spans.Tracer``) installed and active, which calls into the
-package in ways the suite does not (it tags each ``words.normalize`` span
-with ``len(word)``).  Every round answer is checked as the benchmark
-checks it.
+``perfbench/workloads.py`` workload at seed 4, twice: untraced, and with
+perfbench's span tracer (``spans.Tracer``) installed and active, which
+calls into the package in ways the suite does not (it tags each
+``words.normalize`` span with ``len(word)``).  Each operation runs, and
+each round answer is checked, through ``perfbench/run.py``'s ``timed``
+and ``verdict``.
 
 A line is executable when a code object compiled from its file maps
 bytecode to it.  The script prints each executable line that never ran
@@ -23,7 +24,6 @@ seconds.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import types
@@ -33,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "idcalc")
 PERFBENCH = os.path.join(ROOT, "perfbench")
+SEED = 4  # the workload seed the benchmark runs
 
 # (file in src/idcalc, the line's text without indentation, why it cannot
 # run in this process).  Only lines that no in-process run can reach
@@ -93,16 +94,17 @@ def run_suite() -> int:
     return int(pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")]))
 
 
-def run_workloads(seed: int) -> list[str]:
+def run_workloads() -> list[str]:
     """One warm-up and one round of each workload, untraced and then under
     the span tracer; the messages of wrong answers."""
     sys.path.insert(0, PERFBENCH)
+    import run
     import spans
     import workloads
 
     wrong = []
     for name, cls in workloads.WORKLOADS.items():
-        wl = cls(seed)
+        wl = cls(SEED)
         for traced in (False, True):
             tracer = spans.Tracer()
             if traced:
@@ -110,15 +112,12 @@ def run_workloads(seed: int) -> list[str]:
                 tracer.active = True
             try:
                 for op in wl.warmup_ops():
-                    op.call()
+                    run.timed(op)
                 for op in wl.round_ops(0):
-                    try:
-                        verdict = op.check(op.call())
-                    except Exception as exc:  # a raising operation is a wrong answer
-                        verdict = f"raised {exc!r}"
-                    if isinstance(verdict, str):
+                    verdict = run.verdict(op, run.timed(op)[0])
+                    if verdict and verdict[0] == "wrong":
                         wrong.append(f"{name} ({'traced' if traced else 'untraced'}) "
-                                     f"{op.cls}: {verdict}")
+                                     f"{verdict[1]}")
             finally:
                 tracer.active = False
                 tracer.uninstall()
@@ -126,9 +125,6 @@ def run_workloads(seed: int) -> list[str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=4, help="workload seed (default 4)")
-    args = ap.parse_args()
     os.chdir(ROOT)
     sys.path.insert(0, SRC)  # idcalc is first imported under the tracer
 
@@ -138,7 +134,7 @@ def main() -> int:
     tracer.start()
     try:
         suite = run_suite()
-        wrong = run_workloads(args.seed)
+        wrong = run_workloads()
     finally:
         tracer.stop()
 
