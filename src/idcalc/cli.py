@@ -227,7 +227,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.apply:
             germs = pd_apply(dv, parse_polyfun(args.apply))
             payload["apply"] = [format_polyfun(g) for g in germs]
-            lines.extend("apply " + format_polyfun(g) for g in germs)
+            lines.extend(["apply " + g for g in payload["apply"]] or ["apply none"])
         if args.kernel:
             ok = smooth_kernel_test(dv)
             payload["kernel"] = ok

@@ -14,6 +14,8 @@ Everything is exact; no floats enter this module.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -43,13 +45,15 @@ class DomainMismatchError(PolyError):
 # scalar polynomials
 
 
-def _mul_terms(a: Mapping[Key, Fraction], b: Mapping[Key, Fraction]) -> dict[Key, Fraction]:
+def _mul_terms(a: Mapping[Key, Fraction | int],
+               b: Mapping[Key, Fraction | int]) -> dict[Key, Fraction | int]:
     """Product of two term dicts, not yet canonical: ``_canonical`` drops
-    the zero coefficients and sorts."""
-    out: dict[Key, Fraction] = {}
+    the zero coefficients and sorts.  Coefficients are Fractions or, in
+    ``Poly.subst``, integer numerators."""
+    out: dict[Key, Fraction | int] = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
+            k = tuple(map(operator.add, k1, k2))
             out[k] = out[k] + c1 * c2 if k in out else c1 * c2
     return out
 
@@ -201,29 +205,50 @@ class Poly:
         return _canonical(new_arity, out)
 
     def subst(self, args: Sequence["Poly"]) -> "Poly":
-        """Substitute x_i := args[i-1]; all args share one arity."""
+        """Substitute x_i := args[i-1]; all args share one arity.
+
+        The expansion runs over integers.  The first time a term uses
+        argument j, the argument is scaled to integer coefficients by the
+        lcm ``dens[j]`` of its denominators.  A term ``c x^k`` multiplies
+        ``c.numerator`` by the integer powers and carries the denominator
+        ``c.denominator * prod(dens[j]**k_j)``.  The expanded terms are
+        brought to the lcm of their denominators and summed as integers,
+        and each nonzero sum becomes one reduced Fraction."""
         if len(args) != self.arity:
             raise PolyError("substitution needs one polynomial per variable")
         tgt = args[0].arity if args else 0
         if any(a.arity != tgt for a in args):
             raise PolyError("substitution arguments disagree on arity")
-        # powers[j][e] is args[j]^e as a plain term dict, filled on demand
+        # powers[j][e] is (dens[j] * args[j])^e as an integer term dict,
+        # filled on demand
         one = (0,) * tgt
-        bases = [dict(a.terms) for a in args]
-        powers = [[{one: Fraction(1)}] for _ in args]
-        out: dict[Key, Fraction] = {}
+        dens = [1] * len(args)
+        powers: list[list[dict[Key, int]]] = [[] for _ in args]
+        parts: list[tuple[int, dict[Key, int]]] = []
         for k, c in self.terms:
-            term = {one: c}
+            term = {one: c.numerator}
+            den = c.denominator
             for j, e in enumerate(k):
                 if e == 0:
                     continue
                 table = powers[j]
+                if not table:
+                    d = dens[j] = math.lcm(*(ac.denominator for _, ac in args[j].terms))
+                    table += [{one: 1}, {ak: ac.numerator * (d // ac.denominator)
+                                         for ak, ac in args[j].terms}]
                 while len(table) <= e:
-                    table.append(_mul_terms(table[-1], bases[j]))
+                    table.append(_mul_terms(table[-1], table[1]))
                 term = _mul_terms(term, table[e])
+                den *= dens[j] ** e
+            parts.append((den, term))
+        common = math.lcm(*(den for den, _ in parts))
+        out: dict[Key, int] = {}
+        for den, term in parts:
+            scale = common // den
             for tk, tc in term.items():
+                tc *= scale
                 out[tk] = out[tk] + tc if tk in out else tc
-        return _canonical(tgt, out)
+        return _canonical(tgt, {tk: Fraction(tc, common) for tk, tc in out.items() if tc})
 
     # -- misc -----------------------------------------------------------------
 

@@ -251,6 +251,16 @@ def test_prederiv_apply(capsys):
     assert "apply poly 1->1 on (-1,1) : 2 x1 + 1" in out
 
 
+def test_prederiv_apply_of_the_zero_prederivation(capsys):
+    """The zero pre-derivation gives no germ: text mode says so in one
+    line, and --json gives an empty list."""
+    argv = ["prederiv", "0[m=2]", "--apply", "poly 2->1 on RxR : 1 x1"]
+    assert run(capsys, *argv) == (0, "apply none\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"prederiv": "0[m=2]", "apply": []}
+
+
 def test_comb_sphere_csv(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, out, err = run(capsys, "comb-sphere", "--grid", "25",

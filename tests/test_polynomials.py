@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFu
                                 proj_block, proje, range_bound, range_fits, sectn,
                                 smint, switch, trasl, tuple_, vecminus, vecprod,
                                 vecsum, vneg, vprod, vscal, vsum)
-from idcalc.relations import rand_box, rand_coeff, rand_polyfun
+from idcalc.relations import rand_box, rand_coeff, rand_poly, rand_polyfun
 from idcalc.words import D, I, Q, Word, p, q
 
 F = Fraction
@@ -327,6 +328,88 @@ def test_poly_ops_match_sympy():
             for p, enc in zip(f.components, encs):
                 v = p.eval(pt)
                 assert (enc.lo is None or enc.lo <= v) and (enc.hi is None or v <= enc.hi)
+
+
+def _rand_subst_arg(rng, n):
+    """A substitution argument of arity n: a zero or constant polynomial, a
+    variable, or the sum of two random polynomials, one scaled by 1 or 1/3
+    and one by up to 4 or 4/5, so that one argument's coefficients often
+    have different denominators."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Poly.zero(n)
+    if kind == 1:
+        return Poly.const(n, F(rng.randint(-7, 7), rng.choice((1, 2, 3, 7))))
+    if kind == 2 and n:
+        return Poly.var(n, rng.randint(1, n))
+    return (rand_poly(rng, n).scale(F(1, rng.choice((1, 3))))
+            .add(rand_poly(rng, n).scale(F(rng.randint(1, 4), rng.choice((1, 5))))))
+
+
+def test_subst_matches_sympy_term_for_term():
+    """Poly.subst gives sympy's expansion as the same terms tuple, order
+    and reduced Fraction coefficients included, over zero, constant, unused
+    and variable arguments, target arity 0, mixed denominators and
+    outputs of degree 9."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    seen = collections.Counter()
+    for _ in range(600):
+        m = rng.randint(0, 3)
+        n = rng.randint(0, 3) if m else 0  # with no argument, the target arity is 0
+        f = rand_poly(rng, m).scale(F(1, rng.choice((1, 3, 4))))
+        args = [_rand_subst_arg(rng, n) for _ in range(m)]
+        # the extra generator t lets sympy hold constants at target arity 0
+        gens = sympy.symbols(f"y1:{n + 1}") + (sympy.Symbol("t"),)
+        sargs = [sum((sympy.Rational(c.numerator, c.denominator)
+                      * sympy.prod(y ** e for y, e in zip(gens, k)) for k, c in a.terms),
+                     sympy.Integer(0)) for a in args]
+        expr = sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod(q ** e for q, e in zip(sargs, k)) for k, c in f.terms),
+                   sympy.Integer(0))
+        ref = sympy.Poly(sympy.expand(expr), *gens, domain="QQ")
+        want = tuple(sorted(((k[:n], F(int(c.p), int(c.q))) for k, c in ref.terms() if c),
+                            key=lambda kc: (sum(kc[0]), kc[0])))
+        got = f.subst(args)
+        assert (got.arity, got.terms) == (n, want)
+        assert all(type(c) is F for _, c in got.terms)
+        used = {j for k, _ in f.terms for j, e in enumerate(k) if e}
+        seen["arity 0"] += n == 0 and m > 0
+        seen["zero"] += any(a.is_zero for a in args)
+        seen["constant"] += any(a.terms and not any(map(any, (k for k, _ in a.terms)))
+                                for a in args)
+        seen["unused"] += len(used) < m
+        seen["mixed denominators"] += any(len({c.denominator for _, c in a.terms}) > 1
+                                          for a in args)
+        seen["degree >= 9"] += max((sum(k) for k, _ in got.terms), default=0) >= 9
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+
+
+def test_subst_work_counts():
+    """On a fixed batch, subst expands over integer numerators: it makes
+    no Fraction multiplication."""
+    rng = random.Random(7)
+    batch = []
+    for _ in range(100):
+        m, n = rng.randint(1, 3), rng.randint(0, 3)
+        batch.append((rand_poly(rng, m), [_rand_subst_arg(rng, n) for _ in range(m)]))
+    products = [0]
+    mul, rmul = F.__mul__, F.__rmul__
+
+    def counted(inner):
+        def wrapper(a, b):
+            products[0] += 1
+            return inner(a, b)
+        return wrapper
+    F.__mul__, F.__rmul__ = counted(mul), counted(rmul)
+    try:
+        outs = [f.subst(args) for f, args in batch]
+        assert products[0] == 0
+        assert F(1, 2) * F(2, 3) == 2 * F(1, 6)  # the counter counts
+        assert products[0] == 2
+    finally:
+        F.__mul__, F.__rmul__ = mul, rmul
+    assert sum(len(o.terms) for o in outs) > 200
 
 
 def _rand_ray(rng):
