@@ -41,6 +41,15 @@ class DomainMismatchError(PolyError):
     pass
 
 
+class LiteralError(PolyError):
+    """A bad token of a polynomial function literal, `offset` characters
+    into the literal's text."""
+
+    def __init__(self, what: str, offset: int):
+        super().__init__(f"{what} at offset {offset} in polynomial text")
+        self.what, self.offset = what, offset
+
+
 # ---------------------------------------------------------------------------
 # scalar polynomials
 
@@ -764,19 +773,30 @@ def format_polyfun(f: PolyFun) -> str:
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
-def _parse_monomial(text: str, arity: int) -> tuple[Key, Fraction]:
-    parts = text.split()
+def _tokens(text: str, at: int) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of text, each with its offset in the
+    literal, where text starts at offset at."""
+    out, pos = [], 0
+    for tok in text.split():
+        pos = text.index(tok, pos)
+        out.append((tok, at + pos))
+        pos += len(tok)
+    return out
+
+
+def _parse_monomial(text: str, arity: int, at: int) -> tuple[Key, Fraction]:
+    parts = _tokens(text, at)
     if not parts:
         raise PolyError("empty monomial")
-    if parts[0].startswith("x"):
+    if parts[0][0].startswith("x"):
         coeff, factors = Fraction(1), parts
     else:
-        coeff, factors = rat(parts[0]), parts[1:]
+        coeff, factors = rat(parts[0][0]), parts[1:]
     exps = [0] * arity
-    for fct in factors:
+    for fct, pos in factors:
         match = _FACTOR_RE.fullmatch(fct)
         if not match:
-            raise PolyError(f"bad monomial factor {fct!r}")
+            raise LiteralError(f"bad monomial factor {fct!r}", pos)
         idx, e = int(match[1]), int(match[2] or 1)
         if not 1 <= idx <= arity:
             raise PolyError(f"variable x{idx} out of range for arity {arity}")
@@ -784,16 +804,18 @@ def _parse_monomial(text: str, arity: int) -> tuple[Key, Fraction]:
     return tuple(exps), coeff
 
 
-def _parse_poly(text: str, arity: int) -> Poly:
+def _parse_poly(text: str, arity: int, at: int) -> Poly:
     out: dict[Key, Fraction] = {}
     for raw in text.split("+"):
-        k, c = _parse_monomial(raw.strip(), arity)
+        k, c = _parse_monomial(raw, arity, at)
         out[k] = out.get(k, Fraction(0)) + c
+        at += len(raw) + 1
     return Poly.make(arity, out)
 
 
 def parse_polyfun(text: str) -> PolyFun:
-    """Parse `poly m->n on <box> : comp1; comp2; ...`."""
+    """Parse `poly m->n on <box> : comp1; comp2; ...`.  A bad monomial
+    factor raises `LiteralError` with its offset in text."""
     t = text.strip()
     if not t.startswith("poly"):
         raise PolyError(f"not a polynomial function literal: {text!r}")
@@ -808,10 +830,14 @@ def parse_polyfun(text: str) -> PolyFun:
     dom = parse_box(dom_s)
     if dom.dim != m:
         raise PolyError("declared arity does not match the domain")
-    comps_s = [c for c in (s.strip() for s in body.split(";")) if c != ""]
+    comps_s, at = [], len(text) - len(text.lstrip()) + len(t) - len(body)
+    for c in body.split(";"):
+        if c.strip():
+            comps_s.append((c, at))
+        at += len(c) + 1
     if len(comps_s) != n:
         raise PolyError(f"expected {n} components, found {len(comps_s)}")
-    return PolyFun.make(dom, [_parse_poly(c, m) for c in comps_s])
+    return PolyFun.make(dom, [_parse_poly(c, m, c_at) for c, c_at in comps_s])
 
 
 def polyfun_to_json(f: PolyFun) -> dict:

@@ -8,8 +8,10 @@ serves a single point, a certificate's offsets and a grid sweep alike.
 The core runs in two stages.  `_prepare` does once per point set the work
 that does not depend on t: the radius check, the split into the inner
 region and the annulus, and the transition T(y) and bridged point B(y) of
-the annulus points.  Each offset then only shifts T(y) by t e1, transitions
-and bridges the shifted point, and subtracts B(y) (`comb_core`).
+the annulus points, held as coordinate columns.  Each offset then works on
+those columns alone: it shifts T(y) by t e1, transitions and bridges the
+shifted point, and subtracts B(y) (`comb_core`); the inner region's core
+-t e1 needs no evaluation.
 Chart-transition differentials on polynomial transitions stay exact and
 delegate to the pre-derivation module.
 """
@@ -29,15 +31,16 @@ from .prederiv import PreDeriv, pre_diff
 FD_STEP = 1e-5
 CERT_RADIUS = 1e-3  # certificate offsets t range over [-CERT_RADIUS, CERT_RADIUS]
 CERT_SAMPLES = 21  # offsets per comb_certificate call
+_CERT_OFFSETS = np.linspace(-CERT_RADIUS, CERT_RADIUS, CERT_SAMPLES)
 GRID_CERT_SAMPLES = 9  # offsets per grid point in comb_grid
 GRID_EXTENT = 0.99  # comb_grid samples the disc of this radius
 # Largest comb_grid side.  The sweep is a display path whose time, memory
 # and CSV size grow with the square of the side; 1000 resolves the disc 5x
 # finer than the default of 200.  Measured for `comb-sphere --out` (Python
-# 3.11, numpy 2.4, 2-core host): 0.3 s, 37 MB peak resident and a 2.2 MB
-# CSV at 200; 4.3 s, 186 MB and 56 MB at 1000.
+# 3.11, numpy 2.4, 2-core host): 0.26 s, 36 MB peak resident and a 2.2 MB
+# CSV at 200; 2.0 s, 159 MB and 56 MB at 1000.
 MAX_GRID = 1000
-_CSV_CHUNK = 1024  # sweep rows turned into Python floats at a time
+_CSV_CHUNK = 4096  # sweep rows formatted at a time
 
 
 class SphereError(IdcalcError):
@@ -51,9 +54,18 @@ class SphereError(IdcalcError):
 def _norm(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] == 2:  # the same one addition per row, without a reduction
-        a, b = x[..., 0], x[..., 1]
-        return np.sqrt(a * a + b * b)
+        return _col_norm((x[..., 0], x[..., 1]))
     return np.sqrt(np.sum(x ** 2, axis=-1))
+
+
+def _col_norm(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """`_norm` of the points whose coordinates are the columns cols, bit for
+    bit: for n != 2 it reduces the row-contiguous stack of the columns, the
+    layout of every point block the core's norms were taken of."""
+    if len(cols) == 2:
+        a, b = cols
+        return np.sqrt(a * a + b * b)
+    return _norm(np.stack(cols, axis=-1))
 
 
 def _sin_ratio(r: np.ndarray) -> np.ndarray:
@@ -87,12 +99,14 @@ def transition(x: np.ndarray) -> np.ndarray:
     r = _norm(x)
     if np.any((r <= 1 / 3) | (r >= 1)):
         raise SphereError("transition needs 1/3 < |x| < 1")
-    return _transition_unchecked(x)
+    return np.stack(_transition_cols(np.moveaxis(x, -1, 0)), axis=-1)
 
 
-def _transition_unchecked(x: np.ndarray) -> np.ndarray:
-    r = _norm(x)
-    return ((4.0 / 3.0 - r) / r)[..., None] * x
+def _transition_cols(cols: Sequence[np.ndarray]) -> list:
+    """The transition on coordinate columns, unchecked."""
+    r = _col_norm(cols)
+    f = (4.0 / 3.0 - r) / r
+    return [f * c for c in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +163,14 @@ class Bridge:
         return 2 / 3 - self.eps
 
     def value(self, r):
+        """The profile at radii r, each arc evaluated only on the radii it
+        governs."""
         r = np.asarray(r, dtype=float)
-        low = r - 4.0 / 3.0
-        mid1 = _hermite_eval(self.arc1, r)
-        mid2 = _hermite_eval(self.arc2, r)
-        out = np.where(r <= self.left_knot, low,
-                       np.where(r <= 0.5, mid1,
-                                np.where(r <= self.right_knot, mid2, r)))
+        out = np.where(r <= self.left_knot, r - 4.0 / 3.0, r)
+        for arc, lo, hi in ((self.arc1, self.left_knot, 0.5), (self.arc2, 0.5, self.right_knot)):
+            on = (lo < r) & (r <= hi)
+            if np.count_nonzero(on):
+                out[on] = _hermite_eval(arc, r[on])
         return out
 
     def slope(self, r):
@@ -185,10 +200,11 @@ def make_bridge(eps: float) -> Bridge:
     return Bridge(eps, arc1, arc2)
 
 
-def bridge_hat(bridge: Bridge, w: np.ndarray) -> np.ndarray:
-    """Radial extension: w -> value(|w|) w / |w|."""
-    r = _norm(w)
-    return (bridge.value(r) / r)[..., None] * w
+def _bridge_cols(bridge: Bridge, cols: Sequence[np.ndarray]) -> list:
+    """Radial extension on coordinate columns: w -> value(|w|) w / |w|."""
+    r = _col_norm(cols)
+    f = bridge.value(r) / r
+    return [f * c for c in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +214,16 @@ def bridge_hat(bridge: Bridge, w: np.ndarray) -> np.ndarray:
 class _Prepared(NamedTuple):
     """The offset-independent part of the core at chart points of shape
     (..., n).  `inner` and `annulus` index the points of each region: `...`
-    for all of them, a boolean mask for some, None for none."""
+    for all of them, a boolean mask for some, None for none.  The annulus
+    points' T(y) and B(y) are held as n coordinate columns, so that every
+    offset's work is a few passes over contiguous columns of the annulus
+    block alone."""
 
-    # the core's output takes the points' memory layout (np.zeros_like),
-    # and _norm's reduction order, hence its rounding, follows that layout
     points: np.ndarray
     inner: object
     annulus: object
-    transitioned: Optional[np.ndarray]  # T(y) of the annulus points
-    bridged: Optional[np.ndarray]  # B(y) = bridge_hat(y) of the annulus points
+    transitioned: Optional[list]  # columns of T(y) at the annulus points
+    bridged: Optional[list]  # columns of B(y), the bridge's radial extension at y
 
 
 def _region(mask: np.ndarray):
@@ -227,35 +244,63 @@ def _prepare(y: Sequence[float], bridge: Bridge) -> _Prepared:
     if annulus is None:
         return _Prepared(y, ..., None, None, None)
     ya = y[annulus]
+    cols = [ya[..., i] for i in range(y.shape[-1])]
     return _Prepared(y, _region(inner), annulus,
-                     _transition_unchecked(ya), bridge_hat(bridge, ya))
+                     _transition_cols(cols), _bridge_cols(bridge, cols))
+
+
+def _assemble(core: _Prepared, inner_first, block: Optional[list]) -> list:
+    """Coordinate columns over all the points: on the inner points the first
+    coordinate is inner_first (a scalar or one per inner point) and the
+    others are 0, on the annulus points they are the columns of block."""
+    if core.annulus is ...:
+        return block
+    cols = [np.zeros(core.points.shape[:-1]) for _ in range(core.points.shape[-1])]
+    if core.inner is not None:
+        cols[0][core.inner] = inner_first
+    if block is not None:
+        for col, part in zip(cols, block):
+            col[core.annulus] = part
+    return cols
+
+
+def _on(region, t):
+    """The offsets of a region's points: t itself when it is one scalar."""
+    return t if region is None or np.ndim(t) == 0 else t[region]
 
 
 def comb_core(y: Union[Sequence[float], _Prepared], t: Union[float, np.ndarray],
-              bridge: Bridge) -> np.ndarray:
-    """Core map at chart points y of shape (..., n) for the offset t, a
-    scalar or one per point: -t e1 in the inner region, the bridged
-    transition of the shifted point on the annulus.  y may also be
-    `_prepare(points, bridge)` with the same bridge, which evaluates several
-    offsets at the same points without redoing the offset-independent
-    part."""
-    core = y if isinstance(y, _Prepared) else _prepare(y, bridge)
-    per_point = np.ndim(t) > 0
-    out = np.zeros_like(core.points)
-    if core.inner is not None:
-        out[core.inner, 0] = -(t[core.inner] if per_point else t)
-    if core.annulus is not None:
-        v = core.transitioned.copy()
-        v[..., 0] += t[core.annulus] if per_point else t
-        out[core.annulus] = bridge_hat(bridge, _transition_unchecked(v)) - core.bridged
-    return out
+              bridge: Bridge) -> Union[np.ndarray, list]:
+    """Core map at chart points y of shape (..., n) for the offset t: -t e1
+    in the inner region, the bridged transition of the shifted point on the
+    annulus.  Given `_prepare(points, bridge)` with the same bridge instead,
+    it evaluates the annulus points only, for t a scalar or one offset per
+    annulus point, and returns their n coordinate columns; this serves any
+    number of offsets without redoing the offset-independent part."""
+    if isinstance(y, _Prepared):
+        shifted = [y.transitioned[0] + t] + y.transitioned[1:]
+        return [w - b for w, b in zip(_bridge_cols(bridge, _transition_cols(shifted)),
+                                      y.bridged)]
+    core = _prepare(y, bridge)
+    block = None if core.annulus is None else comb_core(core, _on(core.annulus, t), bridge)
+    return np.stack(_assemble(core, -_on(core.inner, t), block), axis=-1)
 
 
 def _core_slope(core: _Prepared, t: Union[float, np.ndarray],
-                bridge: Bridge) -> np.ndarray:
-    """Central difference quotient of the core in the offset at t."""
-    return (comb_core(core, t + FD_STEP, bridge)
-            - comb_core(core, t - FD_STEP, bridge)) / (2 * FD_STEP)
+                bridge: Bridge) -> list:
+    """Central difference quotient of the core in the offset at t, as n
+    coordinate columns over all the points.  On the inner region the core is
+    -t e1, so its quotient is formed from the two offsets alone."""
+    block = inner_first = None
+    if core.annulus is not None:
+        ta = _on(core.annulus, t)
+        block = [(p - m) / (2 * FD_STEP)
+                 for p, m in zip(comb_core(core, ta + FD_STEP, bridge),
+                                 comb_core(core, ta - FD_STEP, bridge))]
+    if core.inner is not None:
+        ti = _on(core.inner, t)
+        inner_first = ((-(ti + FD_STEP)) - (-(ti - FD_STEP))) / (2 * FD_STEP)
+    return _assemble(core, inner_first, block)
 
 
 def _chart_point(y: Sequence[float], n: int) -> np.ndarray:
@@ -271,7 +316,7 @@ def comb_classical(y: Sequence[float], n: int, eps: float) -> np.ndarray:
     core is -t e1 and its central difference is exactly -1."""
     br = make_bridge(eps)
     core = _prepare(_chart_point(y, n), br)
-    return _core_slope(core, 0.0, br)
+    return np.array(_core_slope(core, 0.0, br))  # one point: its n coordinates
 
 
 def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
@@ -279,10 +324,11 @@ def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
     the core over sample offsets |t| <= CERT_RADIUS; strictly positive on
     the whole disc."""
     y = _chart_point(y, n)
-    ts = np.linspace(-CERT_RADIUS, CERT_RADIUS, CERT_SAMPLES)
     br = make_bridge(eps)
-    q = _core_slope(_prepare(np.broadcast_to(y, (CERT_SAMPLES, n)), br), ts, br)
-    return float(np.max(_norm(q), initial=0.0))
+    q = _core_slope(_prepare(np.broadcast_to(y, (CERT_SAMPLES, n)), br), _CERT_OFFSETS, br)
+    # the squares are summed in coordinate order, not pairwise: for n >= 8
+    # the two round differently, and the certificate pins hold this order
+    return float(np.max(np.sqrt(sum(c * c for c in q)), initial=0.0))
 
 
 def comb_grid(n: int, grid: int, eps: float) -> dict:
@@ -308,18 +354,18 @@ def comb_grid(n: int, grid: int, eps: float) -> dict:
 
     core = _prepare(pts, br)
     proj = _core_slope(core, 0.0, br)
-    projnorm = _norm(proj)
+    projnorm = _col_norm(proj)
 
     # one offset per pass keeps peak memory at one batch of points; the
     # offset 0 is the projection itself
     cert = np.zeros(len(pts))
     for t in np.linspace(-CERT_RADIUS, CERT_RADIUS, GRID_CERT_SAMPLES):
-        cert = np.maximum(cert, projnorm if t == 0 else _norm(_core_slope(core, t, br)))
+        cert = np.maximum(cert, projnorm if t == 0 else _col_norm(_core_slope(core, t, br)))
 
     vanish_idx = int(np.argmin(projnorm))
     return {
         "points": pts,
-        "projection": proj,
+        "projection": np.stack(proj, axis=-1),
         "projection_norm": projnorm,
         "certificate": cert,
         "radii": radii,
@@ -331,16 +377,108 @@ def comb_grid(n: int, grid: int, eps: float) -> dict:
 
 def grid_csv(data: dict) -> Iterator[str]:
     """A `comb_grid` sweep as CSV text, in chunks: a header, then one row
-    per grid point (y1, y2, proj1, proj2, projnorm, certificate).  Each
-    chunk is formatted from Python floats, so only one chunk of rows is
-    alive at a time."""
+    per grid point (y1, y2, proj1, proj2, projnorm, certificate) formatted
+    as `_CSV_ROW`.  Only one chunk of rows is formatted at a time."""
     table = np.column_stack([data["points"], data["projection"],
                              data["projection_norm"], data["certificate"]])
     yield "y1,y2,proj1,proj2,projnorm,certificate\n"
     for start in range(0, len(table), _CSV_CHUNK):
-        chunk = table[start:start + _CSV_CHUNK]
-        yield (("%.6f,%.6f,%.6e,%.6e,%.6e,%.6e\n" * len(chunk))
-               % tuple(chunk.ravel().tolist()))
+        yield _csv_rows(table[start:start + _CSV_CHUNK])
+
+
+# ---------------------------------------------------------------------------
+# CSV digits from integers
+#
+# A row is written into 76 byte slots: a sign slot and 8 characters per
+# %.6f field, a sign slot and 13 characters per %.6e field, each field
+# followed by its comma or newline; an empty sign slot holds the pad byte 0,
+# which is dropped.  The 7 significant digits of a value are the nearest
+# integer m to its scaled magnitude s = |v| 10^k, with 10^k an exact power
+# of ten (|k| <= 22), so s carries one rounding, at most 2^-53 s < 2e-9
+# away.  Unless s lies within _TIE of a half-integer, m is then the integer
+# that correct rounding of |v| 10^k gives, and the digits are those of `%`.
+# A row holding such a near tie, a non-finite value, a %.6f value of
+# magnitude 9 or more, or a %.6e exponent the exact powers cannot reach is
+# formatted by `%` itself.
+
+_CSV_ROW = "%.6f,%.6f,%.6e,%.6e,%.6e,%.6e\n"
+_TIE = 1e-6
+_EXP_LO, _EXP_HI = -16, 28  # the exponents e whose scale 10^(6 - e) is exact
+_UP = np.array([float(10 ** max(6 - e, 0)) for e in range(_EXP_LO, _EXP_HI + 1)])
+_DOWN = np.array([float(10 ** max(e - 6, 0)) for e in range(_EXP_LO, _EXP_HI + 1)])
+_SLOTS = np.frombuffer(b"\0_.______," * 2 + b"\0_.______e+__," * 3 + b"\0_.______e+__\n",
+                       dtype=np.uint8)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a 10^(6 - e) with one rounding (one factor is 1), e clipped to
+    [_EXP_LO, _EXP_HI]."""
+    i = np.clip(e, _EXP_LO, _EXP_HI) - _EXP_LO
+    return a * _UP[i] / _DOWN[i]
+
+
+def _near_tie(s: np.ndarray) -> np.ndarray:
+    return np.abs(s - np.floor(s) - 0.5) < _TIE
+
+
+def _mantissa(slots: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
+    """The sign of v and the digits d.dddddd of m (a 7-digit integer held
+    as a float) into slots 0, 1 and 3-8."""
+    slots[..., 0] = np.where(np.signbit(v), 45, 0)
+    m = m.astype(np.int32)
+    for slot in (8, 7, 6, 5, 4, 3, 1):
+        rest = m // 10
+        slots[..., slot] = m - 10 * rest + 48
+        m = rest
+
+
+def _fixed_fields(slots: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """%.6f of v into slots (..., 9); True where `%` must format instead."""
+    a = np.abs(v)
+    ok = a < 9
+    s = np.where(ok, a, 0.0) * 1e6
+    _mantissa(slots, v, np.rint(s))
+    return ~ok | _near_tie(s)
+
+
+def _exp_fields(slots: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """%.6e of v into slots (..., 13); True where `%` must format instead."""
+    a = np.abs(v)
+    live = np.isfinite(a) & (a > 0)  # zero is m = 0, e = 0
+    a = np.where(live, a, 0.0)
+    e = np.floor(np.log10(np.where(live, a, 1.0))).astype(np.int64)
+    s = _scaled(a, e)
+    m = np.rint(s)
+    # a log10 that missed the decade leaves m outside [1e6, 1e7]
+    bad = (~np.isfinite(v) | _near_tie(s) | (e < _EXP_LO) | (e > _EXP_HI)
+           | (live & ((m < 1e6) | (m > 1e7))))
+    roll = m == 1e7  # 9.9999995 rounds up into the next decade
+    e += roll
+    # a bad value's digits are never shown; 0 keeps its integer cast defined
+    m = np.where(bad, 0.0, np.where(roll, 1e6, m))
+    _mantissa(slots, v, m)
+    slots[..., 10] = np.where(e < 0, 45, 43)
+    slots[..., 11] = np.abs(e) // 10 + 48
+    slots[..., 12] = np.abs(e) % 10 + 48
+    return bad
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """Rows of (y1, y2, proj1, proj2, projnorm, certificate) as `_CSV_ROW`
+    text, byte for byte."""
+    slots = np.tile(_SLOTS, (len(table), 1))
+    bad = (_fixed_fields(slots[:, :20].reshape(-1, 2, 10), table[:, :2]).any(axis=1)
+           | _exp_fields(slots[:, 20:].reshape(-1, 4, 14), table[:, 2:]).any(axis=1))
+    pieces, start = [], 0
+    for i in np.flatnonzero(bad).tolist():
+        pieces += [_slot_text(slots[start:i]), _CSV_ROW % tuple(table[i].tolist())]
+        start = i + 1
+    pieces.append(_slot_text(slots[start:]))
+    return "".join(pieces)
+
+
+def _slot_text(slots: np.ndarray) -> str:
+    return slots[slots != 0].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

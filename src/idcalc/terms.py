@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .boxes import Box, IdcalcError, product
-from .polynomials import (PolyFun, RatLike, const_fun, diag, format_polyfun, parse_polyfun,
-                          rat, vecprod, vecsum)
+from .polynomials import (LiteralError, PolyFun, RatLike, const_fun, diag, format_polyfun,
+                          parse_polyfun, rat, vecprod, vecsum)
 from .words import Signature, Word, parse_word, signature_effect
 
 
@@ -371,7 +371,11 @@ class _Parser:
             end = self.text.find("}", self.pos)
             if end < 0:
                 raise self.error("unterminated inline polynomial")
-            fn = parse_polyfun(self.text[self.pos:end])
+            try:
+                fn = parse_polyfun(self.text[self.pos:end])
+            except LiteralError as exc:
+                self.pos += exc.offset
+                raise self.error(exc.what) from None
             self.pos = end + 1
             return fn
         end = self.pos

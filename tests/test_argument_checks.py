@@ -9,8 +9,8 @@ import pytest
 
 from idcalc.boxes import Box, BoxError, domint, parse_box
 from idcalc.evaluation import EvalError, linincl, linincl_of_polyfun
-from idcalc.polynomials import (CompositionGuardError, DomainMismatchError, Poly, PolyError,
-                                PolyFun, compose, coord, diag, parse_polyfun, partial,
+from idcalc.polynomials import (CompositionGuardError, DomainMismatchError, LiteralError, Poly,
+                                PolyError, PolyFun, compose, coord, diag, parse_polyfun, partial,
                                 proj_block, proje, sectn, smint, switch, vecsum, vprod, vsum)
 from idcalc.prederiv import (PreDeriv, PreDerivError, canonical_direction, compose_germ,
                              identity_core, nontriviality_witness, pre_diff)
@@ -91,6 +91,9 @@ CORE = identity_core(1)
     # sphere
     (chart_differential, (F1, PreDeriv.of(CORE, (1,)), (0, 0)), SphereError,
      "base point dimension differs from the transition arity"),
+    # a literal parsed on its own locates a bad factor in its own text
+    (parse_polyfun, ("  poly 1->2 on R : 1 x1 ;\t2 x1 x ",), LiteralError,
+     "bad monomial factor 'x' at offset 31 in polynomial text"),
 ])
 def test_argument_check(call, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

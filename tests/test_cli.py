@@ -503,6 +503,11 @@ _ONE_SUMMAND = "D{ core=poly 1->1 on (-1,1) : 1 x1; u=(1); }"
     # and two inputs that succeed: the empty word, a coefficient-free monomial
     (["normalize-word", "1"], 0, "1"),
     (["eval", "{poly 1->1 on R : x1}"], 0, "poly 1->1 on R : 1 x1"),
+    # a bad factor of an inline polynomial is located in the term text
+    (["eval", "{poly 1->1 on R : 1 x}"], 1,
+     "error: bad monomial factor 'x' at offset 20 in term text"),
+    (["eval", "{poly 1->1 on R : 1 x1 + 2 y}"], 1,
+     "error: bad monomial factor 'y' at offset 27 in term text"),
 ])
 def test_cli_error_contract(capsys, argv, code, expected):
     got, out, err = run(capsys, *argv)

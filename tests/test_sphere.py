@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idcalc.boxes import Box
 from idcalc.cli import main
 from idcalc.polynomials import Poly, PolyFun, parse_polyfun
 from idcalc.prederiv import PreDeriv, eval_smooth, identity_core
-from idcalc.sphere import (MAX_GRID, SphereError, _norm, chart_differential,
-                           comb_certificate, comb_classical, comb_core,
+from idcalc.sphere import (_CSV_ROW, MAX_GRID, SphereError, _csv_rows, _norm,
+                           chart_differential, comb_certificate, comb_classical, comb_core,
                            comb_grid, make_bridge, map_north, map_south,
                            transition)
 
@@ -328,16 +329,120 @@ def test_scalar_outputs_are_pinned(n):
      "vanishing-radius=0.4950 min-certificate=2.312e-02 grid=25 eps=0.1"),
     (200, "3a2fc7d64a3e5b14aabac8e93ceff5962bf78012ab584fbda37638ea857325af",
      "vanishing-radius=0.5025 min-certificate=2.948e-02 grid=200 eps=0.1"),
+    # recorded before the core worked on the annulus block alone and the CSV
+    # digits came from integers
+    (61, "ff31121b56d42bcf5f29bdb3d5aef7e57ef8c6ac42ebbc5eaf4985ebdaa11776",
+     "vanishing-radius=0.4950 min-certificate=1.176e-02 grid=61 eps=0.05"),
+    (120, "044f42a2e87957426168d338d156deb48c8386fdabbcc5cdff78a23fec4df8a6",
+     "vanishing-radius=0.5075 min-certificate=6.148e-01 grid=120 eps=0.16"),
 ])
 def test_comb_sphere_csv_is_pinned(tmp_path, grid, digest, summary):
     path = tmp_path / "grid.csv"
+    eps = summary.rsplit("eps=", 1)[1]
+    argv = ["comb-sphere", "--grid", str(grid)] + (["--eps", eps] if eps != "0.1" else [])
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        assert main(["comb-sphere", "--grid", str(grid), "--out", str(path)]) == 0
+        assert main(argv + ["--out", str(path)]) == 0
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
     assert err.getvalue() == summary + "\n"
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["comb-sphere", "--grid", str(grid)]) == 0
+        assert main(argv) == 0
     assert out.getvalue().encode() == data
+
+
+# sha256 of each comb_grid(2, 60, EPS) array's bytes, recorded with the CSV
+# pins for grids 61 and 120
+GRID_60_DIGESTS = {
+    "points": "4e68f2ddd0cf810af37a9e293b92312a0c73690cab763bd12f1b6ff23260ccd1",
+    "projection": "0485ec1ec9009f3f895ae931c69d36e46ef153b35622b2977d9bb4f3d2610832",
+    "projection_norm": "dd1d4b15be975d65346e8b30097aa35076d7737d54d03a78a6dacce333ae1336",
+    "certificate": "79d69322dd8070544bababbe6416ed3359ea026ab0bbd9846daeed6d9ef34af5",
+    "radii": "af4fd9f93e5275d968125dca00227935a387e21440df5810c26c20f5dd463e7c",
+}
+
+
+def test_grid_arrays_are_pinned():
+    data = comb_grid(2, 60, EPS)
+    got = {k: hashlib.sha256(data[k].tobytes()).hexdigest() for k in GRID_60_DIGESTS}
+    assert got == GRID_60_DIGESTS
+    assert all(data[k].dtype == np.float64 for k in GRID_60_DIGESTS)
+    assert data["projection"].shape == (2724, 2)
+
+
+# ---------------------------------------------------------------------------
+# the CSV formatter against Python's own %
+
+
+def _percent(table: np.ndarray) -> str:
+    return (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+
+
+def _rows_of(values) -> np.ndarray:
+    """Each value in all six columns, then alone in each column among
+    harmless neighbours, so it meets both %.6f and %.6e on the fast path
+    and on the fallback."""
+    rows = [[v] * 6 for v in values]
+    rows += [np.roll([v, 0.125, -0.25, 1.5e-3, 2.0, 7.0e-2], k) for v in values for k in range(6)]
+    return np.array(rows, dtype=float)
+
+
+def _neighbours(v: float) -> list:
+    return [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+
+
+def _edge_values() -> list:
+    vals = []
+    # exact ties of %.6e: 7 digits and a half, at several decades
+    for d in range(0, 9, 2):
+        for j in (1000000, 1234567, 2718281, 9999999):
+            vals += _neighbours((j + 0.5) * 10.0 ** d)
+    # ties of %.6e that a float can only approach, below 1
+    for d in (-1, -4, -9, -15):
+        vals += _neighbours(1.2345675 * 10.0 ** d)
+    # exact ties of %.6f: odd multiples of 1/128 = 0.0078125
+    for j in (1, 3, 37, 127, 639, 1151):
+        vals += _neighbours(j / 128)
+    # the mantissa rolls over into the next decade
+    for k in range(-20, 31, 5):
+        vals += _neighbours(9.9999995 * 10.0 ** k)
+    vals += _neighbours(0.9999995) + _neighbours(8.9999995) + _neighbours(9.0)
+    # decade edges, signed zeros, subnormals, huge exponents, non-finite
+    for k in (-17, -16, -7, -1, 0, 1, 6, 7, 22, 28, 29, 99, 100):
+        vals += _neighbours(10.0 ** k)
+    vals += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+             math.nan, 1e100, 1e-100, -1e100, -1e-100, 1e300, -1e-300]
+    # negatives that round to zero print a sign
+    vals += [-1e-9, -4.9e-7, -5e-7, -5.1e-7]
+    return vals + [-v for v in vals]
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_rows_match_percent_on_edge_values():
+    table = _rows_of(_edge_values())
+    got = _csv_rows(table)
+    assert got == _percent(table)
+    assert "-0.000000," in got and "-0.000000e+00," in got
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_rows_match_percent_on_the_sweep():
+    data = comb_grid(2, 60, EPS)
+    table = np.column_stack([data["points"], data["projection"],
+                             data["projection_norm"], data["certificate"]])
+    assert _csv_rows(table) == _percent(table)
+
+
+_near_ties = st.builds(lambda j, d, k: _neighbours((j + 0.5) * 10.0 ** d)[k],
+                       st.integers(0, 10 ** 8), st.integers(-20, 20), st.integers(0, 2))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(-10, 10), st.floats(-1e-4, 1e-4), _near_ties),
+                min_size=1, max_size=36))
+def test_csv_rows_match_percent(values):
+    values += [0.0] * (-len(values) % 6)
+    table = np.array(values, dtype=float).reshape(-1, 6)
+    assert _csv_rows(table) == _percent(table)

@@ -52,3 +52,29 @@ def test_traced_word_calls_run():
     assert sorted(tracer.tags[sid] for sid, nid in enumerate(tracer.name)
                   if nid == normalize_id) == [1, 2, 2]
     assert not hasattr(words.normalize, "__wrapped__")
+
+
+def test_traced_comb_grid_runs():
+    """A traced sweep records its own span and the core evaluations inside
+    it, so `sphere.comb_core` keeps its meaning in the sphere workload."""
+    spans = _spans()
+    for name, mod_name, _, _ in spans.TARGETS:
+        importlib.import_module(f"idcalc.{mod_name}")
+    from idcalc import sphere
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        data = sphere.comb_grid(2, 25, 0.1)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert data["min_certificate"] > 1e-6
+    counts = {name: sum(1 for nid in tracer.name if tracer.names[nid] == name)
+              for name in ("sphere.comb_grid", "sphere.comb_core")}
+    # one slope per certificate offset, two core evaluations per slope
+    assert counts == {"sphere.comb_grid": 1, "sphere.comb_core": 2 * sphere.GRID_CERT_SAMPLES}
+    assert all(tracer.end[sid] > tracer.start[sid] for sid in range(len(tracer.name)))
+    core_id = tracer.names.index("sphere.comb_core")
+    assert {tracer.parent[sid] for sid, nid in enumerate(tracer.name) if nid == core_id} == {0}
+    assert not hasattr(sphere.comb_core, "__wrapped__")
