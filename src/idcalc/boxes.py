@@ -16,9 +16,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 RatLike = Union[Fraction, int, str]
+V = TypeVar("V")
 
 
 class IdcalcError(ValueError):
@@ -32,7 +33,7 @@ class BoxError(IdcalcError):
 
 # the text forms of a rational: an integer, a p/q fraction or a decimal;
 # exponent notation would let a short literal expand to millions of digits
-_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*")
+_RATIONAL = re.compile(r"\s*[-+]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
 
 
 def _echo(text: str) -> str:
@@ -53,6 +54,71 @@ def rat(x: RatLike) -> Fraction:
         raise BoxError(f"rational literal too long ({len(x)} characters, at most "
                        f"{sys.get_int_max_str_digits()} digits per integer): "
                        f"{_echo(x)}") from None
+
+
+# ---------------------------------------------------------------------------
+# reading the text forms
+
+# The most a text may ask for: every index and dimension it states, the m of
+# a zero pre-derivation `0[m=N]` included.
+MAX_INDEX = 1000
+
+_SPACE, _TOKEN = re.compile(r"\s*"), re.compile(r"\S*")
+
+
+class Cursor:
+    """One text being read: the text, the offset reached, always past any
+    whitespace, the name errors cite (such as ``term text``) and the error
+    class of the outermost parser.  The reader of a nested form shares its
+    caller's cursor, so every error ends ``at offset N in <name>``, N an
+    offset in the text the caller passed."""
+
+    def __init__(self, text: str, name: str, error: type[IdcalcError]):
+        self.text, self.name, self.error = text, name, error
+        self.pos = _SPACE.match(text).end()
+
+    def fail(self, message: str, at: int) -> IdcalcError:
+        return self.error(f"{message} at offset {at} in {self.name}")
+
+    def take(self, pattern: re.Pattern) -> Optional[re.Match]:
+        """The match of pattern here, moved past with the whitespace after it."""
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = _SPACE.match(self.text, m.end()).end()
+        return m
+
+    def eat(self, literal: str) -> bool:
+        """Move past literal and the whitespace after it, if it comes here."""
+        found = self.text.startswith(literal, self.pos)
+        if found:
+            self.pos = _SPACE.match(self.text, self.pos + len(literal)).end()
+        return found
+
+    def expect(self, literal: str, message: str) -> None:
+        if not self.eat(literal):
+            raise self.fail(message, self.pos)
+
+    def whole(self, read: Callable[["Cursor"], V], trailing: str) -> V:
+        """read(self), refusing anything after it with trailing, whose ``{}``
+        quotes the first token left."""
+        value = read(self)
+        if self.pos < len(self.text):
+            left = _TOKEN.match(self.text, self.pos)[0]
+            raise self.fail(trailing.format(repr(left)), self.pos)
+        return value
+
+    def build(self, at: int, make: Callable[..., V], *args: object) -> V:
+        """make(*args), a refusal located where the construct starts."""
+        try:
+            return make(*args)
+        except IdcalcError as exc:
+            raise self.fail(str(exc), at) from None
+
+    def index(self, digits: str, at: int, what: str) -> int:
+        """The value of an index or dimension token, refused past MAX_INDEX."""
+        if len(digits.lstrip("0")) > len(str(MAX_INDEX)) or int(digits) > MAX_INDEX:
+            raise self.fail(f"{what} {_echo(digits)} exceeds MAX_INDEX = {MAX_INDEX}", at)
+        return int(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +271,33 @@ def domint(b: Box, i: int) -> Box:
 # ---------------------------------------------------------------------------
 # box text form: `R0`, `R`, `(a,b)`, `(-inf,b)`, `(a,inf)` joined by `x`
 
+_RAY = re.compile(r"R(?![^\s:x])|\(\s*([^\s,()]*)\s*,\s*([^\s,()]*)\s*\)")
+_POINT, _RAY_TEXT = re.compile(r"R0(?![^\s:])"), re.compile(r"[^\s:x]*")
 
-def parse_ray(text: str) -> Ray1:
-    t = text.strip()
-    if t == "R":
+
+def _read_ray(cur: Cursor) -> Ray1:
+    ray = cur.take(_RAY)
+    if ray is None:
+        text = _RAY_TEXT.match(cur.text, cur.pos)[0]
+        raise cur.fail(f"bad interval syntax: {text!r}", cur.pos)
+    if ray[0] == "R":
         return Ray1.full()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise BoxError(f"bad interval syntax: {text!r}")
-    parts = t[1:-1].split(",")
-    if len(parts) != 2:
-        raise BoxError(f"bad interval syntax: {text!r}")
-    lo_s, hi_s = parts[0].strip(), parts[1].strip()
-    lo = None if lo_s == "-inf" else rat(lo_s)
-    hi = None if hi_s == "inf" else rat(hi_s)
-    return Ray1(lo, hi)
+    lo = None if ray[1] == "-inf" else cur.build(ray.start(1), rat, ray[1])
+    hi = None if ray[2] == "inf" else cur.build(ray.start(2), rat, ray[2])
+    return cur.build(ray.start(), Ray1, lo, hi)
+
+
+def read_box(cur: Cursor) -> Box:
+    if cur.take(_POINT):
+        return Box.point()
+    rays = [_read_ray(cur)]
+    while cur.eat("x"):
+        rays.append(_read_ray(cur))
+    return Box(tuple(rays))
 
 
 def parse_box(text: str) -> Box:
-    t = text.strip()
-    if t == "R0":
-        return Box.point()
-    return Box(tuple(parse_ray(p) for p in t.split("x")))
+    return Cursor(text, "box text", BoxError).whole(read_box, "bad interval syntax: {}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,22 @@ import json
 import sys
 from typing import Callable, Iterable, Optional
 
-from .boxes import IdcalcError, parse_box
+from .boxes import BoxError, Cursor, IdcalcError, read_box
 from .evaluation import eval_term, instantiate
-from .polynomials import (Orientation, format_polyfun, format_rat, parse_polyfun,
-                          polyfun_to_json)
+from .polynomials import (Orientation, PolyError, format_polyfun, format_rat, parse_polyfun,
+                          polyfun_to_json, read_polyfun)
 from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
                        eval_smooth, format_prederiv, parse_prederiv,
                        smooth_kernel_test)
 from .relations import check_all, reports_to_json
-from .terms import Term, classify, format_term, max_augment, parse_term, signature
+from .terms import _NAME, Term, classify, format_term, max_augment, parse_term, signature
 from .words import Equal, NotEqual, _normalize_steps, parse_word, word_eq
 
-def _read_defs(path: Optional[str], sep: str, parse: Callable[[str], object]) -> dict:
-    """A definitions file: one `name <sep> value` per line; blank lines
-    and lines starting with # are skipped."""
+def _read_defs(path: Optional[str], sep: str, read: Callable[[Cursor], object],
+               error: type[IdcalcError]) -> dict:
+    """A definitions file: one `name <sep> value` per line, the name an opaque
+    name; blank lines and lines starting with # are skipped.  An error names
+    the file, the line and the offset in it."""
     if not path:
         return {}
     try:
@@ -35,10 +37,13 @@ def _read_defs(path: Optional[str], sep: str, parse: Callable[[str], object]) ->
         reason = getattr(exc, "strerror", None) or exc
         raise IdcalcError(f"cannot read {path!r}: {reason}") from None
     defs = {}
-    for line in map(str.strip, lines):
-        if line and not line.startswith("#"):
-            name, _, value = line.partition(sep)
-            defs[name.strip()] = parse(value)
+    for number, line in enumerate(lines, 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            cur = Cursor(line, f"{path!r} line {number}", error)
+            name = cur.take(_NAME)
+            if name is None or not cur.eat(sep):
+                raise cur.fail(f"expected a name, then {sep!r}", cur.pos)
+            defs[name[0]] = cur.whole(read, "trailing input after the definition")
     return defs
 
 
@@ -58,7 +63,7 @@ def _term_text(arg: str) -> str:
 
 def _term_arg(args: argparse.Namespace) -> Term:
     """The term argument (- reads stdin), parsed against the --env file."""
-    return parse_term(_term_text(args.term), _read_defs(args.env, ":", parse_box))
+    return parse_term(_term_text(args.term), _read_defs(args.env, ":", read_box, BoxError))
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -189,7 +194,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "eval":
         t = _term_arg(args)
-        inst = _read_defs(args.inst, "=", parse_polyfun)
+        inst = _read_defs(args.inst, "=", read_polyfun, PolyError)
         if inst:
             t = instantiate(t, inst)
         f = eval_term(t, permissive=args.permissive)

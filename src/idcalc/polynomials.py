@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .boxes import (Box, Enclosure, IdcalcError, RatLike, Ray1, domint, parse_box, product,
-                    rat)
+from .boxes import (Box, Cursor, Enclosure, IdcalcError, RatLike, Ray1, domint, product, rat,
+                    read_box)
 
 Key = tuple[int, ...]
 
@@ -39,15 +39,6 @@ class CompositionGuardError(PolyError):
 
 class DomainMismatchError(PolyError):
     pass
-
-
-class LiteralError(PolyError):
-    """A bad token of a polynomial function literal, `offset` characters
-    into the literal's text."""
-
-    def __init__(self, what: str, offset: int):
-        super().__init__(f"{what} at offset {offset} in polynomial text")
-        self.what, self.offset = what, offset
 
 
 # ---------------------------------------------------------------------------
@@ -770,74 +761,64 @@ def format_polyfun(f: PolyFun) -> str:
     return f"poly {f.arity}->{f.cod_dim} on {f.domain} : {comps}"
 
 
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+_TOKEN, _FACTOR = re.compile(r"[^\s+;}]+"), re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
+_HEAD, _DIMS = re.compile(r"poly\s+(\S*)"), re.compile(r"([0-9]+)->([0-9]+)")
+_LITERAL = re.compile(r"[^}]*")
 
 
-def _tokens(text: str, at: int) -> list[tuple[str, int]]:
-    """The whitespace-separated tokens of text, each with its offset in the
-    literal, where text starts at offset at."""
-    out, pos = [], 0
-    for tok in text.split():
-        pos = text.index(tok, pos)
-        out.append((tok, at + pos))
-        pos += len(tok)
-    return out
-
-
-def _parse_monomial(text: str, arity: int, at: int) -> tuple[Key, Fraction]:
-    parts = _tokens(text, at)
-    if not parts:
-        raise PolyError("empty monomial")
-    if parts[0][0].startswith("x"):
-        coeff, factors = Fraction(1), parts
-    else:
-        coeff, factors = rat(parts[0][0]), parts[1:]
-    exps = [0] * arity
-    for fct, pos in factors:
-        match = _FACTOR_RE.fullmatch(fct)
-        if not match:
-            raise LiteralError(f"bad monomial factor {fct!r}", pos)
-        idx, e = int(match[1]), int(match[2] or 1)
-        if not 1 <= idx <= arity:
-            raise PolyError(f"variable x{idx} out of range for arity {arity}")
-        exps[idx - 1] += e
-    return tuple(exps), coeff
-
-
-def _parse_poly(text: str, arity: int, at: int) -> Poly:
+def _read_poly(cur: Cursor, arity: int) -> Poly:
+    """Monomials joined by `+`, each whitespace-separated tokens: an optional
+    coefficient, then factors."""
     out: dict[Key, Fraction] = {}
-    for raw in text.split("+"):
-        k, c = _parse_monomial(raw, arity, at)
-        out[k] = out.get(k, Fraction(0)) + c
-        at += len(raw) + 1
-    return Poly.make(arity, out)
+    while True:
+        at, tok = cur.pos, cur.take(_TOKEN)
+        if tok is None:
+            raise cur.fail("empty monomial", at)
+        coeff, exps = Fraction(1), [0] * arity
+        if not tok[0].startswith("x"):
+            coeff, tok = cur.build(at, rat, tok[0]), cur.take(_TOKEN)
+        while tok:
+            factor = _FACTOR.fullmatch(tok[0])
+            if not factor:
+                raise cur.fail(f"bad monomial factor {tok[0]!r}", tok.start())
+            idx = cur.index(factor[1], tok.start(), "variable index")
+            if not 1 <= idx <= arity:
+                raise cur.fail(f"variable x{idx} out of range for arity {arity}", tok.start())
+            exps[idx - 1] += int(factor[2] or 1)
+            tok = cur.take(_TOKEN)
+        out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + coeff
+        if not cur.eat("+"):
+            return Poly.make(arity, out)
+
+
+def read_polyfun(cur: Cursor) -> PolyFun:
+    """`poly m->n on <box> : comp1; ...; compn`, read up to its n-th component."""
+    at = cur.pos
+    head = cur.take(_HEAD)
+    if head is None:
+        literal = _LITERAL.match(cur.text, at)[0].rstrip()
+        raise cur.fail(f"not a polynomial function literal: {literal!r}", at)
+    dims, dims_at = _DIMS.fullmatch(head[1]), head.start(1)
+    if dims is None:
+        raise cur.fail(f"bad dimensions {head[1]!r}", dims_at)
+    m = cur.index(dims[1], dims_at, "dimension")
+    n = cur.index(dims[2], dims_at + dims.start(2), "dimension")
+    cur.expect("on", "expected 'on'")
+    dom = read_box(cur)
+    if dom.dim != m:
+        raise cur.fail("declared arity does not match the domain", dims_at)
+    cur.expect(":", "expected ':'")
+    comps = []
+    for k in range(n):
+        if k and not cur.eat(";"):
+            raise cur.fail(f"expected {n} components, found {k}", cur.pos)
+        comps.append(_read_poly(cur, m))
+    return PolyFun.make(dom, comps)
 
 
 def parse_polyfun(text: str) -> PolyFun:
-    """Parse `poly m->n on <box> : comp1; comp2; ...`.  A bad monomial
-    factor raises `LiteralError` with its offset in text."""
-    t = text.strip()
-    if not t.startswith("poly"):
-        raise PolyError(f"not a polynomial function literal: {text!r}")
-    head, _, body = t.partition(":")
-    head = head[len("poly"):].strip()
-    dims, _, dom_s = head.partition(" on ")
-    m_s, _, n_s = dims.partition("->")
-    try:
-        m, n = int(m_s), int(n_s)
-    except ValueError:
-        raise PolyError(f"bad dimensions {dims.strip()!r} in {text!r}") from None
-    dom = parse_box(dom_s)
-    if dom.dim != m:
-        raise PolyError("declared arity does not match the domain")
-    comps_s, at = [], len(text) - len(text.lstrip()) + len(t) - len(body)
-    for c in body.split(";"):
-        if c.strip():
-            comps_s.append((c, at))
-        at += len(c) + 1
-    if len(comps_s) != n:
-        raise PolyError(f"expected {n} components, found {len(comps_s)}")
-    return PolyFun.make(dom, [_parse_poly(c, m, c_at) for c, c_at in comps_s])
+    return Cursor(text, "polynomial text", PolyError).whole(
+        read_polyfun, "trailing input after polynomial function")
 
 
 def polyfun_to_json(f: PolyFun) -> dict:

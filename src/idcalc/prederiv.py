@@ -17,12 +17,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .boxes import Box, IdcalcError, Ray1, rat
+from .boxes import Box, Cursor, IdcalcError, Ray1, rat
 from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _substitute,
-                          format_polyfun, format_rat, parse_polyfun, partial, range_fits,
-                          smint, vscal, vsum)
+                          format_polyfun, format_rat, partial, range_fits, read_polyfun, smint,
+                          vscal, vsum)
 
 
 class PreDerivError(IdcalcError):
@@ -330,34 +330,44 @@ def format_prederiv(dv: PreDeriv) -> str:
     return " + ".join(parts)
 
 
-_SUMMAND_RE = re.compile(r"D\{\s*core=(?P<core>.*?);\s*u=\((?P<u>[^)]*)\)\s*;\s*\}")
+_ZERO, _ENTRY = re.compile(r"0\[m=([0-9]+)\]"), re.compile(r"[^\s,()]*")
+_SYNTAX = "bad pre-derivation syntax"
+
+
+def _read_summand(cur: Cursor) -> Summand:
+    """`D{ core=<polyfun>; u=(...); }`"""
+    cur.expect("D{", _SYNTAX)
+    cur.expect("core=", _SYNTAX)
+    core = cur.build(cur.pos, GermCore, read_polyfun(cur))
+    cur.expect(";", _SYNTAX)
+    cur.expect("u=(", _SYNTAX)
+    u = []
+    while not cur.eat(")"):
+        if u:
+            cur.expect(",", _SYNTAX)
+        entry = cur.take(_ENTRY)
+        u.append(cur.build(entry.start(), rat, entry[0]))
+    cur.expect(";", _SYNTAX)
+    cur.expect("}", _SYNTAX)
+    return core, tuple(u)
 
 
 def parse_prederiv(text: str) -> PreDeriv:
-    t = text.strip()
-    zero_m = re.fullmatch(r"0\[m=(\d+)\]", t)
-    if zero_m:
-        return PreDeriv.zero(int(zero_m.group(1)))
-    summands = []
-    pos = 0
-    target: Optional[int] = None
-    while pos < len(t):
-        while pos < len(t) and t[pos].isspace():
-            pos += 1
-        m = _SUMMAND_RE.match(t, pos)
-        if not m:
-            raise PreDerivError(f"bad pre-derivation syntax near offset {pos}")
-        core = GermCore(parse_polyfun(m.group("core")))
-        u = tuple(rat(c.strip()) for c in m.group("u").split(",") if c.strip())
-        summands.append((core, u))
-        target = core.target_dim if target is None else target
-        pos = m.end()
-        while pos < len(t) and t[pos].isspace():
-            pos += 1
-        if pos < len(t):
-            if t[pos] != "+":
-                raise PreDerivError("expected '+' between summands")
-            pos += 1
-    if target is None:
-        raise PreDerivError("empty pre-derivation text")
-    return PreDeriv(target, tuple(summands))
+    cur = Cursor(text, "pre-derivation text", PreDerivError)
+    zero = cur.take(_ZERO)
+    if zero:
+        m = cur.index(zero[1], zero.start(1), "dimension")
+        if cur.pos == len(text):
+            return PreDeriv.zero(m)
+        raise cur.fail(_SYNTAX, cur.pos)
+    if cur.pos == len(text):
+        raise cur.fail("empty pre-derivation text", cur.pos)
+    summands: list[Summand] = []
+    while True:
+        at = cur.pos
+        summands.append(_read_summand(cur))
+        # each summand's direction and target dimension, checked where it starts
+        cur.build(at, PreDeriv, summands[0][0].target_dim, (summands[-1],))
+        if cur.pos == len(text):
+            return PreDeriv(summands[0][0].target_dim, tuple(summands))
+        cur.expect("+", "expected '+' between summands")

@@ -11,13 +11,14 @@ sum/product/scalar constructors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
-from .boxes import Box, IdcalcError, product
-from .polynomials import (LiteralError, PolyFun, RatLike, const_fun, diag, format_polyfun,
-                          parse_polyfun, rat, vecprod, vecsum)
-from .words import Signature, Word, parse_word, signature_effect
+from .boxes import Box, Cursor, IdcalcError, product
+from .polynomials import (PolyFun, RatLike, const_fun, diag, format_polyfun, rat, read_polyfun,
+                          vecprod, vecsum)
+from .words import Signature, Word, read_word, signature_effect
 
 
 class TermError(IdcalcError):
@@ -317,83 +318,40 @@ def format_term(t: Term) -> str:
     return _fold(t, visit)
 
 
-class _Parser:
-    def __init__(self, text: str, env: Mapping[str, Box]):
-        self.text = text
-        self.pos = 0
-        self.env = env
+_NAME = re.compile(r"\w+")
 
-    def error(self, msg: str) -> TermError:
-        return TermError(f"{msg} at offset {self.pos} in term text")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse_term(self, depth: int = 0) -> Term:
-        if depth > MAX_TERM_DEPTH:
-            raise self.error(f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}")
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            left = self.parse_term(depth + 1)
-            self.expect(".")
-            right = self.parse_term(depth + 1)
-            self.expect(")")
-            return Comp(left, right)
-        if ch == "<":
-            self.pos += 1
-            items = [self.parse_term(depth + 1)]
-            while self.peek() == ",":
-                self.pos += 1
-                items.append(self.parse_term(depth + 1))
-            self.expect(">")
-            return TupleT(tuple(items))
-        if ch == "[":
-            self.pos += 1
-            end = self.text.find("]", self.pos)
-            if end < 0:
-                raise self.error("unterminated word action")
-            word = parse_word(self.text[self.pos:end])
-            self.pos = end + 1
-            return Act(word, self.parse_term(depth + 1))
-        if ch == "{":
-            self.pos += 1
-            end = self.text.find("}", self.pos)
-            if end < 0:
-                raise self.error("unterminated inline polynomial")
-            try:
-                fn = parse_polyfun(self.text[self.pos:end])
-            except LiteralError as exc:
-                self.pos += exc.offset
-                raise self.error(exc.what) from None
-            self.pos = end + 1
-            return fn
-        end = self.pos
-        while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-            end += 1
-        name = self.text[self.pos:end]
-        if not name:
-            raise self.error("expected a term")
-        if name not in self.env:
-            raise self.error(f"opaque generator {name!r} is not declared")
-        self.pos = end
-        return Opaque(name, self.env[name])
+def _read_term(cur: Cursor, env: Mapping[str, Box], depth: int) -> Term:
+    if depth > MAX_TERM_DEPTH:
+        raise cur.fail(f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}", cur.pos)
+    if cur.eat("("):
+        left = _read_term(cur, env, depth + 1)
+        cur.expect(".", "expected '.'")
+        right = _read_term(cur, env, depth + 1)
+        cur.expect(")", "expected ')'")
+        return Comp(left, right)
+    if cur.eat("<"):
+        items = [_read_term(cur, env, depth + 1)]
+        while cur.eat(","):
+            items.append(_read_term(cur, env, depth + 1))
+        cur.expect(">", "expected '>'")
+        return TupleT(tuple(items))
+    if cur.eat("["):
+        word = read_word(cur)
+        cur.expect("]", "unterminated word action")
+        return Act(word, _read_term(cur, env, depth + 1))
+    if cur.eat("{"):
+        fn = read_polyfun(cur)
+        cur.expect("}", "unterminated inline polynomial")
+        return fn
+    name = cur.take(_NAME)
+    if name is None:
+        raise cur.fail("expected a term", cur.pos)
+    if name[0] not in env:
+        raise cur.fail(f"opaque generator {name[0]!r} is not declared", name.start())
+    return Opaque(name[0], env[name[0]])
 
 
 def parse_term(text: str, env: Optional[Mapping[str, Box]] = None) -> Term:
-    parser = _Parser(text, env or {})
-    t = parser.parse_term()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input after term")
-    return t
+    return Cursor(text, "term text", TermError).whole(
+        lambda cur: _read_term(cur, env or {}, 0), "trailing input after term")

@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .boxes import Box, IdcalcError
+from .boxes import Box, Cursor, IdcalcError
 from .polynomials import Orientation, Poly, PolyFun, apply_word
 
 
@@ -98,22 +98,31 @@ class Word:
         return " ".join(str(g) for g in self.gens) if self.gens else "1"
 
 
-def parse_word(text: str) -> Word:
-    if text.split() == ["1"]:
-        return Word()
-    kinds = {k.value: k for k in GenKind}
+# a generator token runs to whitespace or a bracket, so a term's `]` ends a
+# word; the match takes the whitespace after the token too
+_GEN = re.compile(r"([^\s()<>\[\]{}]+)\s*")
+_KINDS_BY_LETTER = {k.value: k for k in GenKind}
+
+
+def read_word(cur: Cursor) -> Word:
+    """Generators up to a bracket or the end of the text; `1` alone is the
+    empty word."""
     gens = []
-    for m in re.finditer(r"\S+", text):
-        t = m.group()
-        if t[0] not in kinds:
-            raise WordError(f"bad generator token {t!r} at offset {m.start()} in word text")
-        try:
-            idx = int(t[1:])
-        except ValueError:
-            raise WordError(f"bad generator index in {t!r} at offset {m.start()} "
-                            "in word text") from None
-        gens.append(Gen(kinds[t[0]], idx))
+    while tok := _GEN.match(cur.text, cur.pos):
+        t, at, cur.pos = tok[1], tok.start(), tok.end()
+        if t == "1" and not gens and not _GEN.match(cur.text, cur.pos):
+            break
+        if t[0] not in _KINDS_BY_LETTER:
+            raise cur.fail(f"bad generator token {t!r}", at)
+        if not (t[1:].isascii() and t[1:].isdigit()):
+            raise cur.fail(f"bad generator index in {t!r}", at)
+        index = cur.index(t[1:], at, "generator index")
+        gens.append(cur.build(at, Gen, _KINDS_BY_LETTER[t[0]], index))
     return Word(tuple(gens))
+
+
+def parse_word(text: str) -> Word:
+    return Cursor(text, "word text", WordError).whole(read_word, "bad generator token {}")
 
 
 # ---------------------------------------------------------------------------

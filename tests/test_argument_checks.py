@@ -9,7 +9,7 @@ import pytest
 
 from idcalc.boxes import Box, BoxError, domint, parse_box
 from idcalc.evaluation import EvalError, linincl, linincl_of_polyfun
-from idcalc.polynomials import (CompositionGuardError, DomainMismatchError, LiteralError, Poly,
+from idcalc.polynomials import (CompositionGuardError, DomainMismatchError, Poly,
                                 PolyError, PolyFun, compose, coord, diag, parse_polyfun, partial,
                                 proj_block, proje, sectn, smint, switch, vecsum, vprod, vsum)
 from idcalc.prederiv import (PreDeriv, PreDerivError, canonical_direction, compose_germ,
@@ -31,7 +31,7 @@ CORE = identity_core(1)
     (Box.full(1).intersect, (Box.full(2),), BoxError, "dimension mismatch in intersection"),
     (Box.full(1).translate, ((1, 2),), BoxError, "translation vector length mismatch"),
     (domint, (Box.full(1), 0), BoxError, "domint index must be >= 1"),
-    (parse_box, ("(0,1,2)",), BoxError, "bad interval syntax: '(0,1,2)'"),
+    (parse_box, ("(0,1,2)",), BoxError, "bad interval syntax: '(0,1,2)' at offset 0 in box text"),
     # polynomials
     (Poly.make, (1, {(1, 2): 1}), PolyError, "exponent tuple (1, 2) in arity-1 polynomial"),
     (Poly.make, (1, {(-1,): 1}), PolyError, "negative exponent in (-1,)"),
@@ -92,7 +92,7 @@ CORE = identity_core(1)
     (chart_differential, (F1, PreDeriv.of(CORE, (1,)), (0, 0)), SphereError,
      "base point dimension differs from the transition arity"),
     # a literal parsed on its own locates a bad factor in its own text
-    (parse_polyfun, ("  poly 1->2 on R : 1 x1 ;\t2 x1 x ",), LiteralError,
+    (parse_polyfun, ("  poly 1->2 on R : 1 x1 ;\t2 x1 x ",), PolyError,
      "bad monomial factor 'x' at offset 31 in polynomial text"),
 ])
 def test_argument_check(call, args, error, message):

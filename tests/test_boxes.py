@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idcalc.boxes import (Box, BoxError, Enclosure, Ray1, domint, parse_box,
-                          parse_ray, product, rat)
+from idcalc.boxes import Box, BoxError, Enclosure, Ray1, domint, parse_box, product, rat
 
 
 def test_contains_midpoint():
@@ -90,16 +89,16 @@ def test_box_text_roundtrip(box):
 
 
 def test_parse_ray_forms():
-    assert parse_ray("R") == Ray1.full()
-    assert parse_ray("(-inf,3)") == Ray1.below(3)
-    assert parse_ray("(1/2,inf)") == Ray1.above(Fraction(1, 2))
+    assert parse_box("R") == Box.of(Ray1.full())
+    assert parse_box("(-inf,3)") == Box.of(Ray1.below(3))
+    assert parse_box("(1/2,inf)") == Box.of(Ray1.above(Fraction(1, 2)))
     assert parse_box("R0") == Box.point()
 
 
 @pytest.mark.parametrize("text", ["(-oo,3)", "(0,oo)", "(0,+inf)", "(0,1e3)", "(0,1E-2)"])
 def test_parse_ray_refuses_other_spellings(text):
     with pytest.raises(BoxError, match="not a rational number"):
-        parse_ray(text)
+        parse_box(text)
 
 
 def test_rational_text_forms():

@@ -180,7 +180,8 @@ def test_over_long_literal_is_named_and_cut_short(capsys, literal):
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert lines == [f"error: rational literal too long ({len(literal)} characters, at most "
-                     f"{sys.get_int_max_str_digits()} digits per integer): {literal[:20]!r}..."]
+                     f"{sys.get_int_max_str_digits()} digits per integer): {literal[:20]!r}... "
+                     "at offset 18 in term text"]
 
 
 def test_normalize_term(capsys):
@@ -347,26 +348,28 @@ def test_comb_sphere_smallest_grid_with_interior_point(capsys):
     assert "vanishing-radius=" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "{poly 1->1 on R : 1/0 x1}"],
-    ["eval", "{poly 1->1 on (1/0,2) : 1 x1}"],
-    ["prederiv", "D{ core=poly 1->2 on (-1,1) : 1 x1; 1 x1^2; u=(1/0); }"],
+@pytest.mark.parametrize("argv, location", [
+    (["eval", "{poly 1->1 on R : 1/0 x1}"], "18 in term"),
+    (["eval", "{poly 1->1 on (1/0,2) : 1 x1}"], "15 in term"),
+    (["prederiv", "D{ core=poly 1->2 on (-1,1) : 1 x1; 1 x1^2; u=(1/0); }"],
+     "47 in pre-derivation"),
 ], ids=["coefficient", "box-endpoint", "direction"])
-def test_zero_denominator_is_a_domain_error(capsys, argv):
+def test_zero_denominator_is_a_domain_error(capsys, argv, location):
     code, _, err = run(capsys, *argv)
     assert code == 1
     lines = err.strip().splitlines()
-    assert lines == ["error: zero denominator in '1/0'"]
+    assert lines == [f"error: zero denominator in '1/0' at offset {location} text"]
 
 
-@pytest.mark.parametrize("text", ["{poly 1->1 on (0,1e1000000) : 1 x1}",
-                                  "{poly 1->1 on R : 1e1000000 x1}"],
+@pytest.mark.parametrize("text, offset", [("{poly 1->1 on (0,1e1000000) : 1 x1}", 17),
+                                          ("{poly 1->1 on R : 1e1000000 x1}", 18)],
                          ids=["box-endpoint", "coefficient"])
-def test_exponent_notation_is_one_error_line(capsys, text):
+def test_exponent_notation_is_one_error_line(capsys, text, offset):
     code, out, err = run(capsys, "eval", text)
     assert code == 1
     assert out == ""
-    assert err.strip().splitlines() == ["error: not a rational number: '1e1000000'"]
+    assert err.strip().splitlines() == [
+        f"error: not a rational number: '1e1000000' at offset {offset} in term text"]
 
 
 @pytest.mark.parametrize("argv, token", [
@@ -471,19 +474,35 @@ def test_help_still_exits_0(capsys, argv):
 
 _ONE_SUMMAND = "D{ core=poly 1->1 on (-1,1) : 1 x1; u=(1); }"
 
+# The location each refusal of the table below names, when its row's line
+# does not spell it out: the line is the row's message, then this.
+_LOCATIONS = {
+    ("prederiv", "   "): "at offset 3 in pre-derivation text",
+    ("prederiv", f"{_ONE_SUMMAND} {_ONE_SUMMAND}"): "at offset 45 in pre-derivation text",
+    ("eval", "{poly 1->1 on [0,1] : 1 x1}"): "at offset 14 in term text",
+    ("eval", "{poly 1->1 on (2,1) : 1 x1}"): "at offset 14 in term text",
+    ("eval", "{poly 2->1 on R : 1 x1}"): "at offset 6 in term text",
+    ("eval", "{poly 1->2 on R : 1 x1}"): "at offset 22 in term text",
+    ("eval", "{poly 1->1 on R : 1 x3}"): "at offset 20 in term text",
+    ("eval", "{poly 1->1 on R : 1 x1 + }"): "at offset 25 in term text",
+    ("eval", "{pol 1->1 on R : 1 x1}"): "at offset 1 in term text",
+    ("normalize-word", "D0"): "at offset 0 in word text",
+}
+
 
 @pytest.mark.parametrize("argv, code, expected", [
     # each input error ends in one error line and exit 1
     (["eval", "<>"], 1, "error: expected a term at offset 1 in term text"),
     (["eval", "[I1 {poly 1->1 on R : 1 x1}"], 1,
-     "error: unterminated word action at offset 1 in term text"),
+     "error: unterminated word action at offset 4 in term text"),
     (["eval", "{poly 1->1 on R : 1 x1"], 1,
-     "error: unterminated inline polynomial at offset 1 in term text"),
+     "error: unterminated inline polynomial at offset 22 in term text"),
     (["eval", "{poly 1->1 on R : 1 x1} x"], 1,
      "error: trailing input after term at offset 24 in term text"),
     (["eval", "({poly 1->1 on R : 1 x1} {poly 1->1 on R : 1 x1})"], 1,
      "error: expected '.' at offset 25 in term text"),
-    (["prederiv", "D{ core=nonsense }"], 1, "error: bad pre-derivation syntax near offset 0"),
+    (["prederiv", "D{ core=nonsense }"], 1,
+     "error: not a polynomial function literal: 'nonsense' at offset 8 in pre-derivation text"),
     (["prederiv", "   "], 1, "error: empty pre-derivation text"),
     (["prederiv", f"{_ONE_SUMMAND} {_ONE_SUMMAND}"], 1,
      "error: expected '+' between summands"),
@@ -508,9 +527,75 @@ _ONE_SUMMAND = "D{ core=poly 1->1 on (-1,1) : 1 x1; u=(1); }"
      "error: bad monomial factor 'x' at offset 20 in term text"),
     (["eval", "{poly 1->1 on R : 1 x1 + 2 y}"], 1,
      "error: bad monomial factor 'y' at offset 27 in term text"),
+    # a text asks for at most MAX_INDEX, refused at its token before anything is built
+    (["prederiv", "0[m=1000000]"], 1,
+     "error: dimension '1000000' exceeds MAX_INDEX = 1000 at offset 4 in pre-derivation text"),
+    (["eval", "[I99999] {poly 1->1 on R : 1 x1}"], 1,
+     "error: generator index '99999' exceeds MAX_INDEX = 1000 at offset 1 in term text"),
+    (["normalize-word", "D1 Q1001"], 1,
+     "error: generator index '1001' exceeds MAX_INDEX = 1000 at offset 3 in word text"),
+    (["eval", "{poly 1->1001 on R : 1 x1}"], 1,
+     "error: dimension '1001' exceeds MAX_INDEX = 1000 at offset 9 in term text"),
+    (["eval", "{poly 1->1 on R : 1 x1001}"], 1,
+     "error: variable index '1001' exceeds MAX_INDEX = 1000 at offset 20 in term text"),
+    (["normalize-word", "p1000"], 0, "p1000"),
 ])
 def test_cli_error_contract(capsys, argv, code, expected):
     got, out, err = run(capsys, *argv)
     assert got == code
-    assert (out if code == 0 else err).splitlines() == [expected]
+    at = _LOCATIONS.get(tuple(argv))
+    assert (out if code == 0 else err).splitlines() == [f"{expected} {at}" if at else expected]
     assert (err if code == 0 else out) == ""
+
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    # located in the text the command was given, with that text's class
+    (["eval", "[I1 X2] {poly 1->1 on R : 1 x1}"], "TermError",
+     "bad generator token 'X2' at offset 4 in term text"),
+    (["prederiv", "D{ core=poly 1->1 on (-1,1) : 1 x; u=(1); }"], "PreDerivError",
+     "bad monomial factor 'x' at offset 32 in pre-derivation text"),
+    # forms the text grammar never listed
+    (["normalize-word", "I1_0"], "WordError",
+     "bad generator index in 'I1_0' at offset 0 in word text"),
+    (["normalize-word", "D\u0663"], "WordError",
+     "bad generator index in 'D\u0663' at offset 0 in word text"),
+    (["normalize-word", "q+2"], "WordError",
+     "bad generator index in 'q+2' at offset 0 in word text"),
+    (["eval", "{poly +1->1 on R : 1 x1}"], "TermError",
+     "bad dimensions '+1->1' at offset 6 in term text"),
+    (["eval", "{poly 1->0_1 on R : }"], "TermError",
+     "bad dimensions '1->0_1' at offset 6 in term text"),
+    (["eval", "{poly 1->2 on R : ; 1 x1}"], "TermError",
+     "empty monomial at offset 18 in term text"),
+    (["prederiv", "D{ core=poly 1->1 on (-1,1) : 1 x1; u=(1,,); }"], "PreDerivError",
+     "not a rational number: '' at offset 41 in pre-derivation text"),
+    (["prederiv", "0[m=1]", "--apply", "poly 1->1 on R : 1 x1;"], "PolyError",
+     "trailing input after polynomial function at offset 21 in polynomial text"),
+])
+def test_parse_refusals_name_their_offset_and_class(capsys, argv, error, message):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("option, lines, error, message", [
+    ("--env", ["c : (0,1)", "", "# declared below", "d (0,1)"], "BoxError",
+     "expected a name, then ':' at offset 2 in {path} line 4"),
+    ("--env", ["c : (0,1) zz"], "BoxError",
+     "trailing input after the definition at offset 10 in {path} line 1"),
+    ("--inst", ["c = poly 1->1 on (0,1) : 1 x1", "  c = poly 1->1 on (0,1) : 1 y"], "PolyError",
+     "bad monomial factor 'y' at offset 29 in {path} line 2"),
+])
+def test_definitions_file_errors_name_file_line_and_offset(tmp_path, capsys, option, lines,
+                                                          error, message):
+    path = tmp_path / "defs.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = tmp_path / "env.txt"
+    env.write_text("c : (0,1)\n", encoding="utf-8")
+    argv = ["eval", "c", "--json", option, str(path)]
+    if option == "--inst":
+        argv += ["--env", str(env)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": error, "message": message.format(path=repr(str(path)))}
