@@ -60,8 +60,9 @@ def rat(x: RatLike) -> Fraction:
 # reading the text forms
 
 # The most a text may ask for: every index and dimension it states, the m of
-# a zero pre-derivation `0[m=N]` included.
+# a zero pre-derivation `0[m=N]` included, and every exponent of a monomial.
 MAX_INDEX = 1000
+MAX_EXPONENT = 1000
 
 _SPACE, _TOKEN = re.compile(r"\s*"), re.compile(r"\S*")
 
@@ -116,8 +117,15 @@ class Cursor:
 
     def index(self, digits: str, at: int, what: str) -> int:
         """The value of an index or dimension token, refused past MAX_INDEX."""
-        if len(digits.lstrip("0")) > len(str(MAX_INDEX)) or int(digits) > MAX_INDEX:
-            raise self.fail(f"{what} {_echo(digits)} exceeds MAX_INDEX = {MAX_INDEX}", at)
+        return self._bounded(digits, at, what, "MAX_INDEX", MAX_INDEX)
+
+    def exponent(self, digits: str, at: int) -> int:
+        """The value of an exponent token, refused past MAX_EXPONENT."""
+        return self._bounded(digits, at, "exponent", "MAX_EXPONENT", MAX_EXPONENT)
+
+    def _bounded(self, digits: str, at: int, what: str, name: str, most: int) -> int:
+        if len(digits.lstrip("0")) > len(str(most)) or int(digits) > most:
+            raise self.fail(f"{what} {_echo(digits)} exceeds {name} = {most}", at)
         return int(digits)
 
 

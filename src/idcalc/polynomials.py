@@ -784,7 +784,8 @@ def _read_poly(cur: Cursor, arity: int) -> Poly:
             idx = cur.index(factor[1], tok.start(), "variable index")
             if not 1 <= idx <= arity:
                 raise cur.fail(f"variable x{idx} out of range for arity {arity}", tok.start())
-            exps[idx - 1] += int(factor[2] or 1)
+            # an absent exponent is 1, which is never refused
+            exps[idx - 1] += cur.exponent(factor[2] or "1", tok.start() + factor.start(2))
             tok = cur.take(_TOKEN)
         out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + coeff
         if not cur.eat("+"):

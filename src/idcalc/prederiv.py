@@ -14,15 +14,16 @@ direction removes the vanishing part by exact orthogonal projection.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .boxes import Box, Cursor, IdcalcError, Ray1, rat
-from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _substitute,
-                          format_polyfun, format_rat, partial, range_fits, read_polyfun, smint,
-                          vscal, vsum)
+from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _constant_split,
+                          _substitute, format_polyfun, format_rat, partial, range_fits,
+                          read_polyfun, smint, vscal, vsum)
 
 
 class PreDerivError(IdcalcError):
@@ -34,25 +35,29 @@ class PreDerivError(IdcalcError):
 
 
 def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form, in place on a copy."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return mat
-    ncols = len(mat[0])
-    lead = 0
-    for col in range(ncols):
-        piv = next((r for r in range(lead, len(mat)) if mat[r][col] != 0), None)
+    """Reduced row echelon form without its zero rows.  Each row is scaled
+    to integers and eliminated fraction-free, kept primitive by its gcd
+    (after Bareiss, 1968); Fractions are formed only for the pivot rows."""
+    mat = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (den // v.denominator) for v in row])
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        lead = len(pivots)
+        piv = next((r for r in range(lead, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[lead], mat[piv] = mat[piv], mat[lead]
-        inv = 1 / mat[lead][col]
-        mat[lead] = [v * inv for v in mat[lead]]
-        for r in range(len(mat)):
-            if r != lead and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[lead])]
-        lead += 1
-    return [r for r in mat if any(v != 0 for v in r)]
+        p, prow = mat[lead][col], mat[lead]
+        for r, row in enumerate(mat):
+            c = row[col]
+            if r != lead and c:
+                new = [p * a - c * b for a, b in zip(row, prow)]
+                g = math.gcd(*new)
+                mat[r] = [v // g for v in new] if g else new
+        pivots.append(col)
+    return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(mat, pivots)]
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -163,6 +168,9 @@ def identity_core(m: int) -> GermCore:
 # germ-level composition
 
 
+_LAST_K = 298  # the guard tests no radius 2^-k below 2^-_LAST_K
+
+
 def _shrink_around_zero(b: Box, k: int) -> Box:
     r = Fraction(1, 2 ** k)
     cap = Box((Ray1.bounded(-r, r),) * b.dim)
@@ -171,17 +179,52 @@ def _shrink_around_zero(b: Box, k: int) -> Box:
     return out
 
 
+def _first_fit(p: Poly, ray: Ray1, k: int) -> Optional[int]:
+    """The least k' in [k, _LAST_K] at which ``range_fits`` maps the cube
+    (-r, r)^l, r = 2^-k', under p into the ray, or None.  With c0 = p(0), m
+    its distance to the ray's finite ends and S(r) = sum |c_a| r^|a| over
+    the other terms, an affine p fits iff S(r) <= m (the open cube maps onto
+    an open interval) and any other p iff S(r) < m (a constant, S = 0, or a
+    closed enclosure must lie in the open ray).  Scaled by the lcm of the
+    denominators and 2^(k' deg p), both sides are integers."""
+    c0, terms = _constant_split(p)
+    m = min(d for d in (None if ray.lo is None else c0 - ray.lo,
+                        None if ray.hi is None else ray.hi - c0) if d is not None)
+    top = sum(terms[-1][0]) if terms else 0  # graded order: the last term has the top degree
+    den = math.lcm(m.denominator, *(c.denominator for _, c in terms))
+    scaled = [(top - sum(a), abs(c.numerator) * (den // c.denominator)) for a, c in terms]
+    bound = m.numerator * (den // m.denominator)
+    for k in range(k, _LAST_K + 1):
+        s, t = sum(v << (k * d) for d, v in scaled), bound << (k * top)
+        if s < t or s == t and top == 1:
+            return k
+    return None
+
+
 def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
-    """f o z near 0: shrink z's domain around 0 until the conservative
-    range enclosure certifies containment in f's domain."""
+    """f o z near 0: on z's domain if the range guard certifies it there,
+    else on the domain's intersection with (-2^-k, 2^-k)^l for the least
+    certified k <= _LAST_K.  Each such box is tested while the cap sticks
+    out of the domain; once it lies inside, ``_first_fit`` finds k."""
     if z.cod_dim != f.arity:
         raise PreDerivError(f"composition dimension mismatch: {z.cod_dim} -> {f.arity}")
-    cur = z
-    for k in range(1, 300):
+    if range_fits(z, f.domain):
+        return _substitute(f, z, uncertified=False)
+    # the cap sticks out of the domain while 2^k e < 1 for a finite end e of
+    # it, taken as -lo or hi
+    k, ends = 1, [e for d in z.domain.factors
+                  for e in (None if d.lo is None else -d.lo, d.hi) if e is not None]
+    while k <= _LAST_K and any(e * 2 ** k < 1 for e in ends):
+        cur = z.restrict(_shrink_around_zero(z.domain, k))
         if range_fits(cur, f.domain):
             return _substitute(f, cur, uncertified=False)
-        cur = cur.restrict(_shrink_around_zero(z.domain, k))
-    raise CompositionGuardError("no neighbourhood of 0 certified the composition")
+        k += 1
+    for p, ray in zip(z.components, f.domain.factors):
+        if k is not None and not ray.is_full:
+            k = _first_fit(p, ray, k)
+    if k is None:
+        raise CompositionGuardError("no neighbourhood of 0 certified the composition")
+    return _substitute(f, z.restrict(_shrink_around_zero(z.domain, k)), uncertified=False)
 
 
 def germ_equal(a: PolyFun, b: PolyFun) -> bool:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from idcalc import prederiv
-from idcalc.boxes import Box, Enclosure, Ray1
-from idcalc.polynomials import Poly, PolyFun, format_polyfun, parse_polyfun
+from idcalc.boxes import Box, Enclosure, Ray1, parse_box
+from idcalc.polynomials import (CompositionGuardError, Poly, PolyFun, compose, format_polyfun,
+                                parse_polyfun, range_fits)
 from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
                              canonical_direction, chain_check, compose_germ, eval_smooth,
                              format_prederiv, germ_equal, identity_core,
@@ -224,19 +225,120 @@ def _counting(monkeypatch, owner, name):
 
 def test_compose_germ_work_counts(monkeypatch):
     """The guard on a core's box centred at 0 is a coefficient sum with no
-    interval products.  It reaches the monomial-wise enclosure's verdicts,
-    so the pinned set takes the same 379 halvings, and a halving count
-    keeps its meaning."""
-    shrinks = _counting(monkeypatch, prederiv, "_shrink_around_zero")
+    interval products.  Every pinned core's domain holds the cap
+    (-1/2, 1/2)^l, so past z's own box the certifying k has a closed form:
+    one range guard per composition and one shrunk box per composition
+    certified past its own box, built at the k where the halving loop
+    stopped.  Those k sum to the loop's 379 halvings."""
+    shrink, built = prederiv._shrink_around_zero, []
+
+    def recording(b, k):
+        built.append(k)
+        return shrink(b, k)
+    monkeypatch.setattr(prederiv, "_shrink_around_zero", recording)
+    guards = _counting(monkeypatch, prederiv, "range_fits")
     products = _counting(monkeypatch, Enclosure, "mul")
-    pairs = pinned_compositions()
-    for f, z in pairs[::2]:
-        compose_germ(f, z)
-    assert products[0] == 0
-    for f, z in pairs[1::2]:
-        compose_germ(f, z)
-    assert shrinks[0] == 379
+    pairs, halvings = pinned_compositions(), 0
+    for batch in (pairs[::2], pairs[1::2]):
+        assert products[0] == 0  # the cores on (-2,2)^l run first
+        for f, z in batch:
+            before = len(built)
+            compose_germ(f, z)
+            halvings += max(built[before:], default=0)
+    assert halvings == 379
+    assert len(built) == 212
+    assert guards[0] == 240
     assert products[0] > 0  # boxes not centred at 0 keep the enclosure
+
+
+def _halving(f, z):
+    """The halving loop compose_germ replaced: (k, box) for the least k in
+    0..298 at which the range guard certifies z on its own box (k = 0) or on
+    box ∩ (-2^-k, 2^-k)^l, or None."""
+    for k in range(299):
+        cur = z if k == 0 else z.restrict(prederiv._shrink_around_zero(z.domain, k))
+        if range_fits(cur, f.domain):
+            return k, cur.domain
+    return None
+
+
+def _agrees_with_halving(f, z):
+    """compose_germ(f, z) against the halving loop: the same polynomial on
+    the same box, or the same refusal; returns the loop's k, or None."""
+    found = _halving(f, z)
+    if found is None:
+        with pytest.raises(CompositionGuardError,
+                           match="^no neighbourhood of 0 certified the composition$"):
+            compose_germ(f, z)
+        return None
+    k, box = found
+    got = compose_germ(f, z)
+    assert format_polyfun(got) == format_polyfun(compose(f, z.restrict(box)))
+    assert not got.is_partial
+    return k
+
+
+def _germ_domain(rng, kind, l):
+    ends = (F(1, 300), F(1, 8), F(1, 3), F(1), F(3))
+    if kind == "cube":
+        return Box.cube(-2, 2, l)
+    if kind == "centred":
+        return Box(tuple(Ray1.bounded(-h, h) for h in (rng.choice(ends) for _ in range(l))))
+    return Box(tuple(Ray1.bounded(-rng.choice(ends), rng.choice(ends)) for _ in range(l)))
+
+
+def test_compose_germ_radius_matches_the_halving_loop():
+    """A seeded sweep of cores on cubes, on boxes centred at 0 and on boxes
+    that are not, and of arity 0; half of them not pointed.  Each kind comes
+    up certified on z's own box, certified past it and refused."""
+    rng = random.Random(23)
+    targets = (Ray1.full(), Ray1.above(-1), Ray1.below(F(1, 2)), Ray1.bounded(-3, 1),
+               Ray1.bounded(F(-1, 10), F(1, 1000)), Ray1.bounded(F(1, 10), 5))
+    seen = set()
+    for _ in range(400):
+        kind, m = rng.choice(("cube", "centred", "off-centre", "arity 0")), rng.randint(1, 3)
+        l = 0 if kind == "arity 0" else rng.randint(1, 3)
+        z = rand_polyfun(rng, _germ_domain(rng, kind, l), m)
+        if rng.random() < 0.5:
+            z = pointed(z)
+        f = rand_polyfun(rng, Box(tuple(rng.choice(targets) for _ in range(m))), 1, 2)
+        k = _agrees_with_halving(f, z)
+        seen.add((kind, "refused" if k is None else "own box" if k == 0 else "shrunk"))
+    assert len(seen) == 11  # arity 0 has one box only
+    assert ("arity 0", "shrunk") not in seen
+
+
+@pytest.mark.parametrize("core_text, target, k", [
+    # an affine component tied exactly with the margin certifies at that k
+    ("poly 1->1 on R : 1/8 + 3/4 x1", "(-1/4,1/2)", 1),
+    ("poly 2->1 on (-2,2)x(-1,1) : 1 x1 + -1 x2", "(-1/2,1/2)", 2),
+    # a tie of degree 2 does not, and the next k does
+    ("poly 1->1 on (-2,2) : 1 x1 + 1 x1^2", "(-3/4,3/4)", 2),
+    ("poly 1->1 on R : 1 x1^2", "(-1/4,1/4)", 2),
+    # a constant component inside the target, outside it, on its boundary
+    ("poly 1->2 on (-2,2) : 1 x1; 1/2", "(-1,1)x(0,1)", 1),
+    ("poly 1->2 on (-2,2) : 1 x1; 2", "(-1,1)x(0,1)", None),
+    ("poly 1->2 on (-2,2) : 1 x1; 1", "(-1,1)x(0,1)", None),
+    # z(0) outside the target or on its boundary: no radius is small enough
+    ("poly 1->1 on (-2,2) : 1 + 1 x1", "(-1,1)", None),
+    ("poly 1->1 on (-2,2) : 1 x1", "(0,1)", None),
+    # the last k the guard tests, and the first it does not
+    ("poly 1->1 on (-2,2) : 1 x1",
+     f"({-F(1, 2 ** 298)},{F(1, 2 ** 298)})", 298),
+    ("poly 1->1 on (-2,2) : 1 x1",
+     f"({-F(1, 2 ** 299)},{F(1, 2 ** 299)})", None),
+    # a domain that never holds the cap: every box up to k = 298 is tested
+    (f"poly 1->1 on ({-F(1, 2 ** 300)},1) : 1 x1", "(-1/2,1/4)", 2),
+    (f"poly 1->1 on ({-F(1, 2 ** 300)},1) : 1 x1", "(0,1)", None),
+    # and one that holds it from k = 4 on, certified before
+    ("poly 1->1 on (-1/16,2) : 1 x1", "(-1/4,1/4)", 2),
+    ("poly 1->1 on (-1/16,2) : 1 x1^2 + 1 x1", "(-1/64,1/64)", 7),
+])
+def test_compose_germ_radius_constructed(core_text, target, k):
+    """The identity on the target after the core: the k the halving loop
+    stops at, or None for a refusal."""
+    f = PolyFun.identity(parse_box(target))
+    assert _agrees_with_halving(f, parse_polyfun(core_text)) == k
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +446,35 @@ def test_kernel_basis_reduced():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     basis = kernel_basis(rows, 3)
     assert basis == [(F(-2), F(1), F(0)), (F(-3), F(0), F(1))]
+
+
+def _sympy_rref(sympy, rows, ncols):
+    """sympy's reduced echelon form of the matrix, zero rows dropped."""
+    reduced, _ = sympy.Matrix(len(rows), ncols, [sympy.Rational(v.numerator, v.denominator)
+                                                 for row in rows for v in row]).rref()
+    out = [[F(int(v.p), int(v.q)) for v in reduced.row(r)] for r in range(reduced.rows)]
+    return [row for row in out if any(row)]
+
+
+def test_rref_matches_sympy():
+    """Seeded rational matrices, among them empty ones, zero rows, repeated
+    rows, zero columns and mixed denominators."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        zero_cols = {c for c in range(ncols) if rng.random() < 0.2}
+        rows = [[F(0) if c in zero_cols or rng.random() < 0.3
+                 else F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 7, 10)))
+                 for c in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [F(0)] * ncols)
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        red = prederiv.rref(rows)
+        assert red == _sympy_rref(sympy, rows, ncols)
+        assert all(type(v) is F for row in red for v in row)
+    assert prederiv.rref([]) == [] and prederiv.rref([[], []]) == []
 
 
 def test_projection_orthogonality():
