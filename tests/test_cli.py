@@ -538,9 +538,9 @@ _LOCATIONS = {
      "error: dimension '1001' exceeds MAX_INDEX = 1000 at offset 9 in term text"),
     (["eval", "{poly 1->1 on R : 1 x1001}"], 1,
      "error: variable index '1001' exceeds MAX_INDEX = 1000 at offset 20 in term text"),
+    (["normalize-word", "p1000"], 0, "p1000"),
     (["eval", "{poly 1->1 on R : x1^1001}"], 1,
      "error: exponent '1001' exceeds MAX_EXPONENT = 1000 at offset 21 in term text"),
-    (["normalize-word", "p1000"], 0, "p1000"),
 ])
 def test_cli_error_contract(capsys, argv, code, expected):
     got, out, err = run(capsys, *argv)
