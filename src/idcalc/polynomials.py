@@ -137,6 +137,8 @@ class Poly:
         return Poly(self.arity, tuple((k, c * co) for k, co in self.terms))
 
     def pow(self, e: int) -> "Poly":
+        if e < 0:
+            raise PolyError(f"negative power {e}")
         base = dict(self.terms)
         out = {(0,) * self.arity: Fraction(1)}
         for _ in range(e):
@@ -164,6 +166,8 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """d/dx_i (1-based); zero if i exceeds the arity."""
+        if i < 1:
+            raise PolyError("partial index must be >= 1")
         if i > self.arity:
             return Poly.zero(self.arity)
         out: dict[Key, Fraction] = {}
@@ -177,6 +181,8 @@ class Poly:
 
     def antideriv(self, i: int) -> "Poly":
         """An antiderivative with respect to x_i (no constant term in x_i)."""
+        if not 1 <= i <= self.arity:
+            raise PolyError(f"antideriv index {i} out of range for arity {self.arity}")
         out: dict[Key, Fraction] = {}
         for k, c in self.terms:
             e = k[i - 1]
@@ -352,8 +358,9 @@ def _enclose(p: Poly, factors: Sequence[Enclosure],
 def range_bound(f: PolyFun) -> list[Enclosure]:
     """Closed conservative enclosure of each component over the closure of
     the domain, by monomial-wise interval arithmetic."""
-    enclose = _encloser(f.domain.factors)
-    return [enclose(p) for p in f.components]
+    factors = [r.closure() for r in f.domain.factors]
+    powers: dict[tuple[int, int], Enclosure] = {}
+    return [_enclose(p, factors, powers) for p in f.components]
 
 
 def _constant_split(p: Poly) -> tuple[Fraction, tuple[tuple[Key, Fraction], ...]]:
@@ -387,75 +394,67 @@ def _affine_fits(p: Poly, rays: Sequence[Ray1], ray: Ray1) -> Optional[bool]:
             and (ray.hi is None or (hi is not None and hi <= ray.hi)))
 
 
-def _half_widths(rays: Sequence[Ray1]) -> Optional[list[Fraction]]:
-    """[h_1, ..., h_m] when the box is centred at 0, each factor (-h_j, h_j);
-    None from the first factor that is not."""
-    out = []
+def _half_widths(rays: Sequence[Ray1]) -> Optional[tuple[list[int], int]]:
+    """(n, q) when the box is centred at 0, each factor (-n_j/q, n_j/q) with
+    integers n_j and q; None from the first factor that is not."""
+    his = []
     for r in rays:
         if r.hi is None or r.lo != -r.hi:
             return None
-        out.append(r.hi)
-    return out
+        his.append(r.hi)
+    q = math.lcm(*[h.denominator for h in his])
+    return [h.numerator * (q // h.denominator) for h in his], q
 
 
-def _centred_enclose(p: Poly, half: Sequence[Fraction],
-                     powers: dict[tuple[int, int], tuple[int, int]]) -> Enclosure:
-    """``_enclose`` over the closed box of factors [-h_j, h_j], in closed
-    form; ``powers`` caches h_j^e as a (numerator, denominator) pair.
+def _centred_fits(p: Poly, ray: Ray1, nums: Sequence[int]) -> Callable[[int], bool]:
+    """q -> whether p certifiably maps the open box with factors
+    (-n_j/q, n_j/q) into the ray, which has a finite end: the guard in
+    closed form.
 
-    There the enclosure of every power [-h, h]^e is [-h^e, h^e] and
-    products of symmetric intervals stay symmetric, so p = c0 + sum c_a x^a
-    encloses to exactly [c0 - S, c0 + S], with S = sum |c_a| h^a over the
-    nonconstant terms."""
+    There, with h_j = n_j/q, every power [-h,h]^e encloses to [-h^e, h^e]
+    and products of symmetric intervals stay symmetric, so
+    p = c0 + sum c_a x^a encloses to exactly [c0 - S, c0 + S], with
+    S = sum |c_a| h^a over the nonconstant terms.  With m the distance from
+    c0 to the ray's finite ends, an affine p fits iff S <= m (the open box
+    maps onto (c0 - S, c0 + S)) and any other p iff S < m (a constant,
+    S = 0, or a closed enclosure must lie in the open ray).  Scaled by the
+    lcm of the denominators and q^deg p, both sides are integers."""
     c0, terms = _constant_split(p)
-    num, den = 0, 1  # S = num / den, summed in integers and reduced once
-    for k, c in terms:
-        tn, td = abs(c.numerator), c.denominator
-        for j, e in enumerate(k):
-            if e:
-                pw = powers.get((j, e))
-                if pw is None:
-                    h = half[j] ** e
-                    pw = powers[j, e] = (h.numerator, h.denominator)
-                tn *= pw[0]
-                td *= pw[1]
-        num, den = num * td + tn * den, den * td
-    s = Fraction(num, den)
-    return Enclosure(c0 - s, c0 + s)
+    m = min(d for d in (None if ray.lo is None else c0 - ray.lo,
+                        None if ray.hi is None else ray.hi - c0) if d is not None)
+    top = sum(terms[-1][0]) if terms else 0  # graded order: the last term has the top degree
+    den = math.lcm(m.denominator, *(c.denominator for _, c in terms))
+    scaled = [(top - sum(a), abs(c.numerator) * (den // c.denominator)
+               * math.prod(map(pow, nums, a))) for a, c in terms]
+    bound = m.numerator * (den // m.denominator)
 
-
-def _encloser(rays: Sequence[Ray1]) -> Callable[[Poly], Enclosure]:
-    """p -> its monomial-wise enclosure over the closure of the box with
-    factors ``rays``, caching powers across calls; on a box centred at 0
-    in closed form, with no interval products."""
-    half = _half_widths(rays)
-    if half is not None:
-        half_powers: dict[tuple[int, int], tuple[int, int]] = {}
-        return lambda p: _centred_enclose(p, half, half_powers)
-    factors = [r.closure() for r in rays]
-    powers: dict[tuple[int, int], Enclosure] = {}
-    return lambda p: _enclose(p, factors, powers)
+    def fits(q: int) -> bool:
+        s, t = sum(v * q ** d for d, v in scaled), bound * q ** top
+        return s < t or s == t and top == 1
+    return fits
 
 
 def range_fits(f: PolyFun, target: Box) -> bool:
     """Whether f certifiably maps its open domain into the target,
     componentwise: an affine component is decided exactly
     (``_affine_fits``), one of degree >= 2 by whether its monomial-wise
-    enclosure over the closed domain fits (``_encloser``, in closed form on
-    a domain centred at 0).  Only the components whose target ray has a
-    finite end are checked, and the first misfit ends the check."""
+    enclosure over the closed domain fits (``_enclose``, or
+    ``_centred_fits`` on a domain centred at 0).  Only the components whose
+    target ray has a finite end are checked, and the first misfit ends the
+    check."""
     if f.cod_dim != target.dim:
         return False
-    rays = f.domain.factors
-    enclose: Optional[Callable[[Poly], Enclosure]] = None  # built on first need
+    rays, powers = f.domain.factors, {}
+    half: Optional[tuple[list[int], int]] | bool = False  # _half_widths(rays), on first need
     for p, ray in zip(f.components, target.factors):
         if ray.is_full:
             continue
         fits = _affine_fits(p, rays, ray)
         if fits is None:
-            if enclose is None:
-                enclose = _encloser(rays)
-            fits = enclose(p).fits_within(ray)
+            if half is False:
+                half = _half_widths(rays)
+            fits = (_centred_fits(p, ray, half[0])(half[1]) if half is not None
+                    else _enclose(p, [r.closure() for r in rays], powers).fits_within(ray))
         if not fits:
             return False
     return True

@@ -18,10 +18,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .boxes import Box, Cursor, IdcalcError, Ray1, rat
-from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _constant_split,
+from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _centred_fits,
                           _substitute, format_polyfun, format_rat, partial, range_fits,
                           read_polyfun, smint, vscal, vsum)
 
@@ -179,50 +179,35 @@ def _shrink_around_zero(b: Box, k: int) -> Box:
     return out
 
 
-def _first_fit(p: Poly, ray: Ray1, k: int) -> Optional[int]:
-    """The least k' in [k, _LAST_K] at which ``range_fits`` maps the cube
-    (-r, r)^l, r = 2^-k', under p into the ray, or None.  With c0 = p(0), m
-    its distance to the ray's finite ends and S(r) = sum |c_a| r^|a| over
-    the other terms, an affine p fits iff S(r) <= m (the open cube maps onto
-    an open interval) and any other p iff S(r) < m (a constant, S = 0, or a
-    closed enclosure must lie in the open ray).  Scaled by the lcm of the
-    denominators and 2^(k' deg p), both sides are integers."""
-    c0, terms = _constant_split(p)
-    m = min(d for d in (None if ray.lo is None else c0 - ray.lo,
-                        None if ray.hi is None else ray.hi - c0) if d is not None)
-    top = sum(terms[-1][0]) if terms else 0  # graded order: the last term has the top degree
-    den = math.lcm(m.denominator, *(c.denominator for _, c in terms))
-    scaled = [(top - sum(a), abs(c.numerator) * (den // c.denominator)) for a, c in terms]
-    bound = m.numerator * (den // m.denominator)
-    for k in range(k, _LAST_K + 1):
-        s, t = sum(v << (k * d) for d, v in scaled), bound << (k * top)
-        if s < t or s == t and top == 1:
-            return k
-    return None
-
-
 def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
     """f o z near 0: on z's domain if the range guard certifies it there,
     else on the domain's intersection with (-2^-k, 2^-k)^l for the least
     certified k <= _LAST_K.  Each such box is tested while the cap sticks
-    out of the domain; once it lies inside, ``_first_fit`` finds k."""
+    out of the domain; once it lies inside, each component's closed form
+    (``_centred_fits``) at r = 2^-k moves k on until that component fits."""
     if z.cod_dim != f.arity:
         raise PreDerivError(f"composition dimension mismatch: {z.cod_dim} -> {f.arity}")
+    # the domain's finite ends, taken as -lo or hi: it contains 0 iff all are
+    # positive, and the cap lies inside it from the least k with 2^-k <= each
+    ends = [e for d in z.domain.factors
+            for e in (None if d.lo is None else -d.lo, d.hi) if e is not None]
+    if any(e <= 0 for e in ends):
+        raise PreDerivError("inner domain must contain 0")
     if range_fits(z, f.domain):
         return _substitute(f, z, uncertified=False)
-    # the cap sticks out of the domain while 2^k e < 1 for a finite end e of
-    # it, taken as -lo or hi
-    k, ends = 1, [e for d in z.domain.factors
-                  for e in (None if d.lo is None else -d.lo, d.hi) if e is not None]
-    while k <= _LAST_K and any(e * 2 ** k < 1 for e in ends):
+    k = 1
+    inside = max((((e.denominator - 1) // e.numerator).bit_length() for e in ends), default=0)
+    while k < min(inside, _LAST_K + 1):
         cur = z.restrict(_shrink_around_zero(z.domain, k))
         if range_fits(cur, f.domain):
             return _substitute(f, cur, uncertified=False)
         k += 1
     for p, ray in zip(z.components, f.domain.factors):
-        if k is not None and not ray.is_full:
-            k = _first_fit(p, ray, k)
-    if k is None:
+        if not ray.is_full:
+            fits = _centred_fits(p, ray, (1,) * z.arity)
+            while k <= _LAST_K and not fits(2 ** k):
+                k += 1
+    if k > _LAST_K:
         raise CompositionGuardError("no neighbourhood of 0 certified the composition")
     return _substitute(f, z.restrict(_shrink_around_zero(z.domain, k)), uncertified=False)
 

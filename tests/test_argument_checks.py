@@ -94,6 +94,15 @@ CORE = identity_core(1)
     # a literal parsed on its own locates a bad factor in its own text
     (parse_polyfun, ("  poly 1->2 on R : 1 x1 ;\t2 x1 x ",), PolyError,
      "bad monomial factor 'x' at offset 31 in polynomial text"),
+    # rows added later go last, so that the ids above keep their numbers
+    (Poly.var(2, 2).partial, (0,), PolyError, "partial index must be >= 1"),
+    (X1.antideriv, (0,), PolyError, "antideriv index 0 out of range for arity 1"),
+    (Y1.antideriv, (3,), PolyError, "antideriv index 3 out of range for arity 2"),
+    (X1.pow, (-2,), PolyError, "negative power -2"),
+    # the germ of z at 0 needs 0 in z's domain
+    (compose_germ, (parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
+                    parse_polyfun("poly 1->1 on (1,2) : 1 x1")),
+     PreDerivError, "inner domain must contain 0"),
 ])
 def test_argument_check(call, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -523,10 +523,18 @@ def test_range_fits_is_exact_on_affine_components_and_encloses_the_rest():
     ("poly 2->1 on Rx(0,1) : 1 x2", "(0,1)", True),
     ("poly 2->1 on Rx(0,1) : 1 x1 + 1 x2", "(0,1)", False),
     ("poly 1->1 on (-1,1) : 1 x1^2", "(-1,2)", False),
+    # ties of the centred rule on (-1,1)x(-1/2,1/2): c0 = 0 and S = m = 2; a
+    # constant, S = 0, at m = 0
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 1 x1 + 2 x2", "(-2,2)", True),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 4 x1 x2", "(-2,2)", False),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 2", "(2,3)", False),
+    ("poly 2->1 on (-1,1)x(-1/2,1/2) : 4 x1 x2", "(-2,inf)", False),
 ], ids=["equal-factor", "equal-half-ray", "unbounded-factor", "affine-equal-ends",
         "affine-past-end", "negative-coefficient", "swapped-factors", "constant-on-lower-end",
         "constant-on-upper-end", "constant-inside", "zero-inside", "zero-on-end",
-        "zero-coefficient-on-R", "nonzero-coefficient-on-R", "square-still-enclosed"])
+        "zero-coefficient-on-R", "nonzero-coefficient-on-R", "square-still-enclosed",
+        "centred-affine-tie", "centred-product-tie", "centred-constant-on-end",
+        "centred-product-tie-half-ray"])
 def test_range_fits_boundary_cases(g, target, fits):
     """An open factor fits in an equal open factor and a constant must lie
     strictly inside; a variable with coefficient 0 does not count, however
