@@ -14,8 +14,9 @@ from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, IdcalcError
 from .polynomials import (Orientation, Poly, PolyFun, RatLike, _linear_form, apply_word,
-                          compose, rat, tuple_)
-from .terms import Comp, Opaque, Term, TupleT, _fold, _pointwise, opaque_leaves, substitute
+                          compose, diag, rat, tuple_)
+from .terms import (Comp, Opaque, Term, TupleT, _fold, _pointwise, children, opaque_leaves,
+                    substitute)
 
 
 class EvalError(IdcalcError):
@@ -25,9 +26,39 @@ class EvalError(IdcalcError):
 Instantiation = Mapping[str, PolyFun]
 
 
+_DIAGONALS: dict[tuple[int, int], tuple[Poly, ...]] = {}  # (m, k) -> diag's components
+
+
+def _is_diag(d: PolyFun, k: int) -> bool:
+    """Whether d is exactly diag(d.domain, k)."""
+    key = (d.arity, k)
+    comps = _DIAGONALS.get(key)
+    if comps is None:
+        comps = _DIAGONALS[key] = diag(d.domain, k).components
+    return d.components == comps
+
+
 def eval_term(t: Term, permissive: bool = False,
               orientation: Orientation = Orientation.UPPER) -> PolyFun:
-    """Evaluate a smooth term; raises on opaque leaves."""
+    """Evaluate a smooth term; raises on opaque leaves.
+
+    A pointwise node (op . <t1, ..., tk>) . diag(U, k), with op and the
+    diagonal leaves, evaluates in one substitution on its operands' shared
+    domain: op after their components side by side on U.  The general fold
+    (``tuple_`` on U^k, then two compositions) gives the same polynomial,
+    partial flag and guard verdict, and it stays the path for every other
+    node, a pointwise one whose operands do not all live on U included."""
+    pointwise: dict[int, tuple[PolyFun, PolyFun]] = {}  # id of a pointwise node -> (op, diag)
+
+    def expand(node: Term) -> tuple[Term, ...]:
+        if (isinstance(node, Comp) and isinstance(node.left, Comp)
+                and isinstance(node.left.left, PolyFun) and isinstance(node.left.right, TupleT)
+                and isinstance(node.right, PolyFun)
+                and _is_diag(node.right, len(node.left.right.items))):
+            pointwise[id(node)] = node.left.left, node.right
+            return node.left.right.items
+        return children(node)
+
     def visit(node: Term, fns: list[PolyFun]) -> PolyFun:
         if isinstance(node, PolyFun):
             return node
@@ -37,9 +68,18 @@ def eval_term(t: Term, permissive: bool = False,
         if isinstance(node, TupleT):
             return tuple_(fns)
         if isinstance(node, Comp):
-            return compose(fns[0], fns[1], permissive=permissive)
+            shape = pointwise.get(id(node))
+            if shape is None:
+                return compose(fns[0], fns[1], permissive=permissive)
+            op, d = shape
+            if any(f.domain != d.domain for f in fns):
+                return compose(compose(op, tuple_(fns), permissive=permissive), d,
+                               permissive=permissive)
+            pair = PolyFun(d.domain, tuple(p for f in fns for p in f.components),
+                           d.is_partial or any(f.is_partial for f in fns))
+            return compose(op, pair, permissive=permissive)
         return apply_word(node.word, fns[0], orientation)
-    return _fold(t, visit)
+    return _fold(t, visit, expand)
 
 
 def instantiate(t: Term, assignment: Instantiation) -> Term:

@@ -184,7 +184,9 @@ def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
     else on the domain's intersection with (-2^-k, 2^-k)^l for the least
     certified k <= _LAST_K.  Each such box is tested while the cap sticks
     out of the domain; once it lies inside, each component's closed form
-    (``_centred_fits``) at r = 2^-k moves k on until that component fits."""
+    (``_centred_fits``) at r = 2^-k moves k on until that component fits,
+    and a component with z(0) on or outside its target ray is refused at
+    once."""
     if z.cod_dim != f.arity:
         raise PreDerivError(f"composition dimension mismatch: {z.cod_dim} -> {f.arity}")
     # the domain's finite ends, taken as -lo or hi: it contains 0 iff all are
@@ -204,6 +206,9 @@ def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
         k += 1
     for p, ray in zip(z.components, f.domain.factors):
         if not ray.is_full:
+            if not ray.contains(p.at_zero()):  # margin m <= 0: no k certifies
+                k = _LAST_K + 1
+                break
             fits = _centred_fits(p, ray, (1,) * z.arity)
             while k <= _LAST_K and not fits(2 ** k):
                 k += 1

@@ -8,7 +8,7 @@ equality.  Failures are data: the report carries the instantiation and
 both evaluated sides.
 
 Compositions run in permissive mode: several rules are identities between
-restricted (partial) compositions, and 339 of the 4,046 compositions of
+restricted (partial) compositions, and 276 of the 2,560 compositions of
 ``check_all(20, 0)`` still come out partial: the range guard is exact on
 affine components but conservative above degree 1.
 """

@@ -6,9 +6,11 @@ import pytest
 from idcalc.boxes import Box, parse_box
 from idcalc.evaluation import (EvalError, eval_term, instantiate, linincl,
                                linincl_of_polyfun)
-from idcalc.polynomials import Poly, PolyFun, parse_polyfun, tuple_
+from idcalc import relations
+from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFun, compose, diag,
+                                parse_polyfun, tuple_, vecprod, vecsum)
 from idcalc.relations import rand_polyfun
-from idcalc.terms import Act, Comp, Opaque, SMOOTH, TupleT, classify
+from idcalc.terms import Act, Comp, Opaque, SMOOTH, TupleT, children, classify
 from idcalc.words import parse_word
 
 F = Fraction
@@ -138,3 +140,93 @@ def test_linincl_rejects_mixed_domains():
         linincl([([F(1), F(1)], [a, b])])
     with pytest.raises(EvalError):
         linincl([])
+
+
+# ---------------------------------------------------------------------------
+# pointwise nodes: one substitution on the operands' domain against the
+# general fold (tuple_ on the product box, then two compositions)
+
+
+def _general_fold(node, permissive, orientation=Orientation.UPPER):
+    (op, tup), d = (node.left.left, node.left.right), node.right
+    items = [eval_term(t, permissive, orientation) for t in tup.items]
+    return compose(compose(op, tuple_(items), permissive), d, permissive)
+
+
+def _pointwise_nodes(t):
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        stack.extend(children(node))
+        if (isinstance(node, Comp) and isinstance(node.left, Comp)
+                and isinstance(node.left.left, PolyFun) and isinstance(node.left.right, TupleT)
+                and isinstance(node.right, PolyFun)):
+            yield node
+
+
+def _same(a, b):
+    return a == b and a.is_partial == b.is_partial
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_pointwise_nodes_of_the_catalogue_match_the_general_fold(monkeypatch, orientation):
+    """Every pointwise node the catalogue evaluates, in Poly and partial
+    flag; nearly all of them are diagonal over their operands' domain."""
+    terms = []
+
+    def recording(t, permissive=False, orientation=Orientation.UPPER):
+        terms.append(t)
+        return eval_term(t, permissive, orientation)
+    monkeypatch.setattr(relations, "eval_term", recording)
+    relations.check_all(10, 7, orientation)
+    fused = total = 0
+    for t in terms:
+        for node in _pointwise_nodes(t):
+            d, items = node.right, node.left.right.items
+            total += 1
+            fused += diag(d.domain, len(items)) == d and all(
+                eval_term(i, True, orientation).domain == d.domain for i in items)
+            assert _same(eval_term(node, True, orientation),
+                         _general_fold(node, True, orientation))
+    assert total > 500 and fused > 0.9 * total
+
+
+def test_pointwise_node_off_its_operands_domain_takes_the_general_fold():
+    """Operands on (0,1) under the diagonal of R: the guard of diag into
+    (0,1)^2 fails, so the sum is partial, as the general fold says."""
+    x = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
+    x2 = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
+    node = Comp(Comp(vecsum(1, 2), TupleT((x, x2))), diag(Box.full(1), 2))
+    got = eval_term(node, permissive=True)
+    assert _same(got, _general_fold(node, True))
+    assert got.domain == Box.full(1) and got.is_partial
+    with pytest.raises(CompositionGuardError):
+        eval_term(node)
+
+
+def test_pointwise_node_under_a_non_diagonal_takes_the_general_fold():
+    """The shape of diag(U, 2) with the picks of its first block swapped."""
+    u = parse_box("(0,1)x(0,2)")
+    f = parse_polyfun("poly 2->1 on (0,1)x(0,2) : 1 x1 + 1 x2^2")
+    g = parse_polyfun("poly 2->1 on (0,1)x(0,2) : 1 x1 x2")
+    swapped = PolyFun.make(u, [Poly.var(2, 2), Poly.var(2, 1), Poly.var(2, 1), Poly.var(2, 2)])
+    node = Comp(Comp(vecprod(1, 1), TupleT((f, g))), swapped)
+    got = eval_term(node, permissive=True)
+    assert _same(got, _general_fold(node, True))
+    assert got.is_partial  # (0,2) does not map into (0,1)
+    on_diag = eval_term(Comp(node.left, diag(u, 2)), permissive=True)
+    assert got.components != on_diag.components
+
+
+def test_pointwise_node_strict_guard_failure_reads_the_same():
+    """In strict mode both paths refuse with the message naming op's domain."""
+    f = parse_polyfun("poly 1->1 on (0,1) : 2 x1^2")
+    op = parse_polyfun("poly 2->1 on (0,1)x(0,1) : 1 x1 + 1 x2")
+    node = Comp(Comp(op, TupleT((f, f))), diag(parse_box("(0,1)"), 2))
+    messages = []
+    for evaluate in (eval_term, lambda t: _general_fold(t, False)):
+        with pytest.raises(CompositionGuardError) as err:
+            evaluate(node)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == \
+        "range of inner function is not certified inside (0,1)x(0,1)"

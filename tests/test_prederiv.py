@@ -341,6 +341,32 @@ def test_compose_germ_radius_constructed(core_text, target, k):
     assert _agrees_with_halving(f, parse_polyfun(core_text)) == k
 
 
+@pytest.mark.parametrize("core_text, target, evaluations", [
+    # z(0) on the boundary of the target ray: refused with no closed form run
+    ("poly 2->1 on (-2,2)x(-2,2) : 1 x1 + 1 x1 x2 + 1/3 x2^3", "(0,1)", 0),
+    # z(0) outside it, after a first component that fits at once
+    ("poly 1->2 on (-2,2) : 1 x1; 1 + 1 x1^2", "(-1,1)x(-1/2,1/2)", 1),
+])
+def test_compose_germ_refuses_a_nonpositive_margin_at_once(monkeypatch, core_text, target,
+                                                           evaluations):
+    """A component with z(0) on or outside its target ray fits at no radius,
+    so the closed form is not evaluated for it at all."""
+    calls, inner = [0], prederiv._centred_fits
+
+    def counting(p, ray, nums):
+        fits = inner(p, ray, nums)
+
+        def counted(q):
+            calls[0] += 1
+            return fits(q)
+        return counted
+    monkeypatch.setattr(prederiv, "_centred_fits", counting)
+    with pytest.raises(CompositionGuardError,
+                       match="^no neighbourhood of 0 certified the composition$"):
+        compose_germ(PolyFun.identity(parse_box(target)), parse_polyfun(core_text))
+    assert calls[0] == evaluations
+
+
 # ---------------------------------------------------------------------------
 # vanishing spaces and canonical directions
 
