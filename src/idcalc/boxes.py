@@ -217,10 +217,6 @@ class Box:
         return Box((Ray1.full(),) * m)
 
     @staticmethod
-    def of(*rays: Ray1) -> "Box":
-        return Box(tuple(rays))
-
-    @staticmethod
     def cube(a: RatLike, b: RatLike, m: int) -> "Box":
         return Box((Ray1.bounded(a, b),) * m)
 

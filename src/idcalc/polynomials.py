@@ -136,15 +136,6 @@ class Poly:
             return Poly.zero(self.arity)
         return Poly(self.arity, tuple((k, c * co) for k, co in self.terms))
 
-    def pow(self, e: int) -> "Poly":
-        if e < 0:
-            raise PolyError(f"negative power {e}")
-        base = dict(self.terms)
-        out = {(0,) * self.arity: Fraction(1)}
-        for _ in range(e):
-            out = _mul_terms(out, base)
-        return _canonical(self.arity, out)
-
     # -- calculus ------------------------------------------------------------
 
     def eval(self, xs: Sequence[RatLike]) -> Fraction:

@@ -153,12 +153,6 @@ class PreDeriv:
             raise PreDerivError("target dimensions differ")
         return PreDeriv(self.target_dim, self.summands + other.summands)
 
-    def scale(self, a: RatLike) -> "PreDeriv":
-        a = rat(a)
-        return PreDeriv(self.target_dim,
-                        tuple((core, tuple(a * c for c in u))
-                              for core, u in self.summands))
-
 
 def identity_core(m: int) -> GermCore:
     return GermCore(PolyFun.identity(Box.cube(-1, 1, m)))
@@ -215,12 +209,6 @@ def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
     if k > _LAST_K:
         raise CompositionGuardError("no neighbourhood of 0 certified the composition")
     return _substitute(f, z.restrict(_shrink_around_zero(z.domain, k)), uncertified=False)
-
-
-def germ_equal(a: PolyFun, b: PolyFun) -> bool:
-    """Germs of polynomials at 0 coincide exactly when the polynomials do;
-    representing boxes are irrelevant."""
-    return a.arity == b.arity and a.components == b.components
 
 
 # ---------------------------------------------------------------------------

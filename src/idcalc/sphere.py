@@ -12,6 +12,9 @@ the annulus points, held as coordinate columns.  Each offset then works on
 those columns alone: it shifts T(y) by t e1, transitions and bridges the
 shifted point, and subtracts B(y) (`comb_core`); the inner region's core
 -t e1 needs no evaluation.
+The bridge's slope is never evaluated: `make_bridge` checks only each
+arc's least slope, in closed form, and the tests keep the slope itself as
+an oracle.
 Chart-transition differentials on polynomial transitions stay exact and
 delegate to the pre-derivation module.
 """
@@ -129,12 +132,6 @@ def _hermite_eval(coeffs, r):
     return c0 + s * (c1 + s * (c2 + s * c3))
 
 
-def _hermite_deriv(coeffs, r):
-    c0, c1, c2, c3, a, h = coeffs
-    s = (np.asarray(r, dtype=float) - a) / h
-    return (c1 + s * (2 * c2 + 3 * s * c3)) / h
-
-
 def _hermite_deriv_min(coeffs) -> float:
     """Exact minimum of the derivative (a quadratic in s) over [a, b]."""
     c0, c1, c2, c3, a, h = coeffs
@@ -172,17 +169,6 @@ class Bridge:
             if np.count_nonzero(on):
                 out[on] = _hermite_eval(arc, r[on])
         return out
-
-    def slope(self, r):
-        r = np.asarray(r, dtype=float)
-        mid1 = _hermite_deriv(self.arc1, r)
-        mid2 = _hermite_deriv(self.arc2, r)
-        return np.where(r <= self.left_knot, 1.0,
-                        np.where(r <= 0.5, mid1,
-                                 np.where(r <= self.right_knot, mid2, 1.0)))
-
-    def slope_at_half(self) -> float:
-        return float(_hermite_deriv(self.arc1, 0.5))
 
 
 def make_bridge(eps: float) -> Bridge:

@@ -202,10 +202,6 @@ def opaque_leaves(t: Term) -> list[tuple[Occurrence, Opaque]]:
     return [(_address(chain), node) for chain, node in _walk(t) if isinstance(node, Opaque)]
 
 
-def opaque_set(t: Term) -> set[str]:
-    return {node.name for _, node in _walk(t) if isinstance(node, Opaque)}
-
-
 # ---------------------------------------------------------------------------
 # fragment classification
 

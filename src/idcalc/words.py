@@ -14,16 +14,15 @@ oracle that evaluates both words on random exact polynomials.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .boxes import Box, Cursor, IdcalcError
-from .polynomials import Orientation, Poly, PolyFun, apply_word
+from .polynomials import Poly, PolyFun, apply_word
 
 
 class WordError(IdcalcError):
@@ -91,9 +90,6 @@ class Word:
         """True when no partial-derivative generator occurs."""
         return all(g.kind is not GenKind.PART for g in self.gens)
 
-    def is_int_only(self) -> bool:
-        return all(g.kind is GenKind.INT for g in self.gens)
-
     def __str__(self) -> str:
         return " ".join(str(g) for g in self.gens) if self.gens else "1"
 
@@ -160,10 +156,6 @@ class _Matcher:
     dst: tuple[_Pat, ...]
     cond: Callable[[int, Optional[int]], bool]
     priority: Optional[int] = None  # the normalizer's class of the rule
-
-    @property
-    def uses_j(self) -> bool:
-        return any(var == "j" for _, var, _ in self.src + self.dst)
 
     @cached_property
     def dst_codes(self) -> tuple[int, ...]:
@@ -522,30 +514,3 @@ def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0):
         if a != b:
             return NotEqual(witness=f)
     return Unknown()
-
-
-def _relation_sides(rule_id: str, i: int, j: Optional[int]) -> tuple[Word, Word]:
-    """Both sides of one relation instance."""
-    m = RELATIONS[rule_id]
-    if m.uses_j and j is None:
-        raise WordError(f"{rule_id} needs j")
-    if not m.cond(i, j):
-        raise WordError(f"side condition fails for {rule_id} with i={i}, j={j}")
-    binding = {"i": i} if j is None else {"i": i, "j": j}
-    return Word(_emit(m.src, binding)), Word(_emit(m.dst, binding))
-
-
-def relation_holds_on(rule_id: str, i: int, j: Optional[int], f: PolyFun,
-                      orientation: Orientation = Orientation.UPPER) -> bool:
-    """Check one relation instance semantically on a single function."""
-    lhs, rhs = _relation_sides(rule_id, i, j)
-    return apply_word(lhs, f, orientation) == apply_word(rhs, f, orientation)
-
-
-def relation_instances() -> Iterable[tuple[str, int, Optional[int]]]:
-    """All relation instances with indices up to 4."""
-    indices = range(1, 5)
-    for rule_id, m in RELATIONS.items():
-        for i, j in itertools.product(indices, indices if m.uses_j else (None,)):
-            if m.cond(i, j):
-                yield rule_id, i, j

@@ -10,7 +10,7 @@ from idcalc.polynomials import (CompositionGuardError, Poly, PolyFun, compose, f
                                 parse_polyfun, range_fits)
 from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
                              canonical_direction, chain_check, compose_germ, eval_smooth,
-                             format_prederiv, germ_equal, identity_core,
+                             format_prederiv, identity_core,
                              jacobian_at_zero, kernel_basis,
                              nontriviality_witness, parse_prederiv, pre_diff,
                              project_onto_span, smooth_kernel_test,
@@ -66,7 +66,7 @@ def test_apply_curve_example():
     w = parse_polyfun("poly 2->1 on RxR : 1 x1 + 1 x2")
     out = apply(dv, w)
     assert len(out) == 1
-    assert germ_equal(out[0], parse_polyfun("poly 1->1 on (-1,1) : 2 x1 + 1"))
+    assert out[0].components == parse_polyfun("poly 1->1 on (-1,1) : 2 x1 + 1").components
 
 
 def test_apply_zero_direction():
@@ -91,7 +91,7 @@ def test_apply_additive_in_directions():
         joined = apply(PreDeriv.of(z, [a + b for a, b in zip(u1, u2)]), w)
         split = apply(PreDeriv.of(z, u1) + PreDeriv.of(z, u2), w)
         assert len(joined) == len(split) == 1
-        assert germ_equal(joined[0], split[0])
+        assert joined[0].components == split[0].components
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_pre_diff_identity():
     dv = PreDeriv.of(z, [1])
     out = pre_diff(PolyFun.identity(Box.cube(-1, 1, 2)), dv)
     assert eval_smooth(out) == eval_smooth(dv)
-    assert germ_equal(out.summands[0][0].fn, z.fn)
+    assert out.summands[0][0].fn.components == z.fn.components
 
 
 def test_pre_diff_functorial_on_cores():
@@ -134,16 +134,12 @@ def test_pre_diff_functorial_on_cores():
         assert len(one_shot.summands) == len(two_step.summands)
         for (c1, u1), (c2, u2) in zip(one_shot.summands, two_step.summands):
             assert u1 == u2
-            assert germ_equal_near_zero(c1.fn, c2.fn)
+            assert c1.fn.components == c2.fn.components
 
 
 def pre_diff_compose(f, g, dv):
     composed = compose_germ(f, g)
     return pre_diff(composed, dv)
-
-
-def germ_equal_near_zero(a, b):
-    return a.arity == b.arity and a.components == b.components
 
 
 def test_pre_diff_curve_example():
@@ -152,8 +148,8 @@ def test_pre_diff_curve_example():
     f = parse_polyfun("poly 2->1 on RxR : 1 x1 + 1 x2")
     out = pre_diff(f, dv)
     assert out.target_dim == 1
-    assert germ_equal(out.summands[0][0].fn,
-                      parse_polyfun("poly 1->1 on (-1,1) : 1 x1 + 1 x1^2"))
+    assert out.summands[0][0].fn.components == \
+        parse_polyfun("poly 1->1 on (-1,1) : 1 x1 + 1 x1^2").components
 
 
 def test_chain_check_example_and_random():
@@ -413,7 +409,7 @@ def test_canonical_direction_idempotent_and_apply_equivalent():
             w = rand_pointed(rng, 1, 1)
             a = apply(PreDeriv.of(lifted, u), w)
             b = apply(PreDeriv.of(lifted, cu), w)
-            assert len(a) == len(b) == 1 and germ_equal(a[0], b[0])
+            assert len(a) == len(b) == 1 and a[0].components == b[0].components
 
 
 def test_vanishing_direction_annihilates():
@@ -577,7 +573,7 @@ def test_eval_smooth_linear_in_directions():
                                              eval_smooth(PreDeriv.of(z, u2))))
         assert merged == summed
         a = F(rng.randint(-4, 4), rng.choice((1, 2)))
-        assert eval_smooth(PreDeriv.of(z, u1).scale(a)) == \
+        assert eval_smooth(PreDeriv.of(z, [a * c for c in u1])) == \
             tuple(a * c for c in eval_smooth(PreDeriv.of(z, u1)))
 
 

@@ -42,19 +42,26 @@ def _examples():
 EXAMPLES = _examples()
 
 
+def run_example(command: str, comment: str) -> int:
+    """Write the files the comment names into the working directory, then
+    run the command; its exit code."""
+    for name, content in re.findall(r"(\S+\.txt): `([^`]*)`", comment):
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(content + "\n")
+    return main(shlex.split(command)[1:])
+
+
 def test_the_stated_examples_are_found():
     commands = [command for command, _ in EXAMPLES]
     assert 'idcalc normalize-word "q1"' in commands
     assert "idcalc check-relations --orientation lower --rules R16" in commands
-    assert len(commands) >= 7
+    assert len(commands) == 11
 
 
 @pytest.mark.parametrize("command, comment", EXAMPLES, ids=[c for c, _ in EXAMPLES])
 def test_readme_example(tmp_path, monkeypatch, capsys, command, comment):
     monkeypatch.chdir(tmp_path)
-    for name, content in re.findall(r"(\S+\.txt): `([^`]*)`", comment):
-        (tmp_path / name).write_text(content + "\n")
-    code = main(shlex.split(command)[1:])
+    code = run_example(command, comment)
     out, err = capsys.readouterr()
     stated_exit = re.search(r"exit (\d+)", comment)
     assert code == (int(stated_exit[1]) if stated_exit else 0)

@@ -10,9 +10,9 @@ from idcalc.polynomials import Orientation, apply_word, parse_polyfun
 from idcalc.relations import rand_polyfun, rand_word
 from idcalc.words import (BACKWARD, FORWARD, Equal, Gen, GenKind, NotEqual,
                           Signature, Unknown, Word, WordError, _normalize_steps,
-                          _relation_sides, applicable_steps, normalize, oriented_steps,
-                          parse_word, relation_holds_on, relation_instances,
+                          applicable_steps, normalize, oriented_steps, parse_word,
                           relation_step, signature_effect, word_eq)
+from oracles import relation_holds_on, relation_instances, relation_sides
 
 
 def w(text):
@@ -250,7 +250,7 @@ def test_signature_unit():
 def test_signature_invariant_under_every_relation():
     base = Signature(Box.cube(0, 1, 4), 2)
     for rule_id, i, j in relation_instances():
-        lhs, rhs = _relation_sides(rule_id, i, j)
+        lhs, rhs = relation_sides(rule_id, i, j)
         assert signature_effect(lhs, base) == signature_effect(rhs, base), \
             (rule_id, i, j)
 
@@ -268,7 +268,7 @@ def test_every_relation_instance_acts_identically():
     rng = random.Random(9)
     extends = (GenKind.INT, GenKind.SUB_HI, GenKind.SUB_LO)
     for rule_id, i, j in relation_instances():
-        sides = _relation_sides(rule_id, i, j)
+        sides = relation_sides(rule_id, i, j)
         gens = sides[0].gens + sides[1].gens
         arity = max(g.index for g in gens) + max(
             sum(g.kind in extends for g in side.gens) for side in sides)
@@ -318,8 +318,6 @@ def test_applicable_steps_are_wellformed():
 
 
 def test_submonoid_predicates():
-    assert w("I1 I3").is_int_only()
     assert w("I1 p2 q1 Q3").is_integral()
     assert not w("I1 D2").is_integral()
-    assert not w("I1 p2").is_int_only()
-    assert Word().is_integral() and Word().is_int_only()
+    assert Word().is_integral()
