@@ -1,7 +1,11 @@
 """Evaluation of terms into exact polynomial functions.
 
 Smooth terms evaluate directly; continuous terms evaluate after their
-opaque generators are instantiated by concrete scalar polynomials.  The
+opaque generators are instantiated by concrete scalar polynomials.  Both
+are folds over the term's DAG (``terms._fold`` with a memo): a subterm
+object held at several addresses is instantiated into one object and
+evaluated once, and evaluations that share a memo share those values,
+which is how the relation catalogue evaluates a trial's two sides.  The
 module also provides the linear-combination embedding that turns a
 coefficient/base description of a function into a term whose evaluation
 reproduces it exactly.
@@ -15,8 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .boxes import Box, IdcalcError
 from .polynomials import (Orientation, Poly, PolyFun, RatLike, _linear_form, apply_word,
                           compose, diag, rat, tuple_)
-from .terms import (Comp, Opaque, Term, TupleT, _fold, _pointwise, children, opaque_leaves,
-                    substitute)
+from .terms import Comp, Opaque, Term, TupleT, _fold, _pointwise, _rebuild, children
 
 
 class EvalError(IdcalcError):
@@ -26,21 +29,21 @@ class EvalError(IdcalcError):
 Instantiation = Mapping[str, PolyFun]
 
 
-_DIAGONALS: dict[tuple[int, int], tuple[Poly, ...]] = {}  # (m, k) -> diag's components
-
-
 def _is_diag(d: PolyFun, k: int) -> bool:
-    """Whether d is exactly diag(d.domain, k)."""
-    key = (d.arity, k)
-    comps = _DIAGONALS.get(key)
-    if comps is None:
-        comps = _DIAGONALS[key] = diag(d.domain, k).components
-    return d.components == comps
+    """Whether d is exactly diag(d.domain, k); ``diag`` shares its
+    components, so a diagonal leaf compares item by identity."""
+    return d.components == diag(d.domain, k).components
 
 
 def eval_term(t: Term, permissive: bool = False,
-              orientation: Orientation = Orientation.UPPER) -> PolyFun:
+              orientation: Orientation = Orientation.UPPER,
+              memo: Optional[dict] = None) -> PolyFun:
     """Evaluate a smooth term; raises on opaque leaves.
+
+    A subterm object held at several addresses is evaluated once (``_fold``
+    runs over the term's DAG).  Evaluations that pass one ``memo`` share
+    those values too; they must pass the same ``permissive`` and
+    ``orientation``.
 
     A pointwise node (op . <t1, ..., tk>) . diag(U, k), with op and the
     diagonal leaves, evaluates in one substitution on its operands' shared
@@ -79,25 +82,41 @@ def eval_term(t: Term, permissive: bool = False,
                            d.is_partial or any(f.is_partial for f in fns))
             return compose(op, pair, permissive=permissive)
         return apply_word(node.word, fns[0], orientation)
-    return _fold(t, visit, expand)
+    return _fold(t, visit, expand, {} if memo is None else memo)
 
 
 def instantiate(t: Term, assignment: Instantiation) -> Term:
-    """Replace every opaque leaf by the assigned scalar polynomial."""
-    leaves = opaque_leaves(t)
-    missing = {op.name for _, op in leaves} - set(assignment)
+    """Replace every opaque leaf by the assigned scalar polynomial.  One
+    fold over the term's DAG: a subterm object held at several addresses
+    stays one object, and a subterm with no opaque leaf stays itself.  Names
+    missing from the assignment are refused first, as one sorted list; then
+    the first leaf, in preorder, whose assignment is not scalar-valued or
+    lives on another domain."""
+    missing: set[str] = set()
+    refusals: list[str] = []
+
+    def visit(node: Term, kids: list[Term]) -> Term:
+        if isinstance(node, Opaque):
+            fn = assignment.get(node.name)
+            if fn is None:
+                missing.add(node.name)
+            elif fn.cod_dim != 1:
+                refusals.append(f"instantiation of {node.name!r} must be scalar-valued")
+            elif fn.domain != node.domain:
+                refusals.append(f"instantiation of {node.name!r} has domain {fn.domain}, "
+                                f"declared {node.domain}")
+            else:
+                return fn
+            return node
+        if all(new is old for new, old in zip(kids, children(node))):
+            return node
+        return _rebuild(node, kids)
+    out = _fold(t, visit, children, {})
     if missing:
         raise EvalError(f"instantiation misses {sorted(missing)}")
-    mapping = {}
-    for path, op in leaves:
-        fn = assignment[op.name]
-        if fn.cod_dim != 1:
-            raise EvalError(f"instantiation of {op.name!r} must be scalar-valued")
-        if fn.domain != op.domain:
-            raise EvalError(f"instantiation of {op.name!r} has domain {fn.domain}, "
-                            f"declared {op.domain}")
-        mapping[path] = fn
-    return substitute(t, mapping)
+    if refusals:
+        raise EvalError(refusals[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

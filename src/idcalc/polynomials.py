@@ -313,11 +313,19 @@ class PolyFun:
         return PolyFun(sub, self.components, self.is_partial)
 
 
+_PICKS: dict[tuple[int, tuple[int, ...]], tuple[Poly, ...]] = {}  # (m, indices) -> components
+
+
 def _picks(domain: Box, indices: Sequence[int]) -> PolyFun:
     """The map whose k-th component reads coordinate indices[k] (1-based);
-    index 0 is the zero component."""
-    m = domain.dim
-    return PolyFun.make(domain, [Poly.var(m, i) if i else Poly.zero(m) for i in indices])
+    index 0 is the zero component.  The components of each (m, indices)
+    are built once and shared by every map of that shape."""
+    key = (domain.dim, tuple(indices))
+    comps = _PICKS.get(key)
+    if comps is None:
+        m = domain.dim
+        comps = _PICKS[key] = tuple(Poly.var(m, i) if i else Poly.zero(m) for i in indices)
+    return PolyFun(domain, comps)
 
 
 def eval_at(f: PolyFun, xs: Sequence[RatLike]) -> tuple[Fraction, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .boxes import Box, Cursor, IdcalcError, product
 from .polynomials import (PolyFun, RatLike, const_fun, diag, format_polyfun, rat, read_polyfun,
@@ -59,7 +59,7 @@ class _Node:
 
     def __hash__(self) -> int:
         return _fold(self, lambda node, hs: hash((type(node), getattr(node, "word", None), *hs))
-                     if hs else hash(node))
+                     if hs else hash(node), children, {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,19 +109,32 @@ def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
 
 
 def _fold(t: Term, visit: Callable[[Term, list[V]], V],
-          expand: Callable[[Term], Sequence[Term]] = children) -> V:
+          expand: Callable[[Term], Sequence[Term]] = children,
+          memo: Optional[dict[int, tuple[Term, V]]] = None) -> V:
     """``visit(node, values of its children)`` bottom-up, left to right over
-    the children ``expand`` gives; an explicit stack allows any depth."""
+    the children ``expand`` gives; an explicit stack allows any depth.
+
+    Given a memo, the fold runs over the term's DAG: a node object held at
+    several addresses is visited once, and its value is kept in ``memo`` by
+    ``id``.  Each entry holds its node, so no id is reused while the memo
+    lives (``max_augment``'s ``expand`` makes temporary nodes).  Terms are
+    immutable, so folds with the same visit may share one memo."""
     root: list[V] = []
     stack: list[tuple[Term, list[V], Optional[list[V]]]] = [(t, root, None)]
     while stack:
         node, dest, vals = stack.pop()
         if vals is None:
+            if memo is not None and id(node) in memo:
+                dest.append(memo[id(node)][1])
+                continue
             vals = []
             stack.append((node, dest, vals))
             stack.extend((kid, vals, None) for kid in reversed(expand(node)))
         else:
-            dest.append(visit(node, vals))
+            value = visit(node, vals)
+            if memo is not None:
+                memo[id(node)] = node, value
+            dest.append(value)
     return root[0]
 
 
@@ -144,7 +157,7 @@ def signature(t: Term, strict: bool = True) -> Signature:
                                 f"{rs.cod_dim}, outer domain dimension {ls.dom.dim}")
             return Signature(rs.dom, ls.cod_dim)
         return signature_effect(node.word, sigs[0])
-    return _fold(t, visit)
+    return visit(t, []) if isinstance(t, (PolyFun, Opaque)) else _fold(t, visit, children, {})
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +167,24 @@ def signature(t: Term, strict: bool = True) -> Signature:
 _Chain = Optional[tuple[int, "_Chain"]]  # an address as (last step, parent chain)
 
 
-def _walk(t: Term) -> Iterator[tuple[_Chain, Term]]:
-    """Every subterm with the chain of its address, in preorder; the chains
-    share their parents and an explicit stack allows any depth, so each step
-    is O(1)."""
+def occurrences(t: Term, pattern: Term) -> list[Occurrence]:
+    """The addresses of the subterms equal to ``pattern``, in preorder.  The
+    walk carries each address as a chain that shares its parent's, so a step
+    costs O(1) at any depth and only the addresses kept become tuples."""
+    found = []
     stack: list[tuple[_Chain, Term]] = [(None, t)]
     while stack:
         chain, node = stack.pop()
-        yield chain, node
+        if node == pattern:
+            steps, link = [], chain
+            while link is not None:
+                step, link = link
+                steps.append(step)
+            found.append(tuple(reversed(steps)))
         kids = children(node)
         for k in range(len(kids) - 1, -1, -1):
             stack.append(((k, chain), kids[k]))
-
-
-def _address(chain: _Chain) -> Occurrence:
-    steps = []
-    while chain is not None:
-        step, chain = chain
-        steps.append(step)
-    return tuple(reversed(steps))
-
-
-def occurrences(t: Term, pattern: Term) -> list[Occurrence]:
-    return [_address(chain) for chain, node in _walk(t) if node == pattern]
+    return found
 
 
 def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
@@ -198,10 +206,6 @@ def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
     return t
 
 
-def opaque_leaves(t: Term) -> list[tuple[Occurrence, Opaque]]:
-    return [(_address(chain), node) for chain, node in _walk(t) if isinstance(node, Opaque)]
-
-
 # ---------------------------------------------------------------------------
 # fragment classification
 
@@ -221,7 +225,7 @@ def classify(t: Term) -> str:
         if worst == CONTINUOUS_OK and isinstance(node, Act) and not node.word.is_integral():
             return ILLEGAL
         return worst
-    return _fold(t, visit)
+    return _fold(t, visit, children, {})
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +244,12 @@ def max_augment(t: Term) -> Term:
     """Fully right-associate every composition chain, recursively through
     tuples and actions; leaf order is preserved and the result is the
     unique fixed point."""
-    return _fold(t, _rebuild, _right_children)
+    return _fold(t, _rebuild, _right_children, {})
 
 
 def has_left_nested_comp(t: Term) -> bool:
     return _fold(t, lambda node, kids: any(kids) or (
-        isinstance(node, Comp) and isinstance(node.left, Comp)))
+        isinstance(node, Comp) and isinstance(node.left, Comp)), children, {})
 
 
 # ---------------------------------------------------------------------------

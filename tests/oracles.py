@@ -7,6 +7,8 @@
 - The bridge's slope: the derivative of each Hermite arc, evaluated
   directly.  ``make_bridge`` checks only each arc's closed-form slope
   minimum.
+- A term's opaque leaves, by name and domain: what an instantiation of
+  the term must assign.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from idcalc.boxes import Box
 from idcalc.polynomials import Orientation, PolyFun, apply_word
 from idcalc.sphere import Bridge
+from idcalc.terms import Opaque, Term, _fold
 from idcalc.words import RELATIONS, Word, WordError, _emit, _Matcher
 
 # ---------------------------------------------------------------------------
@@ -76,3 +80,17 @@ def bridge_slope(br: Bridge, r):
 
 def slope_at_half(br: Bridge) -> float:
     return float(hermite_deriv(br.arc1, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# opaque leaves
+
+
+def opaque_domains(t: Term) -> dict[str, Box]:
+    """The name and domain of every opaque leaf of the term."""
+    def visit(node: Term, kids: list[dict[str, Box]]) -> dict[str, Box]:
+        out = {node.name: node.domain} if isinstance(node, Opaque) else {}
+        for kid in kids:
+            out.update(kid)
+        return out
+    return _fold(t, visit)

@@ -202,6 +202,18 @@ def test_check_relations_subset(capsys):
     assert lines[2].startswith("R9 Verified trials=2")
 
 
+def test_check_relations_text_is_reproducible(capsys):
+    """Two runs with the same trials and seed print the same bytes: the
+    text report carries no timings (the JSON report keeps time_ms)."""
+    first = run(capsys, "check-relations", "--trials", "2", "--seed", "7")
+    second = run(capsys, "check-relations", "--trials", "2", "--seed", "7")
+    assert first[0] == second[0] == 0
+    assert first[1].encode() == second[1].encode()
+    lines = first[1].splitlines()
+    assert lines[0] == "seed=7 trials=2 orientation=upper" and len(lines) == 37
+    assert all(line.endswith(" Verified trials=2") for line in lines[1:])
+
+
 def test_check_relations_failure_exit_and_report(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, out, _ = run(capsys, "check-relations", "--trials", "2", "--seed", "0",

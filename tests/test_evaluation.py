@@ -6,7 +6,7 @@ import pytest
 from idcalc.boxes import Box, parse_box
 from idcalc.evaluation import (EvalError, eval_term, instantiate, linincl,
                                linincl_of_polyfun)
-from idcalc import relations
+from idcalc import evaluation, relations
 from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFun, compose, diag,
                                 parse_polyfun, tuple_, vecprod, vecsum)
 from idcalc.relations import rand_polyfun
@@ -78,6 +78,58 @@ def test_instantiate_missing_or_mismatched():
         instantiate(c, {"c": parse_polyfun("poly 1->1 on R : 1 x1")})
     with pytest.raises(EvalError):
         instantiate(c, {"c": parse_polyfun("poly 1->2 on (0,1) : 1 x1; 1 x1")})
+
+
+def test_instantiate_keeps_a_shared_subterm_one_object():
+    """A slot held at two addresses is instantiated once, into one object;
+    a subterm with no opaque leaf stays itself."""
+    c = Opaque("c", parse_box("(0,1)"))
+    fn = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
+    x = Act(parse_word("I1"), c)
+    plain = Act(parse_word("I1"), fn)
+    out = instantiate(TupleT((x, Comp(smooth("poly 2->1 on RxR : 1 x1 x2"), x), plain)),
+                      {"c": fn})
+    assert out.items[0] is out.items[1].right
+    assert out.items[0] == Act(parse_word("I1"), fn)
+    assert out.items[2] is plain
+
+
+def test_instantiate_refuses_missing_names_first():
+    """Missing names come first, as one sorted list, even after a leaf
+    whose assignment is refused; then the first refused leaf in preorder."""
+    u = parse_box("(0,1)")
+    a, b, z = Opaque("a", u), Opaque("b", u), Opaque("z", u)
+    vector = parse_polyfun("poly 1->2 on (0,1) : 1 x1; 1 x1")
+    t = TupleT((a, z, Comp(smooth("poly 1->1 on R : 1 x1"), b), z))
+    with pytest.raises(EvalError, match=r"^instantiation misses \['b', 'z'\]$"):
+        instantiate(t, {"a": vector})
+    with pytest.raises(EvalError, match="^instantiation of 'a' must be scalar-valued$"):
+        instantiate(t, {"a": vector, "b": parse_polyfun("poly 1->1 on R : 1 x1"),
+                        "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+    with pytest.raises(EvalError, match="^instantiation of 'b' has domain R, declared \\(0,1\\)$"):
+        instantiate(t, {"a": parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
+                        "b": parse_polyfun("poly 1->1 on R : 1 x1"),
+                        "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+
+
+def test_evaluations_sharing_a_memo_evaluate_a_shared_subterm_once(monkeypatch):
+    """Two terms over one subterm object x: with one memo, x's composition
+    runs once; each evaluation alone runs it once too."""
+    calls = [0]
+
+    def counting(f, g, permissive=False):
+        calls[0] += 1
+        return compose(f, g, permissive=permissive)
+    monkeypatch.setattr(evaluation, "compose", counting)
+    x = Comp(smooth("poly 1->1 on R : 1 x1^2"), smooth("poly 1->1 on (0,1) : 1 x1 + 1"))
+    lhs, rhs = TupleT((x, x)), Comp(smooth("poly 1->1 on R : 3 x1"), x)
+    assert eval_term(lhs) == tuple_([eval_term(x)] * 2) and calls[0] == 2
+    calls[0] = 0
+    memo = {}
+    got = eval_term(lhs, False, Orientation.UPPER, memo), eval_term(rhs, False,
+                                                                    Orientation.UPPER, memo)
+    assert calls[0] == 2  # x once, then 3 x1 after it
+    assert got == (eval_term(lhs), eval_term(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +226,9 @@ def test_pointwise_nodes_of_the_catalogue_match_the_general_fold(monkeypatch, or
     flag; nearly all of them are diagonal over their operands' domain."""
     terms = []
 
-    def recording(t, permissive=False, orientation=Orientation.UPPER):
+    def recording(t, permissive=False, orientation=Orientation.UPPER, memo=None):
         terms.append(t)
-        return eval_term(t, permissive, orientation)
+        return eval_term(t, permissive, orientation, memo)
     monkeypatch.setattr(relations, "eval_term", recording)
     relations.check_all(10, 7, orientation)
     fused = total = 0

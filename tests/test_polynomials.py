@@ -227,6 +227,17 @@ def test_diag_duplicates():
     assert eval_at(out, [F(1, 2)]) == (F(1, 2), F(1, 2))
 
 
+def test_coordinate_maps_of_one_shape_share_their_components():
+    """_picks builds each (arity, indices) shape once: diagonals on two
+    boxes of one dimension, and the identity and the diagonal of one copy,
+    hold one tuple; another shape holds another."""
+    u, v = Box((Ray1.bounded(0, 1),) * 2), Box.full(2)
+    assert diag(u, 2).components is diag(v, 2).components
+    assert diag(u, 1).components is PolyFun.identity(v).components is incl(u).components
+    assert proje(1, 1).components is not proje(1, 2).components
+    assert diag(u, 2) != diag(v, 2) and diag(u, 2).domain == u
+
+
 def test_trasl_translates():
     out = trasl([F(1), F(-2)])
     assert eval_at(out, [3, 3]) == (F(4), F(1))

@@ -20,8 +20,9 @@ from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, format_prederiv,
                              parse_prederiv)
 from idcalc.relations import (CATALOGUE, Ctx, rand_box, rand_box_around_zero, rand_coeff,
                               rand_polyfun, rand_subbox, rand_word)
-from idcalc.terms import TermError, format_term, opaque_leaves, parse_term
+from idcalc.terms import TermError, format_term, parse_term
 from idcalc.words import WordError, parse_word
+from oracles import opaque_domains
 
 FORMS = {
     "box": (parse_box, BoxError),
@@ -63,7 +64,7 @@ def test_polyfun_text_round_trip(rng, dim, cod_dim):
 @given(st.randoms(use_true_random=False), st.sampled_from(RULES), st.integers(0, 3))
 def test_term_text_round_trip_over_catalogue_trials(rng, rule, k):
     for t in CATALOGUE[rule](Ctx(rng, Orientation.UPPER), k):
-        env = {leaf.name: leaf.domain for _, leaf in opaque_leaves(t)}
+        env = opaque_domains(t)
         assert parse_term(format_term(t), env) == t
 
 

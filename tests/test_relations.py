@@ -6,11 +6,11 @@ import random
 import pytest
 
 from idcalc.boxes import Box, IdcalcError, Ray1
-from idcalc import polynomials
-from idcalc.polynomials import Orientation
+from idcalc import evaluation, polynomials
+from idcalc.polynomials import Orientation, Poly
 from idcalc.relations import (CATALOGUE, Ctx, check_all, check_relation, rand_subbox,
                               reports_to_json)
-from idcalc.terms import classify, format_term
+from idcalc.terms import TupleT, classify, format_term
 
 ALL_RULES = ["R5", "R4bis", "S0", "R1", "R1bis", "R2", "R3", "S3", "R7",
              "S7bis", "R7ter", "R7quater", "R7penta", "R9", "R9.1", "R9.2",
@@ -76,8 +76,7 @@ def test_adopted_orientation_verifies_endpoint_rules():
 def test_report_line_format():
     report = check_relation("R9", trials=2, seed=3)
     line = report.line()
-    assert line.startswith("R9 Verified trials=2 time=")
-    assert line.endswith("ms")
+    assert line == "R9 Verified trials=2"
 
 
 def test_json_report_carries_witnesses():
@@ -148,6 +147,52 @@ def test_catalogue_classification_is_pinned():
     assert counts == {"Smooth": 1638, "ContinuousOK": 1101, "Illegal": 141}
     assert digest.hexdigest() == \
         "862bcb9e7425c71ebbcc945177043d50c66bbefa8da406092f88d2a3dc8a5544"
+
+
+@pytest.mark.parametrize("rule, composes, substs, apart", [
+    ("R2", 51, 86, (62, 101)),
+    ("R10bis", 53, 77, (66, 96)),
+])
+def test_check_relation_work_counts(monkeypatch, rule, composes, substs, apart):
+    """Both sides of a trial are instantiated together and evaluated
+    through one memo, so a slot object they share is one object and is
+    evaluated once: the compose and Poly.subst calls of check_relation(rule,
+    20, 0) are pinned below those of the same trials evaluated apart, each
+    side with its own instantiation and memo."""
+    counts = collections.Counter()
+    compose, subst = evaluation.compose, Poly.subst
+
+    def counted_compose(f, g, permissive=False):
+        counts["compose"] += 1
+        return compose(f, g, permissive=permissive)
+
+    def counted_subst(p, args):
+        counts["subst"] += 1
+        return subst(p, args)
+    monkeypatch.setattr(evaluation, "compose", counted_compose)
+    monkeypatch.setattr(Poly, "subst", counted_subst)
+    assert check_relation(rule, 20, 0).verdict == "Verified"
+    assert (counts["compose"], counts["subst"]) == (composes, substs)
+    counts.clear()
+    rng = random.Random(f"0:{rule}")
+    for k in range(20):
+        ctx = Ctx(rng, Orientation.UPPER)
+        sides = CATALOGUE[rule](ctx, k)
+        for side in sides:
+            evaluation.eval_term(evaluation.instantiate(side, ctx.inst), True)
+    assert (counts["compose"], counts["subst"]) == apart
+
+
+def test_a_slot_both_sides_hold_is_instantiated_into_one_object():
+    rng = random.Random("0:R2")
+    while True:  # R2: (<x, ..., x> . diag) against (diag . x)
+        ctx = Ctx(rng, Orientation.UPPER)
+        lhs, rhs = CATALOGUE["R2"](ctx, 0)
+        if ctx.inst:
+            break
+    both = evaluation.instantiate(TupleT((lhs, rhs)), ctx.inst)
+    assert both.items[0].left.items[0] is both.items[1].right
+    assert both.items[1].right is not rhs.right
 
 
 def test_partial_compositions_stay_bounded(monkeypatch):

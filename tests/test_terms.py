@@ -1,9 +1,11 @@
+import collections
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from idcalc import evaluation, terms
 from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term, instantiate
 from idcalc.polynomials import diag, format_polyfun, parse_polyfun, vecsum, vscal, vsum, vprod
@@ -11,9 +13,11 @@ from idcalc.relations import rand_polyfun
 from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, MAX_TERM_DEPTH, SMOOTH,
                           Opaque, TermError, TupleT, classify,
                           format_term, has_left_nested_comp, max_augment,
-                          mult_t, occurrences, opaque_leaves, parse_term, scal_t,
-                          signature, substitute, sum_t)
+                          mult_t, occurrences, parse_term, scal_t,
+                          _fold, _rebuild, _right_children, children, signature, substitute,
+                          sum_t)
 from idcalc.words import Signature, parse_word
+from oracles import opaque_domains
 
 F = Fraction
 
@@ -101,7 +105,7 @@ def test_substitute_replaces_leaf():
 
 
 def opaque_names(t):
-    return {op.name for _, op in opaque_leaves(t)}
+    return set(opaque_domains(t))
 
 
 def test_opaque_set_union_laws():
@@ -379,3 +383,79 @@ def test_addresses_cost_linear_time_in_depth():
     for _ in range(depth):
         out = out.body
     assert out is LEAF
+
+
+# ---------------------------------------------------------------------------
+# folds over a term's DAG
+
+
+def _shared():
+    """One composite subterm object s at four addresses of a term."""
+    s = Comp(smooth("poly 1->1 on R : 1 x1^2"), smooth("poly 1->1 on R : 1 x1 + 1"))
+    return s, TupleT((s, Act(parse_word("I1"), s), Comp(s, s)))
+
+
+def test_a_fold_with_a_memo_visits_each_node_object_once():
+    s, t = _shared()
+    visits = collections.Counter()
+
+    def visit(node, kids):
+        visits[id(node)] += 1
+        return len(kids)
+    _fold(t, visit, children, {})
+    assert visits[id(s)] == 1 and set(visits.values()) == {1}
+    visits.clear()
+    _fold(t, visit)  # without a memo, the tree: once per address
+    assert visits[id(s)] == 4
+
+
+@pytest.mark.parametrize("fold", [
+    signature, classify, has_left_nested_comp, max_augment, hash, eval_term,
+    lambda t: instantiate(t, {}),
+], ids=["signature", "classify", "has_left_nested_comp", "max_augment", "hash", "eval_term",
+        "instantiate"])
+def test_each_fold_visits_a_shared_subterm_once(monkeypatch, fold):
+    s, t = _shared()
+    visits = collections.Counter()
+
+    def counting(t, visit, expand=children, memo=None):
+        def counted(node, vals):
+            visits[id(node)] += 1
+            return visit(node, vals)
+        return _fold(t, counted, expand, memo)
+    monkeypatch.setattr(terms, "_fold", counting)
+    monkeypatch.setattr(evaluation, "_fold", counting)
+    fold(t)
+    assert visits[id(s)] == 1 and set(visits.values()) == {1}
+
+
+def _factors(t):
+    """The composition factors of t, left to right."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Comp):
+            stack += [node.right, node.left]
+        else:
+            out.append(node)
+    return out
+
+
+def test_max_augment_of_a_long_left_chain_with_shared_parts():
+    """A left-nested chain of 3,000 compositions over three leaf objects and
+    one shared subchain: max_augment gives the term of the fold without a
+    memo, the right-nested chain of the same factors, and keeps a subterm
+    held twice as one object."""
+    a, b, c = (smooth(f"poly 1->1 on R : {k} x1") for k in (1, 2, 3))
+    u = Comp(b, c)
+    t = a
+    for k in range(3000):
+        t = Comp(t, (a, b, c, u)[k % 4])
+    *factors, expected = _factors(t)
+    for f in reversed(factors):
+        expected = Comp(f, expected)
+    out = max_augment(t)
+    assert out == expected == _fold(t, _rebuild, _right_children)
+    assert not has_left_nested_comp(out)
+    pair = max_augment(TupleT((t, t)))
+    assert pair.items[0] is pair.items[1] and pair.items[0] == expected

@@ -74,7 +74,10 @@ PROMISED: list[tuple[str, str, str]] = [
     ("words.oriented_steps", "single-step rewriting API", _STEP_API),
     ("terms.occurrences", "occurrence addressing",
      "no command lists a term's occurrences; substitute takes addresses from its caller"),
-    ("terms.has_left_nested_comp", "`has_left_nested_comp` and",
+    ("terms.substitute", "simultaneous substitution",
+     "instantiate replaces opaque leaves in one fold over the term's DAG, by object, "
+     "not by address; no command substitutes at an address"),
+    ("terms.has_left_nested_comp", "`classify`, `has_left_nested_comp`",
      "a visit of terms._fold named in the Design notes; no command asks it"),
     ("terms._Node.__eq__", "two equal terms of any depth compare equal",
      "no product path compares two composite terms"),
