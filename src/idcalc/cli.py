@@ -13,7 +13,7 @@ import sys
 from typing import Callable, Iterable, Optional
 
 from .boxes import BoxError, Cursor, IdcalcError, read_box
-from .evaluation import eval_term, instantiate
+from .evaluation import eval_term
 from .polynomials import (Orientation, PolyError, format_polyfun, format_rat, parse_polyfun,
                           polyfun_to_json, read_polyfun)
 from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
@@ -195,9 +195,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "eval":
         t = _term_arg(args)
         inst = _read_defs(args.inst, "=", read_polyfun, PolyError)
-        if inst:
-            t = instantiate(t, inst)
-        f = eval_term(t, permissive=args.permissive)
+        f = eval_term(t, permissive=args.permissive, inst=inst)
         _emit({**polyfun_to_json(f), "partial": f.is_partial}, args.json, format_polyfun(f))
         if f.is_partial and not args.json:
             print("partial: a composition's range was not certified inside its outer "

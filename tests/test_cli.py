@@ -8,8 +8,9 @@ import pytest
 import idcalc
 from idcalc import sphere, words
 from idcalc.cli import main
-from idcalc.terms import MAX_TERM_DEPTH
+from idcalc.terms import MAX_TERM_DEPTH, format_term
 from idcalc.words import parse_word, relation_step
+from test_evaluation import REFUSED_AFTER_AN_ERROR, _guard_then_leaf
 
 
 def run(capsys, *argv):
@@ -114,6 +115,31 @@ def test_eval_with_instantiation(tmp_path, capsys):
                        "--inst", str(inst))
     assert code == 0
     assert out.strip() == "poly 2->1 on (0,1)x(0,1) : -1/3 x1^3 + 1/3 x2^3"
+
+
+@pytest.mark.parametrize("definition, message", REFUSED_AFTER_AN_ERROR,
+                         ids=["missing", "vector", "domain"])
+def test_eval_reports_the_instantiation_refusal_before_an_evaluation_error(
+        tmp_path, capsys, definition, message):
+    """The strict guard of the first item fails before the leaf c is
+    reached; the refusal of the instantiation is the error line."""
+    env = tmp_path / "env.txt"
+    env.write_text("c : (0,1)\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text(definition + "\n")
+    code, out, err = run(capsys, "eval", format_term(_guard_then_leaf()), "--env", str(env),
+                         "--inst", str(inst))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_eval_with_an_empty_instantiation_file(tmp_path, capsys):
+    env = tmp_path / "env.txt"
+    env.write_text("c : (0,1)\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text("# no definitions\n")
+    code, out, err = run(capsys, "eval", "[I1] c", "--env", str(env), "--inst", str(inst))
+    assert (code, out) == (1, "")
+    assert err == "error: opaque generator 'c' cannot be evaluated; instantiate it first\n"
 
 
 def test_parse_error_exit_code(capsys):

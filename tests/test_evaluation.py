@@ -96,20 +96,74 @@ def test_instantiate_keeps_a_shared_subterm_one_object():
 
 def test_instantiate_refuses_missing_names_first():
     """Missing names come first, as one sorted list, even after a leaf
-    whose assignment is refused; then the first refused leaf in preorder."""
+    whose assignment is refused; then the first refused leaf in preorder.
+    Evaluating under the instantiation refuses alike."""
     u = parse_box("(0,1)")
     a, b, z = Opaque("a", u), Opaque("b", u), Opaque("z", u)
     vector = parse_polyfun("poly 1->2 on (0,1) : 1 x1; 1 x1")
     t = TupleT((a, z, Comp(smooth("poly 1->1 on R : 1 x1"), b), z))
-    with pytest.raises(EvalError, match=r"^instantiation misses \['b', 'z'\]$"):
-        instantiate(t, {"a": vector})
-    with pytest.raises(EvalError, match="^instantiation of 'a' must be scalar-valued$"):
-        instantiate(t, {"a": vector, "b": parse_polyfun("poly 1->1 on R : 1 x1"),
-                        "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
-    with pytest.raises(EvalError, match="^instantiation of 'b' has domain R, declared \\(0,1\\)$"):
-        instantiate(t, {"a": parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
-                        "b": parse_polyfun("poly 1->1 on R : 1 x1"),
-                        "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+    for assign in (instantiate, lambda t, inst: eval_term(t, inst=inst)):
+        with pytest.raises(EvalError, match=r"^instantiation misses \['b', 'z'\]$"):
+            assign(t, {"a": vector})
+        with pytest.raises(EvalError, match="^instantiation of 'a' must be scalar-valued$"):
+            assign(t, {"a": vector, "b": parse_polyfun("poly 1->1 on R : 1 x1"),
+                       "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+        with pytest.raises(EvalError,
+                           match="^instantiation of 'b' has domain R, declared \\(0,1\\)$"):
+            assign(t, {"a": parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
+                       "b": parse_polyfun("poly 1->1 on R : 1 x1"),
+                       "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+
+
+def test_eval_term_reads_opaque_leaves_from_the_instantiation():
+    """The value of the instantiated term; with none, a leaf is refused."""
+    u = parse_box("(0,1)")
+    c = Opaque("c", u)
+    x = Act(parse_word("I1"), c)
+    t = TupleT((x, Comp(smooth("poly 1->1 on R : 3 x1"), x)))
+    fn = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
+    assert eval_term(t, inst={"c": fn}) == eval_term(instantiate(t, {"c": fn}))
+    with pytest.raises(EvalError, match="^opaque generator 'c' cannot be evaluated; "
+                                        "instantiate it first$"):
+        eval_term(t, inst={})
+
+
+def _guard_then_leaf():
+    """A tuple whose first item fails its strict guard, before the fold
+    reaches the opaque leaf c of the second."""
+    first = Comp(smooth("poly 1->1 on (0,1) : 1 x1"), smooth("poly 1->1 on R : 2 x1"))
+    return TupleT((first, Opaque("c", parse_box("(0,1)"))))
+
+
+REFUSED_AFTER_AN_ERROR = [
+    ("d = poly 1->1 on (0,1) : 1 x1", "instantiation misses ['c']"),
+    ("c = poly 1->2 on (0,1) : 1 x1; 1 x1", "instantiation of 'c' must be scalar-valued"),
+    ("c = poly 1->1 on R : 1 x1", "instantiation of 'c' has domain R, declared (0,1)"),
+]
+
+
+@pytest.mark.parametrize("definition, message", REFUSED_AFTER_AN_ERROR,
+                         ids=["missing", "vector", "domain"])
+def test_an_instantiation_refusal_comes_before_an_evaluation_error(definition, message):
+    """The refusal instantiate gives, not the guard failure that stopped
+    the fold before it reached the refused leaf."""
+    t = _guard_then_leaf()
+    name, text = definition.split(" = ")
+    inst = {name: parse_polyfun(text)}
+    with pytest.raises(CompositionGuardError):
+        eval_term(t.items[0])
+    for evaluate in (lambda: instantiate(t, inst), lambda: eval_term(t, inst=inst)):
+        with pytest.raises(EvalError) as err:
+            evaluate()
+        assert str(err.value) == message
+
+
+def test_an_evaluation_error_propagates_when_the_instantiation_holds():
+    t = _guard_then_leaf()
+    for inst in ({"c": parse_polyfun("poly 1->1 on (0,1) : 1 x1")}, {}):
+        with pytest.raises(CompositionGuardError,
+                           match=r"^range of inner function is not certified inside \(0,1\)$"):
+            eval_term(t, inst=inst)
 
 
 def test_evaluations_sharing_a_memo_evaluate_a_shared_subterm_once(monkeypatch):
@@ -226,9 +280,9 @@ def test_pointwise_nodes_of_the_catalogue_match_the_general_fold(monkeypatch, or
     flag; nearly all of them are diagonal over their operands' domain."""
     terms = []
 
-    def recording(t, permissive=False, orientation=Orientation.UPPER, memo=None):
-        terms.append(t)
-        return eval_term(t, permissive, orientation, memo)
+    def recording(t, permissive=False, orientation=Orientation.UPPER, memo=None, inst=None):
+        terms.append(instantiate(t, inst) if inst else t)
+        return eval_term(t, permissive, orientation, memo, inst)
     monkeypatch.setattr(relations, "eval_term", recording)
     relations.check_all(10, 7, orientation)
     fused = total = 0

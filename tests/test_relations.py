@@ -183,6 +183,42 @@ def test_check_relation_work_counts(monkeypatch, rule, composes, substs, apart):
     assert (counts["compose"], counts["subst"]) == apart
 
 
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_a_side_evaluates_as_its_instantiation(orientation):
+    """Each side of every rule's 20 trials at seed 0, evaluated through one
+    memo per trial with its opaque leaves read from the instantiation,
+    equals the instantiated side evaluated alone, partial flag included."""
+    with_slots = 0
+    for rule in ALL_RULES:
+        rng = random.Random(f"0:{rule}")
+        for k in range(20):
+            ctx = Ctx(rng, orientation)
+            memo: dict = {}
+            for side in CATALOGUE[rule](ctx, k):
+                got = evaluation.eval_term(side, True, orientation, memo, ctx.inst)
+                want = evaluation.eval_term(evaluation.instantiate(side, ctx.inst), True,
+                                            orientation)
+                assert got == want and got.is_partial == want.is_partial, (rule, k)
+            with_slots += bool(ctx.inst)
+    assert with_slots > 300, with_slots
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_r17_evaluates_its_term_once(monkeypatch, seed):
+    """R17's builder evaluates its smooth term t through the trial's memo,
+    and t is the trial's left side, so check_relation evaluates it from the
+    memo: 27 compositions, where a builder with a memo of its own ran 34."""
+    calls = [0]
+    compose = evaluation.compose
+
+    def counted(f, g, permissive=False):
+        calls[0] += 1
+        return compose(f, g, permissive=permissive)
+    monkeypatch.setattr(evaluation, "compose", counted)
+    assert check_relation("R17", 20, seed).verdict == "Verified"
+    assert calls[0] == 27
+
+
 def test_a_slot_both_sides_hold_is_instantiated_into_one_object():
     rng = random.Random("0:R2")
     while True:  # R2: (<x, ..., x> . diag) against (diag . x)
