@@ -13,7 +13,7 @@ import sys
 from typing import Callable, Iterable, Optional
 
 from .boxes import BoxError, Cursor, IdcalcError, read_box
-from .evaluation import eval_term
+from .evaluation import eval_term, instantiate
 from .polynomials import (Orientation, PolyError, format_polyfun, format_rat, parse_polyfun,
                           polyfun_to_json, read_polyfun)
 from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
@@ -93,9 +93,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return c
 
     add_term_cmd("parse", "parse a term and print its normal text form")
-    tc = add_term_cmd("typecheck", "infer the signature of a term")
-    tc.add_argument("--permissive", action="store_true",
-                    help="allow partial compositions")
+    add_term_cmd("typecheck", "infer the signature of a term")
 
     nw = sub.add_parser("normalize-word", help="canonical form of an operator word")
     nw.add_argument("word")
@@ -117,7 +115,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     cr = sub.add_parser("check-relations", help="run the relation catalogue")
     cr.add_argument("--trials", type=int, default=20)
     cr.add_argument("--seed", type=int, default=0)
-    cr.add_argument("--rules", nargs="*", help="subset of rule ids")
+    cr.add_argument("--rules", nargs="+", help="subset of rule ids")
     cr.add_argument("--orientation", choices=["upper", "lower"], default="upper")
     cr.add_argument("--report", help="write the JSON report here")
     cr.add_argument("--json", action="store_true")
@@ -160,7 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "typecheck":
         t = _term_arg(args)
-        sig = signature(t, strict=not args.permissive)
+        sig = signature(t)
         frag = classify(t)
         text = f"dom {sig.dom}  cod R^{sig.cod_dim}  fragment {frag}"
         _emit({"domain": str(sig.dom), "cod_dim": sig.cod_dim, "fragment": frag},
@@ -195,7 +193,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "eval":
         t = _term_arg(args)
         inst = _read_defs(args.inst, "=", read_polyfun, PolyError)
-        f = eval_term(t, permissive=args.permissive, inst=inst)
+        f = eval_term(instantiate(t, inst) if inst else t, permissive=args.permissive)
         _emit({**polyfun_to_json(f), "partial": f.is_partial}, args.json, format_polyfun(f))
         if f.is_partial and not args.json:
             print("partial: a composition's range was not certified inside its outer "

@@ -1,15 +1,14 @@
 """Evaluation of terms into exact polynomial functions.
 
-Smooth terms evaluate directly; continuous terms evaluate under an
-instantiation of their opaque generators by concrete scalar polynomials,
-which the evaluation reads at each opaque leaf, in the same fold.
-Evaluation is a fold over the term's DAG (``terms._fold`` with a memo):
-a subterm object held at several addresses is evaluated once, and
-evaluations that share a memo share those values, which is how the
-relation catalogue evaluates a trial's two sides.  Evaluations may share
-a memo only when they pass the same ``permissive``, ``orientation`` and
-instantiation.  ``instantiate`` builds the instantiated term itself and
-states the refusals.  The module also provides the linear-combination
+Smooth terms evaluate directly; continuous terms evaluate once their
+opaque generators have values: ``instantiate`` replaces each by a concrete
+scalar polynomial and states the refusals, or a memo already holds the
+leaf's value.  Evaluation is a fold over the term's DAG (``terms._fold``
+with a memo): a subterm object held at several addresses is evaluated
+once, and evaluations that share a memo share those values, which is how
+the relation catalogue evaluates a trial's two sides.  Evaluations may
+share a memo only when they pass the same ``permissive`` and
+``orientation``.  The module also provides the linear-combination
 embedding that turns a coefficient/base description of a function into a
 term whose evaluation reproduces it exactly.
 """
@@ -40,23 +39,17 @@ def _is_diag(d: PolyFun, k: int) -> bool:
 
 def eval_term(t: Term, permissive: bool = False,
               orientation: Orientation = Orientation.UPPER,
-              memo: Optional[dict] = None,
-              inst: Optional[Instantiation] = None) -> PolyFun:
-    """Evaluate a term, each opaque leaf as its polynomial in ``inst``.
-
-    The result is that of evaluating ``instantiate(t, inst)``, with no
-    instantiated term built.  An opaque leaf that ``instantiate`` would
-    refuse stops the evaluation; so does any error, and then, given a
-    nonempty ``inst``, ``instantiate(t, inst)`` runs first and raises its
-    refusal if it has one, so the refusals and their order are
-    ``instantiate``'s.  With no instantiation an opaque leaf cannot be
-    evaluated.
+              memo: Optional[dict] = None) -> PolyFun:
+    """Evaluate a term.  An opaque leaf cannot be evaluated: instantiate the
+    term first.
 
     A subterm object held at several addresses is evaluated once (``_fold``
     runs over the term's DAG).  Evaluations that pass one ``memo`` share
-    those values too; they must pass the same ``permissive``,
-    ``orientation`` and ``inst``, since the memo is keyed by the nodes of
-    the terms as given.
+    those values too; they must pass the same ``permissive`` and
+    ``orientation``, since the memo is keyed by the nodes of the terms as
+    given.  The memo's layout is ``_fold``'s, ``id(node) -> (node, value)``,
+    and it may hold an opaque leaf's value, which the fold then reads
+    instead of visiting the leaf.
 
     A pointwise node (op . <t1, ..., tk>) . diag(U, k), with op and the
     diagonal leaves, evaluates in one substitution on its operands' shared
@@ -79,11 +72,8 @@ def eval_term(t: Term, permissive: bool = False,
         if isinstance(node, PolyFun):
             return node
         if isinstance(node, Opaque):
-            fn = inst.get(node.name) if inst else None
-            if fn is None or fn.cod_dim != 1 or fn.domain != node.domain:
-                raise EvalError(f"opaque generator {node.name!r} cannot be evaluated; "
-                                "instantiate it first")
-            return fn
+            raise EvalError(f"opaque generator {node.name!r} cannot be evaluated; "
+                            "instantiate it first")
         if isinstance(node, TupleT):
             return tuple_(fns)
         if isinstance(node, Comp):
@@ -98,12 +88,7 @@ def eval_term(t: Term, permissive: bool = False,
                            d.is_partial or any(f.is_partial for f in fns))
             return compose(op, pair, permissive=permissive)
         return apply_word(node.word, fns[0], orientation)
-    try:
-        return _fold(t, visit, expand, {} if memo is None else memo)
-    except Exception:
-        if inst:
-            instantiate(t, inst)
-        raise
+    return _fold(t, visit, expand, {} if memo is None else memo)
 
 
 def instantiate(t: Term, assignment: Instantiation) -> Term:

@@ -11,8 +11,9 @@ Compositions run in permissive mode: several rules are identities between
 restricted (partial) compositions, and 276 of the 1,955 compositions of
 ``check_all(20, 0)`` still come out partial: the range guard is exact on
 affine components but conservative above degree 1.  A trial evaluates its
-sides, and R17's builder its smooth term, through one memo, reading each
-opaque leaf from the trial's instantiation (``Ctx.evaluate``).
+sides, and R17's builder its smooth term, through one memo
+(``Ctx.evaluate``), and each opaque leaf is entered there with its
+polynomial as it is drawn (``Ctx.opaque``).
 """
 
 from __future__ import annotations
@@ -48,16 +49,20 @@ class Ctx:
         self.orientation = orientation
         self.inst: dict[str, PolyFun] = {}
         self.memo: dict = {}
-        self._fresh = 0
 
     def evaluate(self, t: Term) -> PolyFun:
-        """Evaluate t permissively under the trial's orientation and
-        instantiation, through the trial's memo."""
-        return eval_term(t, True, self.orientation, self.memo, self.inst)
+        """Evaluate t permissively under the trial's orientation, through
+        the trial's memo."""
+        return eval_term(t, True, self.orientation, self.memo)
 
-    def fresh_name(self) -> str:
-        self._fresh += 1
-        return f"c{self._fresh}"
+    def opaque(self, domain: Box) -> Opaque:
+        """A fresh opaque leaf on domain and a random scalar polynomial for
+        it, kept in the instantiation (for the failure witness) and in the
+        memo, where the trial's evaluations read it."""
+        leaf = Opaque(f"c{len(self.inst) + 1}", domain)
+        fn = self.inst[leaf.name] = rand_polyfun(self.rng, domain, 1)
+        self.memo[id(leaf)] = leaf, fn
+        return leaf
 
 
 def rand_coeff(rng: random.Random) -> Fraction:
@@ -136,12 +141,8 @@ def rand_slot(ctx: Ctx, domain: Box, cod_dim: int) -> Term:
         coeffs, bases = [], []
         for _ in range(k):
             coeffs.append(rand_coeff(rng))
-            if rng.random() < 0.5:
-                name = ctx.fresh_name()
-                ctx.inst[name] = rand_polyfun(rng, domain, 1)
-                bases.append(Opaque(name, domain))
-            else:
-                bases.append(rand_polyfun(rng, domain, 1))
+            bases.append(ctx.opaque(domain) if rng.random() < 0.5
+                         else rand_polyfun(rng, domain, 1))
         combos.append((coeffs, bases))
     return linincl(combos)
 
@@ -589,7 +590,7 @@ def _rand_smooth_term(ctx: Ctx, depth: int = 2) -> Term:
                             for _ in range(rng.randint(1, 2))))
     if kind == 1:
         inner = _rand_smooth_term(ctx, depth - 1)
-        cod = signature(inner, strict=False).cod_dim
+        cod = signature(inner).cod_dim
         outer = rand_polyfun(rng, Box.full(cod), rng.randint(1, 2))
         return Comp(outer, inner)
     w = rand_word(rng, max_len=1)
@@ -706,7 +707,7 @@ def check_relation(rule_id: str, trials: int = 20, seed: int = 0,
 def check_all(trials: int = 20, seed: int = 0,
               orientation: Orientation = Orientation.UPPER,
               rules: Optional[Sequence[str]] = None) -> list[RelationReport]:
-    names = list(rules) if rules else list(CATALOGUE)
+    names = list(CATALOGUE) if rules is None else list(rules)
     for r in names:
         _builder(r)  # every id is checked before any rule runs
     return [check_relation(r, trials, seed, orientation) for r in names]

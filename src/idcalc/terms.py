@@ -142,7 +142,7 @@ def _fold(t: Term, visit: Callable[[Term, list[V]], V],
 # signatures
 
 
-def signature(t: Term, strict: bool = True) -> Signature:
+def signature(t: Term) -> Signature:
     def visit(node: Term, sigs: list[Signature]) -> Signature:
         if isinstance(node, PolyFun):
             return Signature(node.domain, node.cod_dim)
@@ -152,7 +152,7 @@ def signature(t: Term, strict: bool = True) -> Signature:
             return Signature(product([s.dom for s in sigs]), sum(s.cod_dim for s in sigs))
         if isinstance(node, Comp):
             ls, rs = sigs
-            if strict and rs.cod_dim != ls.dom.dim:
+            if rs.cod_dim != ls.dom.dim:
                 raise TermError(f"composition dimension mismatch: inner codomain "
                                 f"{rs.cod_dim}, outer domain dimension {ls.dom.dim}")
             return Signature(rs.dom, ls.cod_dim)

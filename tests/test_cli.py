@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -130,6 +131,40 @@ def test_eval_reports_the_instantiation_refusal_before_an_evaluation_error(
     code, out, err = run(capsys, "eval", format_term(_guard_then_leaf()), "--env", str(env),
                          "--inst", str(inst))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_eval_refuses_missing_names_first(tmp_path, capsys):
+    """Missing names come first, as one sorted list, though the leaf a is
+    refused before them in preorder."""
+    env = tmp_path / "env.txt"
+    env.write_text("a : (0,1)\nb : (0,1)\nz : (0,1)\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text("a = poly 1->2 on (0,1) : 1 x1; 1 x1\n")
+    code, out, err = run(capsys, "eval", "<a, z, ({poly 1->1 on R : 1 x1} . b), z>",
+                         "--env", str(env), "--inst", str(inst))
+    assert (code, out, err) == (1, "", "error: instantiation misses ['b', 'z']\n")
+
+
+INLINE_CASES = [
+    ("[I1] c", "poly 1->1 on (0,1) : 1 x1^2"),
+    ("(({poly 2->1 on RxR : 1 x1 + 1 x2} . <c, ({poly 1->1 on R : 3 x1^2} . c)>)"
+     " . {poly 1->2 on (0,1) : 1 x1; 1 x1})", "poly 1->1 on (0,1) : -1/2 x1^2 + 1"),
+]
+
+
+@pytest.mark.parametrize("term, definition", INLINE_CASES, ids=["readme", "pointwise"])
+def test_eval_inst_prints_what_the_inline_literals_print(tmp_path, capsys, term, definition):
+    """eval --inst of a term equals eval of the term with each opaque name
+    written as its inline literal: the README example, and a pointwise sum
+    that holds the leaf c twice."""
+    env = tmp_path / "env.txt"
+    env.write_text("c : (0,1)\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text(f"c = {definition}\n")
+    for flags in ([], ["--json"]):
+        got = run(capsys, "eval", term, "--env", str(env), "--inst", str(inst), *flags)
+        inline = run(capsys, "eval", re.sub(r"\bc\b", "{" + definition + "}", term), *flags)
+        assert got == inline and got[0] == 0 and got[1]
 
 
 def test_eval_with_an_empty_instantiation_file(tmp_path, capsys):
@@ -335,6 +370,27 @@ def test_check_relations_unknown_rule_is_a_domain_error(tmp_path, capsys, monkey
     assert out == ""
     assert err.strip().splitlines() == ["error: unknown rule 'R99'"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_check_relations_rules_without_ids_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "check-relations", "--rules", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: argument --rules: expected at least one argument"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_typecheck_has_no_permissive_option(capsys):
+    """Typing has one rule: a composition's inner codomain must match its
+    outer domain's dimension."""
+    term = "({poly 2->1 on RxR : 1 x1} . {poly 1->1 on R : 2 x1})"
+    code, out, err = run(capsys, "typecheck", "--permissive", term)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: unrecognized arguments: --permissive"]
+    code, out, err = run(capsys, "typecheck", term)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: composition dimension mismatch: inner codomain 1, "
+                                "outer domain dimension 2"]
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

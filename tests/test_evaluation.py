@@ -96,36 +96,36 @@ def test_instantiate_keeps_a_shared_subterm_one_object():
 
 def test_instantiate_refuses_missing_names_first():
     """Missing names come first, as one sorted list, even after a leaf
-    whose assignment is refused; then the first refused leaf in preorder.
-    Evaluating under the instantiation refuses alike."""
+    whose assignment is refused; then the first refused leaf in preorder."""
     u = parse_box("(0,1)")
     a, b, z = Opaque("a", u), Opaque("b", u), Opaque("z", u)
     vector = parse_polyfun("poly 1->2 on (0,1) : 1 x1; 1 x1")
     t = TupleT((a, z, Comp(smooth("poly 1->1 on R : 1 x1"), b), z))
-    for assign in (instantiate, lambda t, inst: eval_term(t, inst=inst)):
-        with pytest.raises(EvalError, match=r"^instantiation misses \['b', 'z'\]$"):
-            assign(t, {"a": vector})
-        with pytest.raises(EvalError, match="^instantiation of 'a' must be scalar-valued$"):
-            assign(t, {"a": vector, "b": parse_polyfun("poly 1->1 on R : 1 x1"),
-                       "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
-        with pytest.raises(EvalError,
-                           match="^instantiation of 'b' has domain R, declared \\(0,1\\)$"):
-            assign(t, {"a": parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
-                       "b": parse_polyfun("poly 1->1 on R : 1 x1"),
-                       "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+    with pytest.raises(EvalError, match=r"^instantiation misses \['b', 'z'\]$"):
+        instantiate(t, {"a": vector})
+    with pytest.raises(EvalError, match="^instantiation of 'a' must be scalar-valued$"):
+        instantiate(t, {"a": vector, "b": parse_polyfun("poly 1->1 on R : 1 x1"),
+                        "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
+    with pytest.raises(EvalError,
+                       match="^instantiation of 'b' has domain R, declared \\(0,1\\)$"):
+        instantiate(t, {"a": parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
+                        "b": parse_polyfun("poly 1->1 on R : 1 x1"),
+                        "z": parse_polyfun("poly 1->1 on (0,1) : 1 x1")})
 
 
 def test_eval_term_reads_opaque_leaves_from_the_instantiation():
-    """The value of the instantiated term; with none, a leaf is refused."""
+    """A memo that holds the leaf's polynomial gives the value of the
+    instantiated term; with no value there, the leaf is refused."""
     u = parse_box("(0,1)")
     c = Opaque("c", u)
     x = Act(parse_word("I1"), c)
     t = TupleT((x, Comp(smooth("poly 1->1 on R : 3 x1"), x)))
     fn = parse_polyfun("poly 1->1 on (0,1) : 1 x1^2")
-    assert eval_term(t, inst={"c": fn}) == eval_term(instantiate(t, {"c": fn}))
-    with pytest.raises(EvalError, match="^opaque generator 'c' cannot be evaluated; "
-                                        "instantiate it first$"):
-        eval_term(t, inst={})
+    assert eval_term(t, memo={id(c): (c, fn)}) == eval_term(instantiate(t, {"c": fn}))
+    for memo in ({}, {id(Opaque("c", u)): (c, fn)}):  # an equal leaf is another node
+        with pytest.raises(EvalError, match="^opaque generator 'c' cannot be evaluated; "
+                                            "instantiate it first$"):
+            eval_term(t, memo=memo)
 
 
 def _guard_then_leaf():
@@ -145,25 +145,27 @@ REFUSED_AFTER_AN_ERROR = [
 @pytest.mark.parametrize("definition, message", REFUSED_AFTER_AN_ERROR,
                          ids=["missing", "vector", "domain"])
 def test_an_instantiation_refusal_comes_before_an_evaluation_error(definition, message):
-    """The refusal instantiate gives, not the guard failure that stopped
-    the fold before it reached the refused leaf."""
+    """The refusal instantiate gives, though evaluating the term would
+    stop at a guard failure before it reached the refused leaf; ``idcalc
+    eval --inst`` instantiates first (tests/test_cli.py)."""
     t = _guard_then_leaf()
     name, text = definition.split(" = ")
-    inst = {name: parse_polyfun(text)}
     with pytest.raises(CompositionGuardError):
         eval_term(t.items[0])
-    for evaluate in (lambda: instantiate(t, inst), lambda: eval_term(t, inst=inst)):
-        with pytest.raises(EvalError) as err:
-            evaluate()
-        assert str(err.value) == message
+    with pytest.raises(EvalError) as err:
+        instantiate(t, {name: parse_polyfun(text)})
+    assert str(err.value) == message
 
 
 def test_an_evaluation_error_propagates_when_the_instantiation_holds():
+    """The guard failure, whether the leaf was instantiated, has its value
+    in the memo, or has none: the fold stops before it reaches the leaf."""
     t = _guard_then_leaf()
-    for inst in ({"c": parse_polyfun("poly 1->1 on (0,1) : 1 x1")}, {}):
+    c, fn = t.items[1], parse_polyfun("poly 1->1 on (0,1) : 1 x1")
+    for term, memo in ((instantiate(t, {"c": fn}), {}), (t, {id(c): (c, fn)}), (t, {})):
         with pytest.raises(CompositionGuardError,
                            match=r"^range of inner function is not certified inside \(0,1\)$"):
-            eval_term(t, inst=inst)
+            eval_term(term, memo=memo)
 
 
 def test_evaluations_sharing_a_memo_evaluate_a_shared_subterm_once(monkeypatch):
@@ -279,11 +281,12 @@ def test_pointwise_nodes_of_the_catalogue_match_the_general_fold(monkeypatch, or
     """Every pointwise node the catalogue evaluates, in Poly and partial
     flag; nearly all of them are diagonal over their operands' domain."""
     terms = []
+    evaluate = relations.Ctx.evaluate
 
-    def recording(t, permissive=False, orientation=Orientation.UPPER, memo=None, inst=None):
-        terms.append(instantiate(t, inst) if inst else t)
-        return eval_term(t, permissive, orientation, memo, inst)
-    monkeypatch.setattr(relations, "eval_term", recording)
+    def recording(ctx, t):
+        terms.append(instantiate(t, ctx.inst))
+        return evaluate(ctx, t)
+    monkeypatch.setattr(relations.Ctx, "evaluate", recording)
     relations.check_all(10, 7, orientation)
     fused = total = 0
     for t in terms:

@@ -57,6 +57,10 @@ def test_unknown_rule_is_a_domain_error():
         check_all(trials=1, rules=["R7", "R99"])
 
 
+def test_check_all_with_no_rules_checks_none():
+    assert check_all(trials=1, rules=[]) == []
+
+
 def test_swapped_orientation_fails_endpoint_rules_with_identity_witness():
     for rule in ("R14", "R15", "R16"):
         report = check_relation(rule, trials=3, seed=0,
@@ -154,11 +158,12 @@ def test_catalogue_classification_is_pinned():
     ("R10bis", 53, 77, (66, 96)),
 ])
 def test_check_relation_work_counts(monkeypatch, rule, composes, substs, apart):
-    """Both sides of a trial are instantiated together and evaluated
-    through one memo, so a slot object they share is one object and is
-    evaluated once: the compose and Poly.subst calls of check_relation(rule,
-    20, 0) are pinned below those of the same trials evaluated apart, each
-    side with its own instantiation and memo."""
+    """Both sides of a trial are evaluated through the trial's memo, which
+    holds each opaque leaf's polynomial from the draw on, so a slot object
+    they share is evaluated once: the compose and Poly.subst calls of
+    check_relation(rule, 20, 0) are pinned below those of the same trials
+    evaluated apart, each side instantiated and evaluated with a memo of
+    its own."""
     counts = collections.Counter()
     compose, subst = evaluation.compose, Poly.subst
 
@@ -185,17 +190,16 @@ def test_check_relation_work_counts(monkeypatch, rule, composes, substs, apart):
 
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_a_side_evaluates_as_its_instantiation(orientation):
-    """Each side of every rule's 20 trials at seed 0, evaluated through one
-    memo per trial with its opaque leaves read from the instantiation,
+    """Each side of every rule's 20 trials at seed 0, evaluated through the
+    trial's memo with its opaque leaves' polynomials entered as drawn,
     equals the instantiated side evaluated alone, partial flag included."""
     with_slots = 0
     for rule in ALL_RULES:
         rng = random.Random(f"0:{rule}")
         for k in range(20):
             ctx = Ctx(rng, orientation)
-            memo: dict = {}
             for side in CATALOGUE[rule](ctx, k):
-                got = evaluation.eval_term(side, True, orientation, memo, ctx.inst)
+                got = ctx.evaluate(side)
                 want = evaluation.eval_term(evaluation.instantiate(side, ctx.inst), True,
                                             orientation)
                 assert got == want and got.is_partial == want.is_partial, (rule, k)

@@ -52,7 +52,6 @@ def test_signature_composition_mismatch_strict():
     g = smooth(X2)
     with pytest.raises(TermError):
         signature(Comp(f, g))
-    assert signature(Comp(f, g), strict=False).cod_dim == 1
 
 
 def test_signature_of_action_folds():
@@ -173,13 +172,24 @@ def test_max_augment_recurses_into_tuples():
 
 
 def test_max_augment_properties_random():
+    """The signature is kept where the term types; where it does not, the
+    rotated term does not type either."""
     rng = random.Random(23)
+    untyped = 0
     for _ in range(200):
         t = _rand_term(rng)
         out = max_augment(t)
         assert max_augment(out) == out
         assert not has_left_nested_comp(out)
-        assert signature(t, strict=False) == signature(out, strict=False)
+        try:
+            sig = signature(t)
+        except TermError:
+            untyped += 1
+            with pytest.raises(TermError):
+                signature(out)
+        else:
+            assert signature(out) == sig
+    assert untyped == 42
 
 
 # ---------------------------------------------------------------------------
