@@ -32,6 +32,10 @@ section = PreDeriv.of(identity_core(3), [F(2), F(-1), F(7, 2)])
 print("\nsection round-trip:", eval_smooth(section))
 difference = section + PreDeriv.of(identity_core(3), [-F(2), F(1), -F(7, 2)])
 print("kernel membership of the difference:", smooth_kernel_test(difference))
+# its two summands share the source R^3, so apply sums them into one germ
+cubic = parse_polyfun("poly 3->1 on RxRxR : 1 x1 x2 + 2 x3^2 + 1 x1")
+print("difference applied to x1 x2 + 2 x3^2 + x1:",
+      [format_polyfun(g) for g in apply(difference, cubic)])
 
 # the witness that the construction is not trivial: an iterated integral
 # with an exact product closed form

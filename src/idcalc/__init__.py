@@ -16,7 +16,7 @@ from .polynomials import (Orientation, Poly, PolyFun, apply_gen, apply_word,
                           format_polyfun, incl, parse_polyfun, partial,
                           proj_block, proje, range_bound, sectn, smint, switch,
                           trasl, tuple_, vecminus, vecprod, vecsum, vneg,
-                          vprod, vscal, vsum)
+                          vprod, vsum)
 from .words import (D, Equal, Gen, GenKind, I, NotEqual, Q, Signature, Unknown,
                     Word, normalize, p, parse_word, q, relation_step,
                     signature_effect, word_eq)

@@ -130,12 +130,6 @@ class Poly:
             raise PolyError("arity mismatch in *")
         return _canonical(self.arity, _mul_terms(dict(self.terms), dict(other.terms)))
 
-    def scale(self, c: RatLike) -> "Poly":
-        c = rat(c)
-        if c == 0:
-            return Poly.zero(self.arity)
-        return Poly(self.arity, tuple((k, c * co) for k, co in self.terms))
-
     # -- calculus ------------------------------------------------------------
 
     def eval(self, xs: Sequence[RatLike]) -> Fraction:
@@ -530,10 +524,6 @@ def vsum(f: PolyFun, g: PolyFun) -> PolyFun:
 
 def vneg(f: PolyFun) -> PolyFun:
     return PolyFun(f.domain, tuple(p.neg() for p in f.components), f.is_partial)
-
-
-def vscal(a: RatLike, f: PolyFun) -> PolyFun:
-    return PolyFun(f.domain, tuple(p.scale(a) for p in f.components), f.is_partial)
 
 
 def vprod(f: PolyFun, g: PolyFun) -> PolyFun:

@@ -3,13 +3,17 @@
 A pre-derivation is a finite formal sum of (core, direction) pairs, where
 a core is a polynomial function z with 0 in its domain and z(0) = 0, and
 the direction is a rational vector matching the core's arity.  Applied to
-a scalar function w it produces the germ sum_l u_l d/dx_l (w o z); summed
-over the formal summands, grouped by core arity.
+a scalar function w it produces the germ sum_l u_l d/dx_l (w o z), summed
+in one walk over the terms of w o z; the formal summands are then grouped
+by core arity.
 
 Smooth evaluation sends a pre-derivation to the classical tangent vector
 Jac(z, 0) u, the vanishing space of a core collects the directions whose
 directional derivative germ is identically zero, and the canonical
-direction removes the vanishing part by exact orthogonal projection.
+direction removes the vanishing part by exact orthogonal projection.  A
+core computes its vanishing space once, on first use, and keeps it.  The
+matrix of that space and ``apply``'s derivative read the same walk over a
+polynomial's terms (``_partial_terms``).
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .boxes import Box, Cursor, IdcalcError, Ray1, rat
-from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _centred_fits,
-                          _substitute, format_polyfun, format_rat, partial, range_fits,
-                          read_polyfun, smint, vscal, vsum)
+from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _canonical,
+                          _centred_fits, _substitute, format_polyfun, format_rat, range_fits,
+                          read_polyfun, smint, vsum)
 
 
 class PreDerivError(IdcalcError):
@@ -78,7 +83,18 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction,
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    """The exact dot product: integer numerators summed over a running
+    common denominator, reduced once, in the one Fraction it returns."""
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        q = a.denominator * b.denominator
+        if q == den:
+            num += a.numerator * b.numerator
+        else:
+            common = math.lcm(den, q)
+            num = num * (common // den) + a.numerator * b.numerator * (common // q)
+            den = common
+    return Fraction(num, den)
 
 
 def project_onto_span(u: Sequence[Fraction],
@@ -100,9 +116,20 @@ def project_onto_span(u: Sequence[Fraction],
 # cores and pre-derivations
 
 
+def _partial_terms(p: Poly) -> Iterator[tuple[int, Key, Fraction]]:
+    """(j, k - e_j, c k_j) for each term c x^k of p and each j with k_j > 0:
+    the terms of d/dx_j p, with j counted from 0."""
+    for k, c in p.terms:
+        for j, e in enumerate(k):
+            if e:
+                yield j, k[:j] + (e - 1,) + k[j + 1:], c * e
+
+
 @dataclass(frozen=True)
 class GermCore:
-    """Pointed polynomial core: 0 in the domain and value 0 at 0."""
+    """Pointed polynomial core: 0 in the domain and value 0 at 0.  Its
+    vanishing space is computed on first use and kept on the core;
+    equality and the hash read ``fn`` alone."""
 
     fn: PolyFun
 
@@ -119,6 +146,16 @@ class GermCore:
     @property
     def target_dim(self) -> int:
         return self.fn.cod_dim
+
+    @cached_property
+    def _vanishing_basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """What ``vanishing_space`` returns, computed once."""
+        l = self.source_dim
+        rows: dict[tuple[int, Key], list[Fraction]] = {}
+        for comp, p in enumerate(self.fn.components):
+            for j, key, d in _partial_terms(p):
+                rows.setdefault((comp, key), [Fraction(0)] * l)[j] = d
+        return tuple(kernel_basis(list(rows.values()), l))
 
 
 Summand = tuple[GermCore, tuple[Fraction, ...]]
@@ -166,8 +203,13 @@ _LAST_K = 298  # the guard tests no radius 2^-k below 2^-_LAST_K
 
 
 def _shrink_around_zero(b: Box, k: int) -> Box:
+    """b's intersection with the cap (-2^-k, 2^-k)^l: the cap itself once
+    it lies inside b."""
     r = Fraction(1, 2 ** k)
-    cap = Box((Ray1.bounded(-r, r),) * b.dim)
+    ray = Ray1(-r, r)
+    cap = Box((ray,) * b.dim)
+    if all((d.lo is None or d.lo <= ray.lo) and (d.hi is None or r <= d.hi) for d in b.factors):
+        return cap
     out = b.intersect(cap)
     assert out is not None  # both contain 0
     return out
@@ -217,8 +259,10 @@ def compose_germ(f: PolyFun, z: PolyFun) -> PolyFun:
 
 def apply(dv: PreDeriv, w: PolyFun) -> list[PolyFun]:
     """Evaluate the pre-derivation on a scalar function: per summand the
-    germ sum_l u_l d/dx_l (w o z); summands with equal source arity are
-    combined on a common sub-box, others stay as a formal list."""
+    germ sum_l u_l d/dx_l (w o z), summed in one walk over the terms of
+    w o z; summands with equal source arity are combined on a common
+    sub-box, others stay as a formal list.  A germ is partial when w o z
+    is and u is not 0."""
     if w.cod_dim != 1:
         raise PreDerivError("pre-derivations apply to scalar functions")
     if w.arity != dv.target_dim:
@@ -230,11 +274,11 @@ def apply(dv: PreDeriv, w: PolyFun) -> list[PolyFun]:
     for core, u in dv.summands:
         l = core.source_dim
         wz = compose_germ(w, core.fn)
-        acc = PolyFun.zero(wz.domain, 1)
-        for idx, c in enumerate(u, start=1):
-            if c == 0:
-                continue
-            acc = vsum(acc, vscal(c, partial(wz, idx)))
+        terms: dict[Key, Fraction] = {}
+        for j, key, d in _partial_terms(wz.components[0]):
+            if u[j]:
+                terms[key] = terms[key] + u[j] * d if key in terms else u[j] * d
+        acc = PolyFun(wz.domain, (_canonical(l, terms),), wz.is_partial and any(u))
         if l in grouped:
             prev = grouped[l]
             common = prev.domain.intersect(acc.domain)
@@ -294,17 +338,9 @@ def vanishing_space(z: GermCore) -> list[tuple[Fraction, ...]]:
     """Basis (reduced echelon form) of the directions u with
     sum_l u_l d/dx_l z identically zero: the kernel of the matrix of that
     derivation, in which a term c x^k of a component puts c k_j in column j
-    of the row (component, k - e_j)."""
-    l = z.source_dim
-    rows: dict[tuple[int, Key], list[Fraction]] = {}
-    for comp, p in enumerate(z.fn.components):
-        for k, c in p.terms:
-            for j, e in enumerate(k):
-                if e:
-                    row = rows.setdefault((comp, k[:j] + (e - 1,) + k[j + 1:]),
-                                          [Fraction(0)] * l)
-                    row[j] = c * e
-    return kernel_basis(list(rows.values()), l)
+    of the row (component, k - e_j).  The core computes it on first use and
+    keeps it (``GermCore._vanishing_basis``); each call returns a new list."""
+    return list(z._vanishing_basis)
 
 
 def canonical_direction(z: GermCore, u: Sequence[RatLike]) -> tuple[Fraction, ...]:

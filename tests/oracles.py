@@ -9,6 +9,9 @@
   minimum.
 - A term's opaque leaves, by name and domain: what an instantiation of
   the term must assign.
+- Scaling by a rational, of a polynomial and of a function: no kernel
+  operation scales alone (``apply`` folds its scalars into the derivative
+  it sums, and ``scal_t`` multiplies by a constant function).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from idcalc.boxes import Box
-from idcalc.polynomials import Orientation, PolyFun, apply_word
+from idcalc.boxes import Box, RatLike, rat
+from idcalc.polynomials import Orientation, Poly, PolyFun, apply_word
 from idcalc.sphere import Bridge
 from idcalc.terms import Opaque, Term, _fold
 from idcalc.words import RELATIONS, Word, WordError, _emit, _Matcher
@@ -94,3 +97,18 @@ def opaque_domains(t: Term) -> dict[str, Box]:
             out.update(kid)
         return out
     return _fold(t, visit)
+
+
+# ---------------------------------------------------------------------------
+# scaling
+
+
+def scale(p: Poly, c: RatLike) -> Poly:
+    c = rat(c)
+    if c == 0:
+        return Poly.zero(p.arity)
+    return Poly(p.arity, tuple((k, c * co) for k, co in p.terms))
+
+
+def vscal(a: RatLike, f: PolyFun) -> PolyFun:
+    return PolyFun(f.domain, tuple(scale(p, a) for p in f.components), f.is_partial)

@@ -12,7 +12,7 @@ import numpy as np
 
 from idcalc.boxes import Box, domint
 from idcalc.evaluation import eval_term, linincl
-from idcalc.polynomials import Orientation, Poly, PolyFun, parse_polyfun, vscal, vsum
+from idcalc.polynomials import Orientation, Poly, PolyFun, parse_polyfun, vsum
 from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction,
                              chain_check, eval_smooth, identity_core,
                              nontriviality_witness, vanishing_space)
@@ -21,7 +21,7 @@ from idcalc.relations import (Ctx, _rand_smooth_term, check_all, check_relation,
 from idcalc.sphere import comb_grid, transition
 from idcalc.terms import has_left_nested_comp, max_augment
 from idcalc.words import Equal, normalize, oriented_steps, relation_step, word_eq
-from oracles import relation_holds_on
+from oracles import relation_holds_on, vscal
 from test_prederiv import rand_direction, rand_pointed
 
 F = Fraction

@@ -12,8 +12,8 @@ from idcalc.evaluation import EvalError, linincl, linincl_of_polyfun
 from idcalc.polynomials import (CompositionGuardError, DomainMismatchError, Poly,
                                 PolyError, PolyFun, compose, coord, diag, parse_polyfun, partial,
                                 proj_block, proje, sectn, smint, switch, vecsum, vprod, vsum)
-from idcalc.prederiv import (PreDeriv, PreDerivError, canonical_direction, compose_germ,
-                             identity_core, nontriviality_witness, pre_diff)
+from idcalc.prederiv import (PreDeriv, PreDerivError, apply, canonical_direction,
+                             compose_germ, identity_core, nontriviality_witness, pre_diff)
 from idcalc.sphere import SphereError, chart_differential
 from idcalc.terms import Act, TermError, TupleT, substitute
 from idcalc.words import WordError, parse_word, relation_step
@@ -102,6 +102,11 @@ CORE = identity_core(1)
     # the germ of z at 0 needs 0 in z's domain
     (compose_germ, (parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
                     parse_polyfun("poly 1->1 on (1,2) : 1 x1")),
+     PreDerivError, "inner domain must contain 0"),
+    (apply, (PreDeriv.of(CORE, (1,)), parse_polyfun("poly 1->1 on (1,2) : 1 x1")),
+     PreDerivError, "function domain must contain 0"),
+    # an end exactly at 0, and a guard that fails on the core's own box
+    (compose_germ, (parse_polyfun("poly 1->1 on (1,2) : 1 x1"), UNIT),
      PreDerivError, "inner domain must contain 0"),
 ])
 def test_argument_check(call, args, error, message):

@@ -116,6 +116,11 @@ def test_intersection():
     assert a.intersect(Box((Ray1.bounded(5, 6),))) is None
 
 
+def test_intervals_that_only_share_an_end_do_not_meet():
+    assert Ray1.bounded(0, 1).intersect(Ray1.bounded(1, 2)) is None
+    assert Ray1.below(1).intersect(Ray1.above(1)) is None
+
+
 def test_enclosure_arithmetic():
     e = Enclosure(Fraction(-1), Fraction(1))
     sq = e.mul(e)

@@ -1,11 +1,14 @@
 """Output pins for the constructions built in one place: vanishing spaces
-and canonical directions, chart differentials, the outer product, the
-linear embedding and the generator action.
+and canonical directions, pre-derivations applied and evaluated, chart
+differentials, the outer product, the linear embedding and the generator
+action.
 
 Each test hashes the printed outputs over a fixed random set drawn with
 the catalogue's own generators (``idcalc.relations``).  The digests were
 recorded at commit ced58c3, before these constructions were rewritten onto
-the kernel's shared builders, so a pin fails on any change of output.
+the kernel's shared builders, so a pin fails on any change of output.  The
+pin of ``apply`` and ``eval_smooth`` was recorded at commit 63c1c64, before
+``apply`` summed its derivative in one pass.
 """
 
 import hashlib
@@ -16,8 +19,8 @@ from idcalc.boxes import Box
 from idcalc.evaluation import linincl
 from idcalc.polynomials import (Orientation, Poly, PolyFun, apply_word, compose,
                                 format_polyfun, format_rat, vprod)
-from idcalc.prederiv import (GermCore, PreDeriv, canonical_direction, format_prederiv,
-                             vanishing_space)
+from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction, eval_smooth,
+                             format_prederiv, vanishing_space)
 from idcalc.relations import (rand_box, rand_box_around_zero, rand_coeff, rand_polyfun,
                               rand_word)
 from idcalc.sphere import chart_differential
@@ -70,6 +73,40 @@ def test_vanishing_space_and_canonical_direction_are_pinned():
         lines.append(_vec(canonical_direction(z, _direction(rng, z.source_dim))))
     assert _digest(lines) == \
         "dff7dca4f47ee0815d7648d6066753336250beda177950e198103ac8a643c8d1"
+
+
+def _germ_summand(rng, l, m, partial):
+    z = _pointed(rand_polyfun(rng, rand_box_around_zero(rng, l), m, rng.choice((1, 2, 3))))
+    return PreDeriv.of(GermCore(PolyFun.make(z.domain, z.components, partial)),
+                       _direction(rng, l))
+
+
+def test_apply_and_eval_smooth_are_pinned():
+    """Pre-derivations of one summand and of two, of equal source arity and
+    of different, with zero entries in u; u = 0; partial cores and partial
+    functions.  Every germ ``apply`` returns, with its flag, and the
+    smooth evaluation."""
+    rng = random.Random(20)
+    lines = []
+    for i in range(200):
+        kind, m = i % 5, rng.randint(1, 3)
+        l = rng.randint(0, 3)
+        dv = _germ_summand(rng, l, m, partial=kind == 3 or rng.random() < 0.3)
+        if kind == 1:  # equal source arity
+            dv = dv + _germ_summand(rng, l, m, partial=rng.random() < 0.3)
+        elif kind == 2:  # different source arity
+            dv = dv + _germ_summand(rng, (l + rng.randint(1, 3)) % 4, m,
+                                    partial=rng.random() < 0.3)
+        elif kind == 3:  # u = 0 on a partial core
+            (core, u), = dv.summands
+            dv = PreDeriv.of(core, [0] * len(u))
+        w = rand_polyfun(rng, rand_box_around_zero(rng, m), 1, 2)
+        if kind == 4:
+            w = PolyFun.make(w.domain, w.components, partial=True)
+        lines.extend(_flagged(g) for g in apply(dv, w))
+        lines.append(_vec(eval_smooth(dv)))
+    assert _digest(lines) == \
+        "2b65d377a37f7f97f06ca1c0a38f3294a286dd57b60ad32c29083dee9fd9aed5"
 
 
 def _interior_point(rng, box):

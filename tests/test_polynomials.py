@@ -12,9 +12,10 @@ from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFu
                                 incl, parse_polyfun, partial, polyfun_to_json,
                                 proj_block, proje, range_bound, range_fits, sectn,
                                 smint, switch, trasl, tuple_, vecminus, vecprod,
-                                vecsum, vneg, vprod, vscal, vsum)
+                                vecsum, vneg, vprod, vsum)
 from idcalc.relations import rand_box, rand_coeff, rand_poly, rand_polyfun
 from idcalc.words import D, I, Q, Word, p, q
+from oracles import scale, vscal
 
 F = Fraction
 
@@ -355,8 +356,8 @@ def _rand_subst_arg(rng, n):
         return Poly.const(n, F(rng.randint(-7, 7), rng.choice((1, 2, 3, 7))))
     if kind == 2 and n:
         return Poly.var(n, rng.randint(1, n))
-    return (rand_poly(rng, n).scale(F(1, rng.choice((1, 3))))
-            .add(rand_poly(rng, n).scale(F(rng.randint(1, 4), rng.choice((1, 5))))))
+    return scale(rand_poly(rng, n), F(1, rng.choice((1, 3)))).add(
+        scale(rand_poly(rng, n), F(rng.randint(1, 4), rng.choice((1, 5)))))
 
 
 def test_subst_matches_sympy_term_for_term():
@@ -370,7 +371,7 @@ def test_subst_matches_sympy_term_for_term():
     for _ in range(600):
         m = rng.randint(0, 3)
         n = rng.randint(0, 3) if m else 0  # with no argument, the target arity is 0
-        f = rand_poly(rng, m).scale(F(1, rng.choice((1, 3, 4))))
+        f = scale(rand_poly(rng, m), F(1, rng.choice((1, 3, 4))))
         args = [_rand_subst_arg(rng, n) for _ in range(m)]
         # the extra generator t lets sympy hold constants at target arity 0
         gens = sympy.symbols(f"y1:{n + 1}") + (sympy.Symbol("t"),)

@@ -3,19 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idcalc import prederiv
 from idcalc.boxes import Box, Enclosure, Ray1, parse_box
 from idcalc.polynomials import (CompositionGuardError, Poly, PolyFun, compose, format_polyfun,
-                                parse_polyfun, range_fits)
+                                parse_polyfun, partial, range_fits)
 from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
-                             canonical_direction, chain_check, compose_germ, eval_smooth,
+                             canonical_direction, chain_check, compose_germ, dot, eval_smooth,
                              format_prederiv, identity_core,
                              jacobian_at_zero, kernel_basis,
                              nontriviality_witness, parse_prederiv, pre_diff,
                              project_onto_span, smooth_kernel_test,
                              vanishing_space)
 from idcalc.relations import rand_box, rand_box_around_zero, rand_polyfun
+from oracles import scale
 
 F = Fraction
 
@@ -247,6 +249,21 @@ def test_compose_germ_work_counts(monkeypatch):
     assert products[0] > 0  # boxes not centred at 0 keep the enclosure
 
 
+def test_shrunk_box_is_the_intersection_with_the_cap():
+    """On boxes around 0 whose ends lie inside the cap, on it, outside it
+    or at infinity: the box compose_germ tests at k is the domain's
+    intersection with (-2^-k, 2^-k)^l."""
+    rng = random.Random(24)
+    ends = (None, F(1, 64), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(2))
+    for _ in range(300):
+        l, k = rng.randint(0, 3), rng.randint(1, 6)
+        box = Box(tuple(Ray1(None if a is None else -a, b)
+                        for a, b in zip((rng.choice(ends) for _ in range(l)),
+                                        (rng.choice(ends) for _ in range(l)))))
+        r = F(1, 2 ** k)
+        assert prederiv._shrink_around_zero(box, k) == box.intersect(Box.cube(-r, r, l))
+
+
 def _halving(f, z):
     """The halving loop compose_germ replaced: (k, box) for the least k in
     0..298 at which the range guard certifies z on its own box (k = 0) or on
@@ -412,6 +429,67 @@ def test_canonical_direction_idempotent_and_apply_equivalent():
             assert len(a) == len(b) == 1 and a[0].components == b[0].components
 
 
+def _work_cores():
+    """Cores of arity 1 to 3 on (-2,2)^l, half of them factoring through
+    fewer coordinates, so that their vanishing space is not 0."""
+    rng = random.Random(32)
+    cores = []
+    for i in range(40):
+        l = rng.randint(1, 3)
+        z = rand_pointed(rng, rng.randint(1, l) if i % 2 else l, rng.randint(1, 2))
+        cores.append(GermCore(PolyFun.make(
+            Box.cube(-2, 2, l),
+            [c.remap(l, list(range(1, c.arity + 1))) for c in z.components])))
+    return rng, cores
+
+
+def test_vanishing_space_is_computed_once_per_core(monkeypatch):
+    """The vanishing space and then the canonical direction of a core, as
+    the germs workload asks them: one kernel basis per core."""
+    rng, cores = _work_cores()
+    bases = _counting(monkeypatch, prederiv, "kernel_basis")
+    for n, z in enumerate(cores, start=1):
+        basis = vanishing_space(z)
+        canonical_direction(z, rand_direction(rng, z.source_dim))
+        assert vanishing_space(z) == basis
+        assert bases[0] == n
+    assert any(vanishing_space(z) for z in cores)
+
+
+def test_apply_takes_no_partial_derivative(monkeypatch):
+    """apply sums the derivative in one walk over the terms of w o z; it
+    builds no partial derivative, which the counter would see."""
+    rng, cores = _work_cores()
+    partials = _counting(monkeypatch, Poly, "partial")
+    for z in cores:
+        w = rand_pointed(rng, z.target_dim, 1)
+        out = apply(PreDeriv.of(z, rand_direction(rng, z.source_dim)), w)
+        assert len(out) == 1
+    assert partials[0] == 0
+    partial(w, 1)
+    assert partials[0] == 1
+
+
+def test_vanishing_space_returns_a_new_list():
+    z = core("poly 3->1 on (-1,1)x(-1,1)x(-1,1) : 1 x1")
+    basis = vanishing_space(z)
+    assert basis == [(F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    basis.append((F(1), F(0), F(0)))
+    basis[0] = (F(9), F(9), F(9))
+    assert vanishing_space(z) == [(F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    assert canonical_direction(z, [1, 2, 3]) == (F(1), F(0), F(0))
+
+
+def test_equal_cores_compare_and_hash_alike_with_a_cached_basis():
+    text = "poly 2->2 on (-1,1)x(-1,1) : 1 x1; 0"
+    cached, fresh = core(text), core(text)
+    vanishing_space(cached)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert {cached: 1}[fresh] == 1
+    assert PreDeriv.of(cached, [1, 2]) == PreDeriv.of(fresh, [1, 2])
+    assert cached != core("poly 2->2 on (-1,1)x(-1,1) : 1 x2; 0")
+
+
 def test_vanishing_direction_annihilates():
     z = core("poly 2->2 on (-1,1)x(-1,1) : 1 x1; 0")
     w = parse_polyfun("poly 2->1 on RxR : 1 x1 x2 + 1 x2")
@@ -445,8 +523,8 @@ def test_witness_single_factor():
 def test_witness_two_factors_first_component():
     a = F(5, 2)
     out = nontriviality_witness(2, 1, [a, F(7)])
-    expected = Poly.var(4, 2).sub(Poly.var(4, 1)).mul(
-        Poly.var(4, 4).sub(Poly.var(4, 3))).scale(a)
+    expected = scale(Poly.var(4, 2).sub(Poly.var(4, 1)).mul(
+        Poly.var(4, 4).sub(Poly.var(4, 3))), a)
     assert out.components[0] == expected
 
 
@@ -497,6 +575,23 @@ def test_rref_matches_sympy():
         assert red == _sympy_rref(sympy, rows, ncols)
         assert all(type(v) is F for row in red for v in row)
     assert prederiv.rref([]) == [] and prederiv.rref([[], []]) == []
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(_entries, min_size=n, max_size=n)] * 2)))
+def test_dot_is_the_exact_sum_of_products(vectors):
+    u, v = vectors
+    got = dot(u, v)
+    assert got == sum((a * b for a, b in zip(u, v)), F(0))
+    assert type(got) is F
 
 
 def test_projection_orthogonality():

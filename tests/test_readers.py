@@ -176,6 +176,7 @@ def test_any_text_reads_or_is_refused_where_it_fails(form, data):
     ("pre-derivation",
      "D{core=poly 1->1 on (-1,1) : x1; u=(1);} + D{ core=poly 1->2 on (-1,1) : x1; x1; u=(1); }",
      "summands disagree on the target dimension at offset 43"),
+    ("box", "(1,1)", "empty interval (1,1) at offset 0"),
 ])
 def test_a_refusal_names_where_it_fails(form, text, message):
     parse, error = FORMS[form]

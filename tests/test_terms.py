@@ -8,7 +8,7 @@ import pytest
 from idcalc import evaluation, terms
 from idcalc.boxes import Box, domint, parse_box, product
 from idcalc.evaluation import eval_term, instantiate
-from idcalc.polynomials import diag, format_polyfun, parse_polyfun, vecsum, vscal, vsum, vprod
+from idcalc.polynomials import diag, format_polyfun, parse_polyfun, vecsum, vsum, vprod
 from idcalc.relations import rand_polyfun
 from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, MAX_TERM_DEPTH, SMOOTH,
                           Opaque, TermError, TupleT, classify,
@@ -17,7 +17,7 @@ from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, MAX_TERM_DEPTH, SMO
                           _fold, _rebuild, _right_children, children, signature, substitute,
                           sum_t)
 from idcalc.words import Signature, parse_word
-from oracles import opaque_domains
+from oracles import opaque_domains, vscal
 
 F = Fraction
 
