@@ -682,6 +682,16 @@ def smint(f: PolyFun, j: int) -> PolyFun:
 # -- operator-generator action -----------------------------------------------------
 
 
+class GenKind(enum.Enum):
+    """The operator generators' kinds; ``words`` re-exports this enum."""
+
+    INT = "I"       # definite integral over slot i
+    PART = "D"      # partial derivative
+    PROJ = "p"      # coordinate projection of the codomain
+    SUB_HI = "q"    # substitute the upper integration endpoint
+    SUB_LO = "Q"    # negate and substitute the lower integration endpoint
+
+
 class Orientation(enum.Enum):
     """Which integration endpoint the substitution generators read.
 
@@ -698,8 +708,6 @@ class Orientation(enum.Enum):
 
 def apply_gen(gen, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> PolyFun:
     """Action of a single generator on a PolyFun (the smooth semantics)."""
-    from .words import GenKind  # local import: words also imports us lazily
-
     i = gen.index
     m = f.arity
     if gen.kind is GenKind.INT:

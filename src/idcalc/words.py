@@ -13,28 +13,19 @@ oracle that evaluates both words on random exact polynomials.
 
 from __future__ import annotations
 
-import enum
 import random
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .boxes import Box, Cursor, IdcalcError
-from .polynomials import Poly, PolyFun, apply_word
+from .polynomials import GenKind, Poly, PolyFun, apply_word
 
 
 class WordError(IdcalcError):
     pass
-
-
-class GenKind(enum.Enum):
-    INT = "I"       # definite integral over slot i
-    PART = "D"      # partial derivative
-    PROJ = "p"      # coordinate projection of the codomain
-    SUB_HI = "q"    # substitute the upper integration endpoint
-    SUB_LO = "Q"    # negate and substitute the lower integration endpoint
 
 
 @dataclass(frozen=True)
@@ -328,10 +319,11 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # pos - 1 up to pos + len(dst) - 1 are read again.  The windows to their
 # right keep their letters; when the step changes the length (q/Q
 # expansion +1, p1 absorption -1), their bits shift by the difference.
-# A window's redexes depend only on its two letters, and a long word
-# shows few distinct windows, so one call reads each distinct window once:
-# its record maps each class with a redex there to the matcher and the
-# ready rewrite, which the step then splices in without matching again.
+# A window's redexes depend only on its two letters, and words show few
+# distinct windows, so the process reads each distinct window once into a
+# record, kept in one bounded table that every call shares: per class with
+# a redex there, the matcher and the ready rewrite, which the step then
+# splices in without matching again.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
@@ -361,20 +353,24 @@ _CLASS_TABLE = _window_table([replace(_ORIENTED[rule], priority=c)
 _NORMALIZE_CAP = 200_000
 
 
-_Record = dict[int, tuple[_Matcher, list[int]]]
+_Record = tuple[tuple[int, _Matcher, tuple[int, ...]], ...]
 
 
-def _read_window(codes: Sequence[int], idx: Sequence[int], pos: int) -> _Record:
-    """Per priority class with a redex at the window starting at pos, in
-    class order: its matcher, and the indices of the letters (of kinds
-    m.dst_codes) that replace the window's source letters."""
-    record: _Record = {}
-    for m in _CLASS_TABLE[_window(codes, pos)]:
-        binding = m.bind(idx, pos)
+@lru_cache(maxsize=4096)
+def _read_window(ca: int, ia: int, cb: int, ib: int) -> _Record:
+    """Per priority class with a redex at the window of the letters
+    (ca, ia) and (cb, ib), in class order: the class, its matcher, and the
+    indices of the letters (of kinds m.dst_codes) that replace the window's
+    source letters.  Every call in the process shares the records, so
+    they are tuples; the cache keeps the 4,096 most recently read."""
+    idx = (ia, ib)
+    record = []
+    for m in _CLASS_TABLE[_window((ca, cb), 0)]:
+        binding = m.bind(idx, 0)
         if binding is not None:
-            record[m.priority] = (m, [off if var is None else binding[var] + off
-                                      for _, var, off in m.dst])
-    return record
+            record.append((m.priority, m, tuple([off if var is None else binding[var] + off
+                                                 for _, var, off in m.dst])))
+    return tuple(record)
 
 
 def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
@@ -386,7 +382,7 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
     codes, idx = _letters(w)
     found: list[list[tuple[int, str, str]]] = [[] for _ in _PRIORITY_CLASSES]
     for pos in range(len(w.gens)):
-        for c, (m, _) in _read_window(codes, idx, pos).items():
+        for c, m, _ in _read_window(codes[pos], idx[pos], codes[pos + 1], idx[pos + 1]):
             found[c].append((pos, m.rule_id, m.direction))
     steps = next((steps for steps in found if steps), [])
     return steps[:1] if steps and steps[0][1] == "intint" else steps
@@ -396,17 +392,12 @@ def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
     """The normal form of w and the (pos, rule_id, direction) steps that
     reach it; each step is oriented_steps(cur)[0] of the word before it."""
     codes, idx = _letters(w)
-    records: dict[tuple[int, int, int, int], _Record] = {}
     masks = [0] * len(_PRIORITY_CLASSES)
     steps = []
     start, stop = 0, len(w.gens)  # the windows to read
     while True:
         for k in range(start, stop):
-            key = (codes[k], idx[k], codes[k + 1], idx[k + 1])
-            rec = records.get(key)
-            if rec is None:
-                rec = records[key] = _read_window(codes, idx, k)
-            for c in rec:
+            for c, _, _ in _read_window(codes[k], idx[k], codes[k + 1], idx[k + 1]):
                 masks[c] |= 1 << k
         for c, mask in enumerate(masks):
             if mask:
@@ -416,7 +407,8 @@ def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
         if len(steps) == _NORMALIZE_CAP:
             raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         pos = (mask & -mask).bit_length() - 1
-        m, dst_idx = records[codes[pos], idx[pos], codes[pos + 1], idx[pos + 1]][c]
+        # no class before c has a redex anywhere, so c is the window's first
+        _, m, dst_idx = _read_window(codes[pos], idx[pos], codes[pos + 1], idx[pos + 1])[0]
         end, stop = pos + len(m.src), pos + len(dst_idx)
         codes[pos:end] = m.dst_codes
         idx[pos:end] = dst_idx
@@ -495,22 +487,40 @@ def _random_polyfun(rng: random.Random) -> PolyFun:
     return PolyFun.make(Box.full(m), comps)
 
 
-def word_eq(w1: Word, w2: Word, trials: int = 12, seed: int = 0):
+_TRIALS = 12  # word_eq's default, and the witnesses kept per seed
+
+
+@lru_cache(maxsize=16)
+def _kept_witnesses(seed: int) -> tuple[tuple[PolyFun, ...], tuple]:
+    rng = random.Random(seed)
+    return tuple(_random_polyfun(rng) for _ in range(_TRIALS)), rng.getstate()
+
+
+def _witnesses(seed: int) -> Iterator[PolyFun]:
+    """What random.Random(seed) draws: the kept witnesses, then fresh ones
+    from the generator state after them."""
+    kept, state = _kept_witnesses(seed)
+    yield from kept
+    rng = random.Random()
+    rng.setstate(state)
+    while True:
+        yield _random_polyfun(rng)
+
+
+def word_eq(w1: Word, w2: Word, trials: int = _TRIALS, seed: int = 0):
     """Decide equality: identical normal forms, else a semantic battery.
 
     Any exact disagreement on a random polynomial refutes equality;
     agreement on every trial with distinct normal forms is honest Unknown
     (the relation table is sound but not complete for the smooth action).
+    The process keeps each recent seed's first 12 witnesses (the default
+    trials) and draws any further ones afresh.
     """
     if trials < 1:
         raise WordError(f"trials must be >= 1, got {trials}")
     if normalize(w1) == normalize(w2):
         return Equal()
-    rng = random.Random(seed)
-    for _ in range(trials):
-        f = _random_polyfun(rng)
-        a = apply_word(w1, f)
-        b = apply_word(w2, f)
-        if a != b:
+    for _, f in zip(range(trials), _witnesses(seed)):
+        if apply_word(w1, f) != apply_word(w2, f):
             return NotEqual(witness=f)
     return Unknown()

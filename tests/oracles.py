@@ -12,11 +12,14 @@
 - Scaling by a rational, of a polynomial and of a function: no kernel
   operation scales alone (``apply`` folds its scalars into the derivative
   it sums, and ``scal_t`` multiplies by a constant function).
+- ``word_eq`` with its witnesses drawn afresh from ``Random(seed)`` on
+  every call: the kernel keeps each seed's first witnesses instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Optional
 
 import numpy as np
@@ -25,7 +28,8 @@ from idcalc.boxes import Box, RatLike, rat
 from idcalc.polynomials import Orientation, Poly, PolyFun, apply_word
 from idcalc.sphere import Bridge
 from idcalc.terms import Opaque, Term, _fold
-from idcalc.words import RELATIONS, Word, WordError, _emit, _Matcher
+from idcalc.words import (RELATIONS, Equal, NotEqual, Unknown, Word, WordError, _emit,
+                          _Matcher, _random_polyfun, normalize)
 
 # ---------------------------------------------------------------------------
 # relation instances
@@ -112,3 +116,18 @@ def scale(p: Poly, c: RatLike) -> Poly:
 
 def vscal(a: RatLike, f: PolyFun) -> PolyFun:
     return PolyFun(f.domain, tuple(scale(p, a) for p in f.components), f.is_partial)
+
+
+# ---------------------------------------------------------------------------
+# word equality, drawing every witness afresh
+
+
+def word_eq_per_call(w1: Word, w2: Word, trials: int, seed: int):
+    if normalize(w1) == normalize(w2):
+        return Equal()
+    rng = random.Random(seed)
+    for _ in range(trials):
+        f = _random_polyfun(rng)
+        if apply_word(w1, f) != apply_word(w2, f):
+            return NotEqual(witness=f)
+    return Unknown()

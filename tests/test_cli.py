@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import idcalc
 from idcalc import sphere, words
@@ -12,6 +15,7 @@ from idcalc.cli import main
 from idcalc.terms import MAX_TERM_DEPTH, format_term
 from idcalc.words import parse_word, relation_step
 from test_evaluation import REFUSED_AFTER_AN_ERROR, _guard_then_leaf
+from test_words import _count_draws
 
 
 def run(capsys, *argv):
@@ -399,6 +403,38 @@ def test_word_eq_rejects_nonpositive_trials(capsys, trials):
     assert code == 1
     assert out == ""
     assert err.strip() == f"error: trials must be >= 1, got {trials}"
+
+
+def test_word_eq_refuted_at_once_under_huge_trials(capsys, monkeypatch):
+    """--trials bounds the draws and allocates nothing: a pair that the
+    first witness refutes returns at once, after the 12 kept witnesses."""
+    draws = _count_draws(monkeypatch)
+    code, out, _ = run(capsys, "word-eq", "D1 I1", "D2 I1", "--trials", str(10**30))
+    assert code == 2 and out.startswith("NotEqual")
+    assert len(draws) == 12
+
+
+_WORD_ALPHABET = st.sampled_from("IDpqQ0123456789 \tx-[(")
+_WORD_TOKEN = st.builds("{}{}".format, st.sampled_from("IDpqQ"), st.integers(0, 1001))
+_WORD_TEXT = st.one_of(st.lists(_WORD_TOKEN, max_size=6).map(" ".join),
+                       st.text(_WORD_ALPHABET, max_size=30), st.text(max_size=12))
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WORD_TEXT, _WORD_TEXT, st.integers(1, 3), st.integers(-2**70, 2**70), st.booleans())
+def test_any_word_text_exits_0_1_or_2(a, b, trials, seed, as_json):
+    """Any text given to normalize-word and word-eq exits 0, 1 or 2 and
+    raises nothing; the texts follow `--`, so one starting with `-` is a
+    word too."""
+    flags = ["--json"] if as_json else []
+    assert _exit_code(["normalize-word", *flags, "--", a]) in (0, 1)
+    assert _exit_code(["word-eq", "--trials", str(trials), "--seed", str(seed), *flags,
+                       "--", a, b]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])

@@ -6,13 +6,13 @@ import pytest
 
 from idcalc import words
 from idcalc.boxes import Box, domint, parse_box
-from idcalc.polynomials import Orientation, apply_word, parse_polyfun
+from idcalc.polynomials import Orientation, apply_word, format_polyfun, parse_polyfun
 from idcalc.relations import rand_polyfun, rand_word
-from idcalc.words import (BACKWARD, FORWARD, Equal, Gen, GenKind, NotEqual,
+from idcalc.words import (BACKWARD, FORWARD, Equal, Gen, GenKind, I, NotEqual,
                           Signature, Unknown, Word, WordError, _normalize_steps,
                           applicable_steps, normalize, oriented_steps, parse_word,
                           relation_step, signature_effect, word_eq)
-from oracles import relation_holds_on, relation_instances, relation_sides
+from oracles import relation_holds_on, relation_instances, relation_sides, word_eq_per_call
 
 
 def w(text):
@@ -177,6 +177,44 @@ def test_each_class_has_at_most_one_redex_per_window():
         assert len(classes) == len(set(classes)), window
 
 
+def test_window_records_equal_a_direct_read():
+    """Every cached record is the window's _CLASS_TABLE row bound
+    directly, for every pair of kind codes (the sentinel second) and
+    indices 1-6; records are tuples, since every call shares them."""
+    firsts = [(c, i) for c in range(words._END) for i in range(1, 7)]
+    seconds = firsts + [(words._END, i) for i in range(7)]
+    for (ca, ia), (cb, ib) in itertools.product(firsts, seconds):
+        direct = []
+        for m in words._CLASS_TABLE[words._window((ca, cb), 0)]:
+            binding = m.bind((ia, ib), 0)
+            if binding is not None:
+                direct.append((m.priority, m, tuple(g.index for g in words._emit(m.dst, binding))))
+        record = words._read_window(ca, ia, cb, ib)
+        assert record == tuple(direct), (ca, ia, cb, ib)
+        assert all(type(rewrite) is tuple for _, _, rewrite in record)
+
+
+def test_window_table_stays_bounded():
+    """More distinct windows than the table holds: the oldest records
+    go, and every normal form is still the shuffle rule's."""
+    table = words._read_window
+    assert table.cache_info().maxsize == 4096
+    table.cache_clear()
+    for i, j in itertools.product(range(1, 71), repeat=2):
+        nf = Word.of(I(j + 1), I(i)) if i < j else Word.of(I(i), I(j))
+        assert normalize(Word.of(I(i), I(j))) == nf
+    info = table.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
+
+
+def test_normalize_again_reads_no_new_window():
+    word = rand_word(random.Random(3), 32, 5)
+    nf = normalize(word)
+    misses = words._read_window.cache_info().misses
+    assert normalize(word) == nf
+    assert words._read_window.cache_info().misses == misses
+
+
 def test_normalize_step_cap_is_a_word_error(monkeypatch):
     monkeypatch.setattr(words, "_NORMALIZE_CAP", 3)
     with pytest.raises(WordError, match="step cap"):
@@ -223,6 +261,72 @@ def test_word_eq_unknown_is_reachable_but_flagged():
     # identical smooth actions, no relation connects them: honest Unknown
     verdict = word_eq(w("p2 p3"), w("p2 p4"))
     assert isinstance(verdict, Unknown)
+
+
+def _oracle_battery():
+    """300 random pairs of words of lengths 1-4 with indices 1-3, each
+    with a seed below 4, then pairs whose first refuting witness is the
+    13th to the 20th of their seed, or past it (p2 p3 at seed 35)."""
+    rng = random.Random(32)
+    pairs = [(rand_word(rng, rng.randint(1, 4), 3), rand_word(rng, rng.randint(1, 4), 3),
+              rng.randrange(4)) for _ in range(300)]
+    late = [("D3", "D4", 75), ("D3", "D4", 158), ("D3", "D4", 314), ("p2", "p3", 96),
+            ("p2", "p3", 35)]
+    return pairs + [(w(a), w(b), seed) for a, b, seed in late]
+
+
+def _verdict_text(v):
+    return type(v).__name__ + (" " + format_polyfun(v.witness) if isinstance(v, NotEqual) else "")
+
+
+@pytest.mark.parametrize("trials", [1, 12, 20])
+def test_word_eq_draws_what_a_fresh_generator_draws(trials):
+    words._kept_witnesses.cache_clear()
+    for a, b, seed in _oracle_battery():
+        assert word_eq(a, b, trials, seed) == word_eq_per_call(a, b, trials, seed), \
+            (str(a), str(b), seed)
+
+
+def test_word_eq_verdicts_are_pinned():
+    """The verdicts and witnesses of the battery at 1, 12 and 20 trials:
+    the digest below was computed while word_eq drew its witnesses from a
+    fresh random.Random(seed) on every call."""
+    lines = [f"{trials} {a} | {b} | {seed}: {_verdict_text(word_eq(a, b, trials, seed))}"
+             for trials in (1, 12, 20) for a, b, seed in _oracle_battery()]
+    assert len(lines) == 915
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "802d5806c083c041e30849be6e659897f210026dcd1c94318086ae26fd382937"
+
+
+def _count_draws(monkeypatch) -> list:
+    """Count the oracle's witness draws, from an empty witness store."""
+    draws = []
+    draw = words._random_polyfun
+    monkeypatch.setattr(words, "_random_polyfun", lambda rng: draws.append(1) or draw(rng))
+    words._kept_witnesses.cache_clear()
+    return draws
+
+
+def test_word_eq_draws_a_seeds_witnesses_once(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    for _ in range(5):
+        assert isinstance(word_eq(w("p2 p3"), w("p2 p4"), seed=7), Unknown)
+        assert isinstance(word_eq(w("D1 I1"), w("D2 I1"), seed=7), NotEqual)
+    assert len(draws) == 12
+
+
+def test_witness_store_is_bounded_whatever_the_trials(monkeypatch):
+    """Trials past the kept witnesses are drawn afresh on every call, and
+    the store holds 12 witnesses for each of at most 16 seeds."""
+    draws = _count_draws(monkeypatch)
+    for seed in range(40):
+        assert isinstance(word_eq(w("p2 p3"), w("p2 p4"), trials=30, seed=seed), Unknown)
+    assert len(draws) == 40 * 30
+    info = words._kept_witnesses.cache_info()
+    assert info.currsize <= info.maxsize == 16
+    assert len(words._kept_witnesses(39)[0]) == 12
+    assert isinstance(word_eq(w("D1 I1"), w("D2 I1"), trials=10**30, seed=39), NotEqual)
+    assert len(draws) == 40 * 30
 
 
 # ---------------------------------------------------------------------------
