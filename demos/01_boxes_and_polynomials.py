@@ -8,7 +8,7 @@
 from fractions import Fraction as F
 
 from idcalc import (Box, domint, parse_box, parse_polyfun, format_polyfun,
-                    eval_at, partial, smint, compose, tuple_, vprod, range_bound)
+                    eval_at, partial, smint, compose, tuple_, vprod, range_bound, sectn)
 
 unit = parse_box("(0,1)")
 plane = parse_box("RxR")
@@ -48,3 +48,7 @@ b = parse_polyfun("poly 1->1 on R : 1 x1^3")
 print("\npairing:", format_polyfun(tuple_([a, b])))
 pair = parse_polyfun("poly 1->2 on R : 1 x1; 2")
 print("outer product:", format_polyfun(vprod(pair, pair)))
+
+# A section undoes domint's duplication: sectn(m, i) zeroes slot i and
+# drops the pair of slots i, i+1, here (x1, x2, x3) -> (0, x3).
+print("\nsection of R^3 at slot 1:", format_polyfun(sectn(2, 1)))

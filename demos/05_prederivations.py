@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from idcalc import (GermCore, PreDeriv, apply, canonical_direction, chain_check,
                     eval_smooth, format_polyfun, nontriviality_witness,
                     parse_polyfun, smooth_kernel_test, vanishing_space)
-from idcalc.prederiv import identity_core
+from idcalc.prederiv import chart_differential, identity_core
 
 # the curve t -> (t, t^2) with unit speed
 z = GermCore(parse_polyfun("poly 1->2 on (-1,1) : 1 x1; 1 x1^2"))
@@ -41,3 +41,10 @@ print("difference applied to x1 x2 + 2 x3^2 + x1:",
 # with an exact product closed form
 print("\nnontriviality witness (l=2):",
       format_polyfun(nontriviality_witness(2, 1, [F(1), F(0)])))
+
+# the differential at a base point other than 0: chart_differential
+# translates the point and its image to 0, then pushes forward; the
+# tangent vector moves by the Jacobian at the point, here diag(4, 1)
+chart = parse_polyfun("poly 2->2 on RxR : 1 x1^2; 1 x2")
+moved = chart_differential(chart, PreDeriv.of(identity_core(2), [F(1), F(-1)]), [F(2), F(3)])
+print("\nchart differential of (x^2, y) at (2,3) on (1,-1):", eval_smooth(moved))

@@ -6,8 +6,8 @@ CAS fragment with the operator-generator actions), words (the operator
 monoid and its word problem), terms (the free expression language),
 evaluation (terms to polynomial functions, instantiation, the linear
 embedding), relations (the machine-checked relation catalogue), prederiv
-(tangent-vector representatives at a fibre), sphere (the floating-point
-sphere-combing demo), cli (the command line).
+(tangent-vector representatives at a fibre and their differentials),
+sphere (the floating-point sphere-combing demo), cli (the command line).
 """
 
 from .boxes import Box, Enclosure, Ray1, domint, parse_box, product
@@ -21,8 +21,8 @@ from .words import (D, Equal, Gen, GenKind, I, NotEqual, Q, Signature, Unknown,
                     Word, normalize, p, parse_word, q, relation_step,
                     signature_effect, word_eq)
 from .terms import (Act, Comp, Opaque, Term, TupleT, classify,
-                    format_term, max_augment, mult_t, occurrences, parse_term,
-                    scal_t, signature, substitute, sum_t)
+                    format_term, max_augment, mult_t, parse_term, scal_t,
+                    signature, substitute, sum_t)
 from .evaluation import eval_term, instantiate, linincl, linincl_of_polyfun
 from .relations import RelationReport, check_all, check_relation
 from .prederiv import (GermCore, PreDeriv, apply, canonical_direction,

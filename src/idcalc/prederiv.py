@@ -5,7 +5,10 @@ a core is a polynomial function z with 0 in its domain and z(0) = 0, and
 the direction is a rational vector matching the core's arity.  Applied to
 a scalar function w it produces the germ sum_l u_l d/dx_l (w o z), summed
 in one walk over the terms of w o z; the formal summands are then grouped
-by core arity.
+by core arity.  The differential of a pointed map f pushes a
+pre-derivation forward to the cores f o z (``pre_diff``); at any other
+base point of a polynomial chart transition, ``chart_differential``
+first translates the point and its image to 0.
 
 Smooth evaluation sends a pre-derivation to the classical tangent vector
 Jac(z, 0) u, the vanishing space of a core collects the directions whose
@@ -27,8 +30,9 @@ from typing import Iterator, Sequence
 
 from .boxes import Box, Cursor, IdcalcError, Ray1, rat
 from .polynomials import (CompositionGuardError, Key, Poly, PolyFun, RatLike, _canonical,
-                          _centred_fits, _substitute, format_polyfun, format_rat, range_fits,
-                          read_polyfun, smint, vsum)
+                          _centred_fits, _substitute, compose, const_fun, eval_at,
+                          format_polyfun, format_rat, range_fits, read_polyfun, smint, trasl,
+                          vsum)
 
 
 class PreDerivError(IdcalcError):
@@ -181,10 +185,6 @@ class PreDeriv:
         u = tuple(rat(c) for c in direction)
         return PreDeriv(core.target_dim, ((core, u),))
 
-    @staticmethod
-    def zero(target_dim: int) -> "PreDeriv":
-        return PreDeriv(target_dim)
-
     def __add__(self, other: "PreDeriv") -> "PreDeriv":
         if self.target_dim != other.target_dim:
             raise PreDerivError("target dimensions differ")
@@ -325,6 +325,20 @@ def pre_diff(f: PolyFun, dv: PreDeriv) -> PreDeriv:
     return PreDeriv(f.cod_dim, new)
 
 
+def chart_differential(f: PolyFun, dv: PreDeriv, base_point: Sequence) -> PreDeriv:
+    """Fibre map of a polynomial chart transition at a base point:
+    localize (translate so the point and its image go to 0), then push the
+    pre-derivation forward."""
+    point = [rat(c) for c in base_point]
+    if len(point) != f.arity:
+        raise PreDerivError("base point dimension differs from the transition arity")
+    if not f.domain.contains(point):
+        raise PreDerivError("base point must lie inside the transition domain")
+    local_dom = f.domain.translate([-c for c in point])
+    shifted = compose(f, trasl(point).restrict(local_dom))
+    return pre_diff(vsum(shifted, const_fun(local_dom, [-c for c in eval_at(f, point)])), dv)
+
+
 def chain_check(f: PolyFun, dv: PreDeriv) -> bool:
     """Jac(f,0) . eval_smooth(dv) == eval_smooth(pre_diff(f, dv)), exactly."""
     lhs_vec = eval_smooth(dv)
@@ -415,7 +429,7 @@ def parse_prederiv(text: str) -> PreDeriv:
     if zero:
         m = cur.index(zero[1], zero.start(1), "dimension")
         if cur.pos == len(text):
-            return PreDeriv.zero(m)
+            return PreDeriv(m)
         raise cur.fail(_SYNTAX, cur.pos)
     if cur.pos == len(text):
         raise cur.fail("empty pre-derivation text", cur.pos)

@@ -15,8 +15,9 @@ shifted point, and subtracts B(y) (`comb_core`); the inner region's core
 The bridge's slope is never evaluated: `make_bridge` checks only each
 arc's least slope, in closed form, and the tests keep the slope itself as
 an oracle.
-Chart-transition differentials on polynomial transitions stay exact and
-delegate to the pre-derivation module.
+The layer takes nothing from the exact kernel but its error base class;
+the exact differential of a polynomial chart transition at a base point
+is `prederiv.chart_differential`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .boxes import IdcalcError, rat
-from .polynomials import PolyFun, compose, const_fun, eval_at, trasl, vsum
-from .prederiv import PreDeriv, pre_diff
+from .boxes import IdcalcError
 
 FD_STEP = 1e-5
 CERT_RADIUS = 1e-3  # certificate offsets t range over [-CERT_RADIUS, CERT_RADIUS]
@@ -465,22 +464,3 @@ def _csv_rows(table: np.ndarray) -> str:
 
 def _slot_text(slots: np.ndarray) -> str:
     return slots[slots != 0].tobytes().decode("ascii")
-
-
-# ---------------------------------------------------------------------------
-# chart-transition differentials (exact layer)
-
-
-def chart_differential(f: PolyFun, dv: PreDeriv,
-                       base_point: Sequence) -> PreDeriv:
-    """Fibre map of a polynomial chart transition at a base point:
-    localize (translate so the point and its image go to 0), then push the
-    pre-derivation forward."""
-    point = [rat(c) for c in base_point]
-    if len(point) != f.arity:
-        raise SphereError("base point dimension differs from the transition arity")
-    if not f.domain.contains(point):
-        raise SphereError("base point must lie inside the transition domain")
-    local_dom = f.domain.translate([-c for c in point])
-    shifted = compose(f, trasl(point).restrict(local_dom))
-    return pre_diff(vsum(shifted, const_fun(local_dom, [-c for c in eval_at(f, point)])), dv)

@@ -3,10 +3,10 @@
 A term is one of: a leaf, which is the base function itself (a
 ``PolyFun``, or an ``Opaque`` named scalar generator), an n-ary cartesian
 tuple, a binary composition, or the action of an operator word.  The
-module provides signature inference, occurrence addressing and
-simultaneous substitution, the smooth/continuous fragment classification,
-the unique fully right-associated normal form, and the derived
-sum/product/scalar constructors.
+module provides signature inference, simultaneous substitution at the
+addresses the caller gives, the smooth/continuous fragment
+classification, the unique fully right-associated normal form, and the
+derived sum/product/scalar constructors.
 """
 
 from __future__ import annotations
@@ -161,30 +161,7 @@ def signature(t: Term) -> Signature:
 
 
 # ---------------------------------------------------------------------------
-# occurrences and substitution
-
-
-_Chain = Optional[tuple[int, "_Chain"]]  # an address as (last step, parent chain)
-
-
-def occurrences(t: Term, pattern: Term) -> list[Occurrence]:
-    """The addresses of the subterms equal to ``pattern``, in preorder.  The
-    walk carries each address as a chain that shares its parent's, so a step
-    costs O(1) at any depth and only the addresses kept become tuples."""
-    found = []
-    stack: list[tuple[_Chain, Term]] = [(None, t)]
-    while stack:
-        chain, node = stack.pop()
-        if node == pattern:
-            steps, link = [], chain
-            while link is not None:
-                step, link = link
-                steps.append(step)
-            found.append(tuple(reversed(steps)))
-        kids = children(node)
-        for k in range(len(kids) - 1, -1, -1):
-            stack.append(((k, chain), kids[k]))
-    return found
+# substitution
 
 
 def substitute(t: Term, assignment: Mapping[Occurrence, Term]) -> Term:
@@ -245,11 +222,6 @@ def max_augment(t: Term) -> Term:
     tuples and actions; leaf order is preserved and the result is the
     unique fixed point."""
     return _fold(t, _rebuild, _right_children, {})
-
-
-def has_left_nested_comp(t: Term) -> bool:
-    return _fold(t, lambda node, kids: any(kids) or (
-        isinstance(node, Comp) and isinstance(node.left, Comp)), children, {})
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
   minimum.
 - A term's opaque leaves, by name and domain: what an instantiation of
   the term must assign.
+- Whether a term holds a composition whose left factor is a composition:
+  what ``max_augment`` leaves none of.
 - Scaling by a rational, of a polynomial and of a function: no kernel
   operation scales alone (``apply`` folds its scalars into the derivative
   it sums, and ``scal_t`` multiplies by a constant function).
@@ -27,7 +29,7 @@ import numpy as np
 from idcalc.boxes import Box, RatLike, rat
 from idcalc.polynomials import Orientation, Poly, PolyFun, apply_word
 from idcalc.sphere import Bridge
-from idcalc.terms import Opaque, Term, _fold
+from idcalc.terms import Comp, Opaque, Term, _fold, children
 from idcalc.words import (RELATIONS, Equal, NotEqual, Unknown, Word, WordError, _emit,
                           _Matcher, _random_polyfun, normalize)
 
@@ -101,6 +103,15 @@ def opaque_domains(t: Term) -> dict[str, Box]:
             out.update(kid)
         return out
     return _fold(t, visit)
+
+
+# ---------------------------------------------------------------------------
+# left-nested compositions
+
+
+def has_left_nested_comp(t: Term) -> bool:
+    return _fold(t, lambda node, kids: any(kids) or (
+        isinstance(node, Comp) and isinstance(node.left, Comp)), children, {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import idcalc
 from idcalc import sphere, words
 from idcalc.cli import main
+from idcalc.relations import CATALOGUE
 from idcalc.terms import MAX_TERM_DEPTH, format_term
 from idcalc.words import parse_word, relation_step
 from test_evaluation import REFUSED_AFTER_AN_ERROR, _guard_then_leaf
@@ -435,6 +438,113 @@ def test_any_word_text_exits_0_1_or_2(a, b, trials, seed, as_json):
     assert _exit_code(["normalize-word", *flags, "--", a]) in (0, 1)
     assert _exit_code(["word-eq", "--trials", str(trials), "--seed", str(seed), *flags,
                        "--", a, b]) in (0, 1, 2)
+
+
+def _exit_code_reading(argv, stdin_text):
+    """_exit_code with stdin holding stdin_text, for a text argument `-`."""
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)):
+        return _exit_code(argv)
+
+
+_TERM_LEAF = st.sampled_from([
+    "c", "d", "x", "{poly 1->1 on R : 1 x1}", "{poly 1->1 on (0,1) : 1 x1^2}",
+    "{poly 2->1 on RxR : 1 x1 x2}", "{poly 0->1 on R0 : 1}", "{poly 1->2 on R : 1 x1; 2}"])
+_ACTION = st.sampled_from(["I1", "D2", "p1", "q1", "Q2", "I1 D1", "I1001", ""])
+_TERM_TEXT = st.one_of(
+    st.recursive(_TERM_LEAF, lambda t: st.one_of(
+        st.builds("({} . {})".format, t, t),
+        st.lists(t, min_size=1, max_size=3).map(lambda ts: "<" + ", ".join(ts) + ">"),
+        st.builds("[{}] {}".format, _ACTION, t)), max_leaves=8),
+    st.lists(st.one_of(_TERM_LEAF, _ACTION, st.sampled_from("()<>[]{}.,")),
+             max_size=12).map(" ".join),
+    st.text(st.sampled_from("()<>[]{}.,IDpqQ0123456789 xcd_-^:;/R"), max_size=40),
+    st.text(max_size=12))
+
+
+@pytest.fixture(scope="module")
+def opaque_env(tmp_path_factory):
+    path = tmp_path_factory.mktemp("env") / "env.txt"
+    path.write_text("c : (0,1)\nd : RxR\n", encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["parse", "typecheck", "normalize-term"]), _TERM_TEXT, _TERM_TEXT,
+       st.booleans(), st.booleans())
+def test_any_term_text_exits_0_or_1(opaque_env, command, text, stdin_text, with_env, as_json):
+    """Any term text given to parse, typecheck and normalize-term exits 0
+    or 1 and raises nothing, with and without an environment declaring
+    the opaque names c and d; the text follows `--`, and a text `-` reads
+    stdin."""
+    flags = (["--env", opaque_env] if with_env else []) + (["--json"] if as_json else [])
+    assert _exit_code_reading([command, *flags, "--", text], stdin_text) in (0, 1)
+
+
+_CORE_TEXT = st.sampled_from([
+    "poly 1->1 on (-1,1) : 1 x1", "poly 1->2 on (-1,1) : 1 x1; 1 x1^2",
+    "poly 2->2 on (-1,1)x(-1,1) : 1 x1; 0", "poly 2->1 on RxR : 1 x1 x2 + 3 x2^1000",
+    "poly 1->1 on (0,1) : 1 x1", "poly 1->1 on R : 1 x1 + 1", "poly 0->2 on R0 : 0; 0"])
+_ENTRY_TEXT = st.sampled_from(["1", "0", "-1/2", "7/3"])
+_SUMMAND_TEXT = st.builds(
+    "D{{ core={}; u=({}); }}".format, _CORE_TEXT,
+    st.one_of(st.lists(_ENTRY_TEXT, min_size=1, max_size=2),
+              st.lists(st.one_of(_ENTRY_TEXT, st.sampled_from(["1/0", "x", ""])),
+                       max_size=3)).map(", ".join))
+_PREDERIV_TEXT = st.one_of(
+    st.lists(_SUMMAND_TEXT, min_size=1, max_size=3).map(" + ".join),
+    st.sampled_from(["0[m=2]", "0[m=0]", "0[m=1001]", "0[m=2] + 0[m=2]", "-"]),
+    st.lists(st.sampled_from(["D{", "core=", ";", "u=(", ")", "}", "+", ",", "1",
+                              "poly 1->1 on (-1,1) : 1 x1", "0[m=1]"]),
+             max_size=12).map(" ".join),
+    st.text(max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PREDERIV_TEXT, _PREDERIV_TEXT, st.booleans(), st.booleans(), st.booleans(),
+       st.booleans())
+def test_any_prederiv_text_exits_0_or_1(text, stdin_text, smooth, kernel, canonical, as_json):
+    """Any pre-derivation text given to prederiv with --eval-smooth,
+    --kernel and --canonical exits 0 or 1 and raises nothing; the text
+    follows `--`, and a text `-` reads stdin.  --apply is left out: with
+    no bound on term size, a derivative applied d times can give 2^d
+    monomials."""
+    flags = [flag for flag, on in (("--eval-smooth", smooth), ("--kernel", kernel),
+                                   ("--canonical", canonical), ("--json", as_json)) if on]
+    assert _exit_code_reading(["prederiv", *flags, "--", text], stdin_text) in (0, 1)
+
+
+# a rule id, or junk that argparse does not read as an option
+_RULE = st.one_of(st.sampled_from(sorted(CATALOGUE)),
+                  st.text(max_size=8).filter(lambda s: not s.startswith("-")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.lists(_RULE, max_size=3), st.integers(-2**70, 2**70),
+       st.sampled_from(["upper", "lower"]), st.booleans())
+def test_any_check_relations_call_exits_0_1_or_2(trials, rules, seed, orientation, as_json):
+    """check-relations with 1 or 2 trials, any seed, either orientation and
+    rule ids mixed with junk (or every rule) exits 0, 1 or 2 and raises
+    nothing; a failure's report goes to a temporary directory."""
+    argv = ["check-relations", "--trials", str(trials), "--seed", str(seed),
+            "--orientation", orientation] + (["--json"] if as_json else [])
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        assert _exit_code(argv + (["--rules", *rules] if rules else [])) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-3, 12), st.sampled_from([sphere.MAX_GRID + 1, 10**9, 2**64])),
+       st.one_of(st.floats(0, 1 / 6), st.floats()))
+def test_any_comb_sphere_grid_and_eps_exits_0_or_1(grid, eps):
+    """comb-sphere with --grid from -3 to 12 and any float --eps, nan and
+    inf included, exits 0 or 1 and raises nothing.  A grid past MAX_GRID
+    is refused before any sweep is allocated."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["comb-sphere", "--grid", str(grid), f"--eps={eps!r}"])
+    assert code in (0, 1)
+    if grid > sphere.MAX_GRID:
+        assert code == 1
+        assert err.getvalue() == f"error: grid must be <= {sphere.MAX_GRID}, got {grid}\n"
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])

@@ -19,11 +19,10 @@ from idcalc.boxes import Box
 from idcalc.evaluation import linincl
 from idcalc.polynomials import (Orientation, Poly, PolyFun, apply_word, compose,
                                 format_polyfun, format_rat, vprod)
-from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction, eval_smooth,
-                             format_prederiv, vanishing_space)
+from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction,
+                             chart_differential, eval_smooth, format_prederiv, vanishing_space)
 from idcalc.relations import (rand_box, rand_box_around_zero, rand_coeff, rand_polyfun,
                               rand_word)
-from idcalc.sphere import chart_differential
 from idcalc.terms import Opaque, format_term
 from idcalc.words import Gen, GenKind, Word
 
@@ -129,7 +128,7 @@ def test_chart_differential_is_pinned():
     for _ in range(60):
         m = rng.randint(1, 3)
         f = rand_polyfun(rng, rand_box(rng, m), rng.randint(1, 3), rng.choice((1, 2, 3)))
-        dv = PreDeriv.zero(m)
+        dv = PreDeriv(m)
         for _ in range(rng.randint(1, 2)):
             l = rng.randint(1, 3)
             z = _pointed(rand_polyfun(rng, rand_box_around_zero(rng, l), m, 2))

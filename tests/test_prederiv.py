@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,8 @@ from idcalc.boxes import Box, Enclosure, Ray1, parse_box
 from idcalc.polynomials import (CompositionGuardError, Poly, PolyFun, compose, format_polyfun,
                                 parse_polyfun, partial, range_fits)
 from idcalc.prederiv import (GermCore, PreDeriv, PreDerivError, apply,
-                             canonical_direction, chain_check, compose_germ, dot, eval_smooth,
+                             canonical_direction, chain_check, chart_differential,
+                             compose_germ, dot, eval_smooth,
                              format_prederiv, identity_core,
                              jacobian_at_zero, kernel_basis,
                              nontriviality_witness, parse_prederiv, pre_diff,
@@ -79,7 +83,7 @@ def test_apply_zero_direction():
 
 
 def test_apply_zero_prederiv():
-    out = apply(PreDeriv.zero(2), parse_polyfun("poly 2->1 on RxR : 1 x1"))
+    out = apply(PreDeriv(2), parse_polyfun("poly 2->1 on RxR : 1 x1"))
     assert out == []
 
 
@@ -111,7 +115,7 @@ def test_eval_smooth_jacobian_example():
 
 
 def test_eval_smooth_zero():
-    assert eval_smooth(PreDeriv.zero(3)) == (F(0), F(0), F(0))
+    assert eval_smooth(PreDeriv(3)) == (F(0), F(0), F(0))
 
 
 def test_pre_diff_identity():
@@ -166,6 +170,71 @@ def test_chain_check_example_and_random():
         dv = PreDeriv.of(z, rand_direction(rng, l))
         f = rand_pointed(rng, m, n)
         assert chain_check(f, dv)
+
+
+# ---------------------------------------------------------------------------
+# chart differentials at a base point
+
+
+def test_chart_differential_identity():
+    dv = PreDeriv.of(identity_core(2), [F(1), F(2)])
+    f = PolyFun.identity(Box.cube(-5, 5, 2))
+    out = chart_differential(f, dv, [F(1), F(1)])
+    assert eval_smooth(out) == eval_smooth(dv)
+
+
+def test_chart_differential_linear_map_conjugates():
+    dv = PreDeriv.of(identity_core(2), [F(1), F(-1)])
+    a = parse_polyfun("poly 2->2 on RxR : 2 x1 + 1 x2; 1 x2")
+    out = chart_differential(a, dv, [F(0), F(0)])
+    assert eval_smooth(out) == (F(1), F(-1))  # A @ (1,-1) = (1,-1)
+    b = parse_polyfun("poly 2->2 on RxR : 3 x1; 1 x1 + 1 x2")
+    out2 = chart_differential(b, dv, [F(2), F(3)])
+    assert eval_smooth(out2) == (F(3), F(0))
+
+
+def test_chart_differential_functorial():
+    rng = random.Random(6)
+    for _ in range(50):
+        dv = PreDeriv.of(identity_core(2),
+                         [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))])
+        f = PolyFun.make(Box.full(2), [
+            Poly.make(2, {(1, 0): F(rng.randint(1, 3)), (0, 1): F(rng.randint(-2, 2)),
+                          (2, 0): F(rng.randint(-2, 2))}),
+            Poly.make(2, {(0, 1): F(rng.randint(1, 3))})])
+        g = PolyFun.make(Box.full(2), [
+            Poly.make(2, {(1, 0): F(rng.randint(1, 3))}),
+            Poly.make(2, {(0, 1): F(rng.randint(1, 3)), (1, 1): F(rng.randint(-2, 2))})])
+        p = [F(0), F(0)]
+        seq = chart_differential(f, chart_differential(g, dv, p), p)
+        gp = [c.eval([F(0), F(0)]) for c in g.components]
+        joint = chart_differential(compose_germ(f, g), dv, p)
+        assert eval_smooth(seq) == eval_smooth(joint)
+
+
+def test_chart_differential_requires_interior_point():
+    dv = PreDeriv.of(identity_core(1), [F(1)])
+    f = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
+    with pytest.raises(PreDerivError,
+                       match="^base point must lie inside the transition domain$"):
+        chart_differential(f, dv, [F(5)])
+
+
+def test_chart_differential_runs_without_numpy():
+    """The exact differential lives in the exact kernel: a fresh interpreter
+    computes one without loading the float layer's numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prederiv.__file__)))
+    code = ("import sys, idcalc\n"
+            "from fractions import Fraction as F\n"
+            "from idcalc.polynomials import parse_polyfun\n"
+            "from idcalc.prederiv import PreDeriv, eval_smooth, identity_core\n"
+            "f = parse_polyfun('poly 2->2 on RxR : 3 x1; 1 x1 + 1 x2')\n"
+            "dv = PreDeriv.of(identity_core(2), [F(1), F(-1)])\n"
+            "out = idcalc.prederiv.chart_differential(f, dv, [F(2), F(3)])\n"
+            "print(eval_smooth(out) == (F(3), F(0)), 'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +577,7 @@ def test_kernel_by_linearity():
     counter = PreDeriv.of(identity_core(2), [-c for c in vec])
     assert smooth_kernel_test(dv + counter)
     assert not smooth_kernel_test(PreDeriv.of(identity_core(2), [1, 0]))
-    assert smooth_kernel_test(PreDeriv.zero(2))
+    assert smooth_kernel_test(PreDeriv(2))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +701,7 @@ def test_prederiv_text_roundtrip():
 
 
 def test_prederiv_zero_text():
-    dv = PreDeriv.zero(3)
+    dv = PreDeriv(3)
     assert parse_prederiv(format_prederiv(dv)) == dv
 
 

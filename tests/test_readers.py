@@ -79,7 +79,7 @@ def _core(rng: random.Random) -> GermCore:
 def test_prederiv_text_round_trip(rng, summands):
     cores = [_core(rng) for _ in range(summands)]
     target = cores[0].target_dim if cores else rng.randint(0, MAX_INDEX)
-    dv = PreDeriv.zero(target)
+    dv = PreDeriv(target)
     for core in cores:
         if core.target_dim == target:
             dv = dv + PreDeriv.of(core, [rand_coeff(rng) for _ in range(core.source_dim)])

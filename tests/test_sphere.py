@@ -4,23 +4,17 @@ import io
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idcalc.boxes import Box
 from idcalc.cli import main
-from idcalc.polynomials import Poly, PolyFun, parse_polyfun
-from idcalc.prederiv import PreDeriv, eval_smooth, identity_core
 from idcalc.sphere import (_CSV_ROW, MAX_GRID, SphereError, _csv_rows, _norm,
-                           chart_differential, comb_certificate, comb_classical, comb_core,
-                           comb_grid, make_bridge, map_north, map_south,
-                           transition)
+                           comb_certificate, comb_classical, comb_core, comb_grid,
+                           make_bridge, map_north, map_south, transition)
 from oracles import bridge_slope, slope_at_half
 
-F = Fraction
 EPS = 0.1
 
 
@@ -211,54 +205,6 @@ def test_grid_above_limit_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024  # one grid axis alone would be 8 kB, the sweep ~100 MB
-
-
-# ---------------------------------------------------------------------------
-# chart differentials (exact layer)
-
-
-def test_chart_differential_identity():
-    dv = PreDeriv.of(identity_core(2), [F(1), F(2)])
-    f = PolyFun.identity(Box.cube(-5, 5, 2))
-    out = chart_differential(f, dv, [F(1), F(1)])
-    assert eval_smooth(out) == eval_smooth(dv)
-
-
-def test_chart_differential_linear_map_conjugates():
-    dv = PreDeriv.of(identity_core(2), [F(1), F(-1)])
-    a = parse_polyfun("poly 2->2 on RxR : 2 x1 + 1 x2; 1 x2")
-    out = chart_differential(a, dv, [F(0), F(0)])
-    assert eval_smooth(out) == (F(1), F(-1))  # A @ (1,-1) = (1,-1)
-    b = parse_polyfun("poly 2->2 on RxR : 3 x1; 1 x1 + 1 x2")
-    out2 = chart_differential(b, dv, [F(2), F(3)])
-    assert eval_smooth(out2) == (F(3), F(0))
-
-
-def test_chart_differential_functorial():
-    rng = random.Random(6)
-    from idcalc.prederiv import compose_germ
-    for _ in range(50):
-        dv = PreDeriv.of(identity_core(2),
-                         [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))])
-        f = PolyFun.make(Box.full(2), [
-            Poly.make(2, {(1, 0): F(rng.randint(1, 3)), (0, 1): F(rng.randint(-2, 2)),
-                          (2, 0): F(rng.randint(-2, 2))}),
-            Poly.make(2, {(0, 1): F(rng.randint(1, 3))})])
-        g = PolyFun.make(Box.full(2), [
-            Poly.make(2, {(1, 0): F(rng.randint(1, 3))}),
-            Poly.make(2, {(0, 1): F(rng.randint(1, 3)), (1, 1): F(rng.randint(-2, 2))})])
-        p = [F(0), F(0)]
-        seq = chart_differential(f, chart_differential(g, dv, p), p)
-        gp = [c.eval([F(0), F(0)]) for c in g.components]
-        joint = chart_differential(compose_germ(f, g), dv, p)
-        assert eval_smooth(seq) == eval_smooth(joint)
-
-
-def test_chart_differential_requires_interior_point():
-    dv = PreDeriv.of(identity_core(1), [F(1)])
-    f = parse_polyfun("poly 1->1 on (0,1) : 1 x1")
-    with pytest.raises(SphereError):
-        chart_differential(f, dv, [F(5)])
 
 
 def test_classical_projection_rejects_outside_disc():

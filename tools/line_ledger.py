@@ -64,37 +64,23 @@ ALLOW: list[tuple[str, str, str]] = [
 # (module.qualified name, a phrase of README.md that promises the function,
 # why no product run enters it).  A function that only the suite runs and
 # that the README does not promise is deleted or moved under tests/.
-_STEP_API = "the README promises the single-step rewriting API; no product path rewrites one step"
+_STEP_API = ("the single-step API stays for ROADMAP item 3's derivation search and "
+             "item 10's certificate replay; no product path rewrites one step")
+_TRACED = "a target of perfbench's span tracer, which a rename or deletion breaks"
+_TERM_EQ = ("term equality stays for ROADMAP item 17's matcher and vacuous-trial "
+            "check; no product path compares or hashes two composite terms")
 _REFUSAL = "it runs only when a command refuses its input, and the README's runs all succeed"
 PROMISED: list[tuple[str, str, str]] = [
-    ("words.relation_step", "single-step rewriting API", _STEP_API),
+    ("words.relation_step", "single-step rewriting API", f"{_TRACED}; {_STEP_API}"),
     ("words._emit", "single-step rewriting API",
      "it builds the rewritten letters of relation_step, its one caller"),
     ("words.applicable_steps", "single-step rewriting API", _STEP_API),
     ("words.oriented_steps", "single-step rewriting API", _STEP_API),
-    ("terms.occurrences", "occurrence addressing",
-     "no command lists a term's occurrences; substitute takes addresses from its caller"),
     ("terms.substitute", "simultaneous substitution",
-     "instantiate replaces opaque leaves in one fold over the term's DAG, by object, "
-     "not by address; no command substitutes at an address"),
-    ("terms.has_left_nested_comp", "`classify`, `has_left_nested_comp`",
-     "a visit of terms._fold named in the Design notes; no command asks it"),
-    ("terms._Node.__eq__", "two equal terms of any depth compare equal",
-     "no product path compares two composite terms"),
-    ("terms._Node.__hash__", "hash alike",
-     "no product path hashes a composite term"),
-    ("polynomials.sectn", "named primitive maps",
-     "a named map of the library; no command or relation builds a section"),
-    ("polynomials.trasl", "named primitive maps",
-     "a named map of the library, reached only through chart_differential"),
-    ("sphere.chart_differential", "A chart differential localizes through `trasl` and `compose`",
-     "no command takes a chart differential"),
-    ("boxes.Box.translate", "A chart differential localizes through `trasl` and `compose`",
-     "trasl translates its domain box, only for chart_differential"),
-    ("boxes.Ray1.translate", "A chart differential localizes through `trasl` and `compose`",
-     "Box.translate translates each factor"),
-    ("prederiv.PreDeriv.zero", "`0[m=N]` for the zero pre-derivation",
-     "no README example or workload reads the zero pre-derivation"),
+     f"{_TRACED}; instantiate replaces opaque leaves in one fold, by object, "
+     "not by address, and no command substitutes at an address"),
+    ("terms._Node.__eq__", "two equal terms of any depth compare equal", _TERM_EQ),
+    ("terms._Node.__hash__", "hash alike", _TERM_EQ),
     ("boxes._echo", "refused with its length and a cut-short echo", _REFUSAL),
     ("boxes.Cursor.fail", "Every refusal of a text names where it fails", _REFUSAL),
     ("cli._ArgumentParser.error", "a usage error such as a missing argument", _REFUSAL),
