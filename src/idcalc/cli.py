@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 domain error (parse/type/guard), 2 verification
 failure (a relation Failed, an inequality verdict, an invariant breach).
-All randomness is seeded and the seed in force is printed.
+`main` returns the code for every input, `-h` included, and is the one
+place that prints a result: `_dispatch` hands it each subcommand's code,
+JSON payload and text.  All randomness is seeded and the seed in force is
+printed.
 """
 
 from __future__ import annotations
@@ -64,13 +67,6 @@ def _term_text(arg: str) -> str:
 def _term_arg(args: argparse.Namespace) -> Term:
     """The term argument (- reads stdin), parsed against the --env file."""
     return parse_term(_term_text(args.term), _read_defs(args.env, ":", read_box, BoxError))
-
-
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -139,7 +135,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     argv = sys.argv[1:] if argv is None else argv
     try:
-        return _dispatch(parser.parse_args(argv))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # the help action printed the usage; error() raises
+            return 0
+        if [] in vars(args).values():  # argparse strikes a value "--", leaving []
+            raise IdcalcError("'--' cannot be an argument's value")
+        code, payload, text = _dispatch(args)
     except IdcalcError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         # the tokens, not the parsed args, so usage errors honour --json (or --js)
@@ -148,57 +150,48 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
+    if payload is not None:
+        print(json.dumps(payload, indent=2) if args.json else text)
+        if payload.get("partial") and not args.json:  # eval's note follows its result
+            print("partial: a composition's range was not certified inside its outer "
+                  "domain", file=sys.stderr)
+    return code
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "parse":
+def _dispatch(args: argparse.Namespace) -> tuple[int, Optional[dict], str]:
+    """A subcommand's exit code, JSON payload and text; `main` prints one of
+    the two.  comb-sphere writes its own output and returns no payload."""
+    if args.command in ("parse", "normalize-term"):
         t = _term_arg(args)
-        _emit({"term": format_term(t)}, args.json, format_term(t))
-        return 0
+        t = max_augment(t) if args.command == "normalize-term" else t
+        return 0, {"term": format_term(t)}, format_term(t)
 
     if args.command == "typecheck":
         t = _term_arg(args)
         sig = signature(t)
         frag = classify(t)
-        text = f"dom {sig.dom}  cod R^{sig.cod_dim}  fragment {frag}"
-        _emit({"domain": str(sig.dom), "cod_dim": sig.cod_dim, "fragment": frag},
-              args.json, text)
-        return 0
+        return (0, {"domain": str(sig.dom), "cod_dim": sig.cod_dim, "fragment": frag},
+                f"dom {sig.dom}  cod R^{sig.cod_dim}  fragment {frag}")
 
     if args.command == "normalize-word":
         w, steps = _normalize_steps(parse_word(args.word))
-        _emit({"word": str(w), "steps": steps}, args.json, str(w))
-        return 0
+        return 0, {"word": str(w), "steps": steps}, str(w)
 
     if args.command == "word-eq":
         verdict = word_eq(parse_word(args.word1), parse_word(args.word2),
                           trials=args.trials, seed=args.seed)
         if isinstance(verdict, Equal):
-            _emit({"verdict": "Equal"}, args.json, "Equal")
-            return 0
+            return 0, {"verdict": "Equal"}, "Equal"
         if isinstance(verdict, NotEqual):
-            payload = {"verdict": "NotEqual",
-                       "witness": format_polyfun(verdict.witness)}
-            _emit(payload, args.json,
-                  f"NotEqual (witness {format_polyfun(verdict.witness)})")
-            return 2
-        _emit({"verdict": "Unknown"}, args.json, "Unknown")
-        return 2
-
-    if args.command == "normalize-term":
-        t = max_augment(_term_arg(args))
-        _emit({"term": format_term(t)}, args.json, format_term(t))
-        return 0
+            witness = format_polyfun(verdict.witness)
+            return 2, {"verdict": "NotEqual", "witness": witness}, f"NotEqual (witness {witness})"
+        return 2, {"verdict": "Unknown"}, "Unknown"
 
     if args.command == "eval":
         t = _term_arg(args)
         inst = _read_defs(args.inst, "=", read_polyfun, PolyError)
         f = eval_term(instantiate(t, inst) if inst else t, permissive=args.permissive)
-        _emit({**polyfun_to_json(f), "partial": f.is_partial}, args.json, format_polyfun(f))
-        if f.is_partial and not args.json:
-            print("partial: a composition's range was not certified inside its outer "
-                  "domain", file=sys.stderr)
-        return 0
+        return 0, {**polyfun_to_json(f), "partial": f.is_partial}, format_polyfun(f)
 
     if args.command == "check-relations":
         orientation = Orientation(args.orientation)
@@ -214,8 +207,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         payload = {"seed": args.seed, "trials": args.trials,
                    "orientation": orientation.value, "reports": json.loads(report),
                    "report": report_path}
-        _emit(payload, args.json, "\n".join(lines))
-        return 2 if failed else 0
+        return (2 if failed else 0), payload, "\n".join(lines)
 
     if args.command == "prederiv":
         dv = parse_prederiv(_term_text(args.prederiv))
@@ -240,8 +232,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             vec = [format_rat(c) for c in canonical_direction(core, u)]
             payload["canonical"] = vec
             lines.append("canonical (" + ", ".join(vec) + ")")
-        _emit(payload, args.json, "\n".join(lines))
-        return 0
+        return 0, payload, "\n".join(lines)
 
     # comb-sphere, the one subcommand left: argparse requires a subcommand
     from .sphere import comb_grid, grid_csv
@@ -253,7 +244,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     print(f"vanishing-radius={data['vanishing_radius']:.4f} "
           f"min-certificate={data['min_certificate']:.3e} "
           f"grid={args.grid} eps={args.eps}", file=sys.stderr)
-    return 0
+    return 0, None, ""
 
 
 if __name__ == "__main__":  # pragma: no cover

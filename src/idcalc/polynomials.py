@@ -133,17 +133,10 @@ class Poly:
     # -- calculus ------------------------------------------------------------
 
     def eval(self, xs: Sequence[RatLike]) -> Fraction:
+        """The value at the point xs: the substitution of its constants."""
         if len(xs) != self.arity:
             raise PolyError("evaluation point length mismatch")
-        vals = [rat(x) for x in xs]
-        total = Fraction(0)
-        for k, c in self.terms:
-            term = c
-            for x, e in zip(vals, k):
-                for _ in range(e):
-                    term *= x
-            total += term
-        return total
+        return self.subst([Poly.const(0, x) for x in xs]).at_zero()
 
     def at_zero(self) -> Fraction:
         """The value at 0: the constant term."""

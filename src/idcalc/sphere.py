@@ -10,8 +10,8 @@ that does not depend on t: the radius check, the split into the inner
 region and the annulus, and the transition T(y) and bridged point B(y) of
 the annulus points, held as coordinate columns.  Each offset then works on
 those columns alone: it shifts T(y) by t e1, transitions and bridges the
-shifted point, and subtracts B(y) (`comb_core`); the inner region's core
--t e1 needs no evaluation.
+shifted point, and subtracts B(y) (`comb_core`, which takes only a
+prepared point set); the inner region's core -t e1 needs no evaluation.
 The bridge's slope is never evaluated: `make_bridge` checks only each
 arc's least slope, in closed form, and the tests keep the slope itself as
 an oracle.
@@ -251,24 +251,17 @@ def _assemble(core: _Prepared, inner_first, block: Optional[list]) -> list:
 
 def _on(region, t):
     """The offsets of a region's points: t itself when it is one scalar."""
-    return t if region is None or np.ndim(t) == 0 else t[region]
+    return t if np.ndim(t) == 0 else t[region]
 
 
-def comb_core(y: Union[Sequence[float], _Prepared], t: Union[float, np.ndarray],
-              bridge: Bridge) -> Union[np.ndarray, list]:
-    """Core map at chart points y of shape (..., n) for the offset t: -t e1
-    in the inner region, the bridged transition of the shifted point on the
-    annulus.  Given `_prepare(points, bridge)` with the same bridge instead,
-    it evaluates the annulus points only, for t a scalar or one offset per
-    annulus point, and returns their n coordinate columns; this serves any
-    number of offsets without redoing the offset-independent part."""
-    if isinstance(y, _Prepared):
-        shifted = [y.transitioned[0] + t] + y.transitioned[1:]
-        return [w - b for w, b in zip(_bridge_cols(bridge, _transition_cols(shifted)),
-                                      y.bridged)]
-    core = _prepare(y, bridge)
-    block = None if core.annulus is None else comb_core(core, _on(core.annulus, t), bridge)
-    return np.stack(_assemble(core, -_on(core.inner, t), block), axis=-1)
+def comb_core(core: _Prepared, t: Union[float, np.ndarray], bridge: Bridge) -> list:
+    """Core map at the annulus points of `_prepare(points, bridge)`, with the
+    same bridge, for t a scalar or one offset per annulus point: the bridged
+    transition of the shifted point T(y) + t e1, less B(y), as n coordinate
+    columns.  The inner region's core, -t e1, is stated by `_core_slope`."""
+    shifted = [core.transitioned[0] + t] + core.transitioned[1:]
+    return [w - b for w, b in zip(_bridge_cols(bridge, _transition_cols(shifted)),
+                                  core.bridged)]
 
 
 def _core_slope(core: _Prepared, t: Union[float, np.ndarray],

@@ -9,7 +9,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import idcalc
 from idcalc import sphere, words
@@ -430,6 +430,7 @@ def _exit_code(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(_WORD_TEXT, _WORD_TEXT, st.integers(1, 3), st.integers(-2**70, 2**70), st.booleans())
+@example("", "--", 1, 0, False)  # argparse struck the second "--", leaving word2 []
 def test_any_word_text_exits_0_1_or_2(a, b, trials, seed, as_json):
     """Any text given to normalize-word and word-eq exits 0, 1 or 2 and
     raises nothing; the texts follow `--`, so one starting with `-` is a
@@ -513,14 +514,14 @@ def test_any_prederiv_text_exits_0_or_1(text, stdin_text, smooth, kernel, canoni
     assert _exit_code_reading(["prederiv", *flags, "--", text], stdin_text) in (0, 1)
 
 
-# a rule id, or junk that argparse does not read as an option
-_RULE = st.one_of(st.sampled_from(sorted(CATALOGUE)),
-                  st.text(max_size=8).filter(lambda s: not s.startswith("-")))
+# a rule id, or junk, options such as -h included
+_RULE = st.one_of(st.sampled_from(sorted(CATALOGUE)), st.text(max_size=8))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 2), st.lists(_RULE, max_size=3), st.integers(-2**70, 2**70),
        st.sampled_from(["upper", "lower"]), st.booleans())
+@example(1, ["R1", "--trials=--"], 0, "upper", False)  # a value "--" left trials []
 def test_any_check_relations_call_exits_0_1_or_2(trials, rules, seed, orientation, as_json):
     """check-relations with 1 or 2 trials, any seed, either orientation and
     rule ids mixed with junk (or every rule) exits 0, 1 or 2 and raises
@@ -704,11 +705,10 @@ def test_parse_errors_name_their_offset(capsys, argv, message):
     assert err.strip().splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["word-eq", "-h"]])
+@pytest.mark.parametrize("argv", [["-h"], ["word-eq", "-h"],
+                                  ["check-relations", "--rules", "R1", "-h"]])
 def test_help_still_exits_0(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
+    assert main(argv) == 0
     assert "usage: idcalc" in capsys.readouterr().out
 
 

@@ -301,8 +301,9 @@ def _closure_point(rng, box):
 
 def test_poly_ops_match_sympy():
     """add, mul, powers by repeated mul, subst, partial and antideriv agree
-    with sympy's expansion coefficient for coefficient, and range_bound
-    encloses every sampled value on the closed domain."""
+    with sympy's expansion coefficient for coefficient, eval agrees with
+    sympy's value at a rational point with some zero coordinates, and
+    range_bound encloses every sampled value on the closed domain."""
     sympy = pytest.importorskip("sympy")
 
     def to_sympy(p, gens):
@@ -312,7 +313,7 @@ def test_poly_ops_match_sympy():
     def agrees(p, ref):
         return dict(p.terms) == {k: F(int(c.p), int(c.q)) for k, c in ref.terms() if c}
 
-    rng = random.Random(41)
+    rng, points = random.Random(41), random.Random(43)
     for _ in range(200):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         xs, ys = sympy.symbols(f"x1:{m + 1}"), sympy.symbols(f"y1:{n + 1}")
@@ -336,6 +337,10 @@ def test_poly_ops_match_sympy():
                               start=sympy.Poly(sympy.Rational(c.numerator, c.denominator),
                                                *ys, domain="QQ"))
         assert agrees(a.subst(list(args)), sub)
+        pt = [F(points.choice([0, points.randint(-6, 6)]), points.randint(1, 4)) for _ in xs]
+        value = sa.as_expr().subs({x: sympy.Rational(c.numerator, c.denominator)
+                                   for x, c in zip(xs, pt)})
+        assert a.eval(pt) == F(int(value.p), int(value.q))
         encs = range_bound(f)
         for _ in range(3):
             pt = _closure_point(rng, f.domain)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idcalc.cli import main
-from idcalc.sphere import (_CSV_ROW, MAX_GRID, SphereError, _csv_rows, _norm,
+from idcalc.sphere import (_CSV_ROW, MAX_GRID, SphereError, _csv_rows, _norm, _prepare,
                            comb_certificate, comb_classical, comb_core, comb_grid,
                            make_bridge, map_north, map_south, transition)
 from oracles import bridge_slope, slope_at_half
@@ -143,15 +143,10 @@ def test_classical_projection_constant_inside():
     assert np.allclose(comb_classical([0.2, 0.0], 2, EPS), [-1.0, 0.0])
 
 
-def test_core_is_linear_inside():
-    br = make_bridge(EPS)
-    assert np.allclose(comb_core([0.1, 0.2], 0.25, br), [-0.25, 0.0])
-
-
 def test_core_is_pointed():
     br = make_bridge(EPS)
     for y in ([0.5, 0.0], [0.0, 0.5], [0.7, 0.2]):
-        assert np.allclose(comb_core(y, 0.0, br), [0.0, 0.0], atol=1e-14)
+        assert np.allclose(comb_core(_prepare(y, br), 0.0, br), [0.0, 0.0], atol=1e-14)
 
 
 def test_projection_vanishes_on_half_circle_perpendicular_points():
