@@ -36,7 +36,7 @@ def _read_defs(path: Optional[str], sep: str, read: Callable[[Cursor], object],
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         reason = getattr(exc, "strerror", None) or exc
         raise IdcalcError(f"cannot read {path!r}: {reason}") from None
     defs = {}
@@ -54,8 +54,9 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
-    except OSError as exc:
-        raise IdcalcError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise IdcalcError(f"cannot write {path!r}: {reason}") from None
 
 
 def _term_text(arg: str) -> str:
@@ -153,6 +154,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if payload is not None:
         print(json.dumps(payload, indent=2) if args.json else text)
         if payload.get("partial") and not args.json:  # eval's note follows its result
+            sys.stdout.flush()  # even in one file that both streams write, unbuffered or not
             print("partial: a composition's range was not certified inside its outer "
                   "domain", file=sys.stderr)
     return code

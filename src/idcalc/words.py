@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -122,16 +122,18 @@ def parse_word(text: str) -> Word:
 # generator index must equal var + offset, where var is one of the rule
 # variables i, j, or None for the fixed index offset.  Every side names i,
 # and every side of a rule that uses j names j.  Matchers read a word as
-# two int lists, its kind codes and its indices, each ending in one
-# sentinel letter of kind code _END.  The window at a position is the pair
-# of kind codes there and at the next position, so the last window pairs
-# the last letter with the sentinel.  A table holds, per window, only the
+# one int list of packed letters, index << 3 | kind code, ending in the
+# sentinel letter _END (kind code _END, index 0); the packing needs no
+# bound on the index.  The window at a position is the pair of letters
+# there and at the next position, so the last window pairs the last letter
+# with the sentinel.  A table holds, per pair of kind codes, only the
 # matchers whose source kinds it has, so a matcher checks indices and the
 # side condition alone.
 
 _KINDS = tuple(GenKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _END = len(_KINDS)
+_KIND = 7  # the kind code bits of a packed letter
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -148,17 +150,13 @@ class _Matcher:
     cond: Callable[[int, Optional[int]], bool]
     priority: Optional[int] = None  # the normalizer's class of the rule
 
-    @cached_property
-    def dst_codes(self) -> tuple[int, ...]:
-        return tuple(code for code, _, _ in self.dst)
-
-    def bind(self, idx: Sequence[int], pos: int) -> Optional[dict]:
-        """The rule variables at the window starting at pos, whose kinds
-        are the source kinds, or None when an index or the side condition
-        does not fit."""
+    def bind(self, letters: Sequence[int], pos: int) -> Optional[dict]:
+        """The rule variables at the window of packed letters starting at
+        pos, whose kinds are the source kinds, or None when an index or the
+        side condition does not fit."""
         binding: dict[str, int] = {}
         for k, (_, var, off) in enumerate(self.src):
-            val = idx[pos + k] - off
+            val = (letters[pos + k] >> 3) - off
             if var is None:
                 if val != 0:
                     return None
@@ -245,21 +243,17 @@ def _emit(pats: Sequence[_Pat], binding: dict) -> tuple[Gen, ...]:
                  for code, var, off in pats)
 
 
-def _letters(w: Word) -> tuple[list[int], list[int]]:
-    """The kind codes and the indices of w, then the sentinel letter."""
-    return [_CODE[g.kind] for g in w.gens] + [_END], [g.index for g in w.gens] + [0]
+def _packed(w: Word) -> list[int]:
+    """The packed letters of w, then the sentinel letter."""
+    return [g.index << 3 | _CODE[g.kind] for g in w.gens] + [_END]
 
 
-def _window(codes: Sequence[int], pos: int) -> int:
-    """The table row of the window starting at pos."""
-    return codes[pos] * (_END + 1) + codes[pos + 1]
-
-
-def _window_table(matchers: Sequence[_Matcher]) -> tuple[tuple[_Matcher, ...], ...]:
-    """Per window, the matchers it can match, in input order."""
+def _window_table(matchers: Sequence[_Matcher]) -> dict[tuple[int, int], tuple[_Matcher, ...]]:
+    """Per pair of kind codes, the matchers whose windows have those kinds,
+    in input order."""
     kinds = [tuple(code for code, _, _ in m.src) for m in matchers]
-    return tuple(tuple(m for m, src in zip(matchers, kinds) if src in ((a,), (a, b)))
-                 for a in range(_END) for b in range(_END + 1))
+    return {(a, b): tuple(m for m, src in zip(matchers, kinds) if src in ((a,), (a, b)))
+            for a in range(_END) for b in range(_END + 1)}
 
 
 _MATCHERS: dict[tuple[str, str], _Matcher] = {
@@ -276,10 +270,10 @@ def relation_step(w: Word, pos: int, rule_id: str, direction: str) -> Word:
     if direction not in (FORWARD, BACKWARD):
         raise WordError(f"unknown direction {direction!r}")
     m = _MATCHERS[rule_id, direction]
-    codes, idx = _letters(w)
+    letters = _packed(w)
     end = pos + len(m.src)
-    fits = 0 <= pos and codes[pos:end] == [code for code, _, _ in m.src]
-    binding = m.bind(idx, pos) if fits else None
+    fits = 0 <= pos and [a & _KIND for a in letters[pos:end]] == [code for code, _, _ in m.src]
+    binding = m.bind(letters, pos) if fits else None
     if binding is None:
         raise WordError(f"{rule_id} ({direction}) does not apply at position {pos}")
     return Word(w.gens[:pos] + _emit(m.dst, binding) + w.gens[end:])
@@ -287,11 +281,11 @@ def relation_step(w: Word, pos: int, rule_id: str, direction: str) -> Word:
 
 def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
     """All (pos, rule_id, direction) triples that relation_step accepts."""
-    codes, idx = _letters(w)
+    letters = _packed(w)
     return [(pos, m.rule_id, m.direction)
             for pos in range(len(w.gens))
-            for m in _STEP_TABLE[_window(codes, pos)]
-            if m.bind(idx, pos) is not None]
+            for m in _STEP_TABLE[letters[pos] & _KIND, letters[pos + 1] & _KIND]
+            if m.bind(letters, pos) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +310,18 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # of the window positions that hold a redex of the class; the lowest set
 # bit of the first nonzero mask is the next step.  A step rewrites the
 # letters from pos up to pos + len(dst), so only the windows starting at
-# pos - 1 up to pos + len(dst) - 1 are read again.  The windows to their
-# right keep their letters; when the step changes the length (q/Q
-# expansion +1, p1 absorption -1), their bits shift by the difference.
-# A window's redexes depend only on its two letters, and words show few
-# distinct windows, so the process reads each distinct window once into a
-# record, kept in one bounded table that every call shares: per class with
-# a redex there, the matcher and the ready rewrite, which the step then
-# splices in without matching again.
+# pos - 1 up to pos + len(dst) - 1 are read again.  When the step keeps
+# the length, their bits are cleared in the masks that hold any, from the
+# step's class on (no earlier class has a bit); the windows to their right
+# keep their letters and their bits.  When the step changes the length
+# (q/Q expansion +1, p1 absorption -1), the masks are rebuilt with the
+# later bits shifted by the difference.  A window's redexes depend only on
+# its two packed letters, and words show few distinct windows, so the
+# process reads each distinct window once into a record, kept in one
+# bounded table that every call shares.  The record holds, per class with
+# a redex there, the step's (rule_id, direction), its source length and
+# its packed replacement letters, which the step splices in without
+# matching again.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
@@ -353,23 +351,24 @@ _CLASS_TABLE = _window_table([replace(_ORIENTED[rule], priority=c)
 _NORMALIZE_CAP = 200_000
 
 
-_Record = tuple[tuple[int, _Matcher, tuple[int, ...]], ...]
+_Record = tuple[tuple[int, tuple[str, str], int, tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=4096)
-def _read_window(ca: int, ia: int, cb: int, ib: int) -> _Record:
-    """Per priority class with a redex at the window of the letters
-    (ca, ia) and (cb, ib), in class order: the class, its matcher, and the
-    indices of the letters (of kinds m.dst_codes) that replace the window's
-    source letters.  Every call in the process shares the records, so
-    they are tuples; the cache keeps the 4,096 most recently read."""
-    idx = (ia, ib)
+def _read_window(a: int, b: int) -> _Record:
+    """Per priority class with a redex at the window of the packed letters
+    a and b, in class order: the class, the step's (rule_id, direction),
+    its source length, and the packed letters that replace the source.
+    Every call in the process shares the records, so they are tuples; the
+    cache keeps the 4,096 most recently read."""
+    window = (a, b)
     record = []
-    for m in _CLASS_TABLE[_window((ca, cb), 0)]:
-        binding = m.bind(idx, 0)
+    for m in _CLASS_TABLE[a & _KIND, b & _KIND]:
+        binding = m.bind(window, 0)
         if binding is not None:
-            record.append((m.priority, m, tuple([off if var is None else binding[var] + off
-                                                 for _, var, off in m.dst])))
+            record.append((m.priority, (m.rule_id, m.direction), len(m.src),
+                           tuple([(off if var is None else binding[var] + off) << 3 | code
+                                  for code, var, off in m.dst])))
     return tuple(record)
 
 
@@ -379,11 +378,11 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
     (contraction order of disjoint shuffle redexes is observable through
     later derivative moves).  Any schedule choosing among these reaches
     the same normal form (checked by the confluence suite)."""
-    codes, idx = _letters(w)
+    letters = _packed(w)
     found: list[list[tuple[int, str, str]]] = [[] for _ in _PRIORITY_CLASSES]
     for pos in range(len(w.gens)):
-        for c, m, _ in _read_window(codes[pos], idx[pos], codes[pos + 1], idx[pos + 1]):
-            found[c].append((pos, m.rule_id, m.direction))
+        for c, step, _, _ in _read_window(letters[pos], letters[pos + 1]):
+            found[c].append((pos,) + step)
     steps = next((steps for steps in found if steps), [])
     return steps[:1] if steps and steps[0][1] == "intint" else steps
 
@@ -391,31 +390,36 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
 def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
     """The normal form of w and the (pos, rule_id, direction) steps that
     reach it; each step is oriented_steps(cur)[0] of the word before it."""
-    codes, idx = _letters(w)
+    letters = _packed(w)
     masks = [0] * len(_PRIORITY_CLASSES)
     steps = []
     start, stop = 0, len(w.gens)  # the windows to read
     while True:
         for k in range(start, stop):
-            for c, _, _ in _read_window(codes[k], idx[k], codes[k + 1], idx[k + 1]):
+            for c, _, _, _ in _read_window(letters[k], letters[k + 1]):
                 masks[c] |= 1 << k
         for c, mask in enumerate(masks):
             if mask:
                 break
         else:
-            return Word(tuple(Gen(_KINDS[k], i) for k, i in zip(codes[:-1], idx))), steps
+            return Word(tuple([Gen(_KINDS[a & _KIND], a >> 3) for a in letters[:-1]])), steps
         if len(steps) == _NORMALIZE_CAP:
             raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         pos = (mask & -mask).bit_length() - 1
         # no class before c has a redex anywhere, so c is the window's first
-        _, m, dst_idx = _read_window(codes[pos], idx[pos], codes[pos + 1], idx[pos + 1])[0]
-        end, stop = pos + len(m.src), pos + len(dst_idx)
-        codes[pos:end] = m.dst_codes
-        idx[pos:end] = dst_idx
-        steps.append((pos, m.rule_id, m.direction))
-        start = max(pos - 1, 0)
-        keep = (1 << start) - 1
-        masks = [mask & keep | mask >> end << stop for mask in masks]
+        _, step, n_src, dst = _read_window(letters[pos], letters[pos + 1])[0]
+        end, stop = pos + n_src, pos + len(dst)
+        letters[pos:end] = dst
+        steps.append((pos,) + step)
+        start = pos - 1 if pos else 0
+        if end == stop:  # clear the windows to read again
+            keep = ~((1 << stop) - (1 << start))
+            for k in range(c, len(masks)):
+                if masks[k]:
+                    masks[k] &= keep
+        else:  # and shift the later windows' bits by the change in length
+            keep = (1 << start) - 1
+            masks = [mask & keep | mask >> end << stop for mask in masks]
 
 
 def normalize(w: Word) -> Word:

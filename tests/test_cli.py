@@ -105,6 +105,23 @@ def test_eval_permissive_reports_the_partial_tag(capsys, term, partial):
     assert json.loads(out)["partial"] is partial
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_eval_permissive_prints_the_result_before_partial_in_one_file(tmp_path, unbuffered):
+    """The README example with both streams redirected to one file: the
+    result line comes first, whether stdout is block-buffered or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idcalc.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    term = "({poly 1->1 on (0,1) : 1 x1} . {poly 1->1 on R : 2 x1})"
+    out = tmp_path / "f"
+    with open(out, "w") as fh:
+        subprocess.run([sys.executable, "-m", "idcalc.cli", "eval", "--permissive", term],
+                       stdout=fh, stderr=subprocess.STDOUT, check=True, timeout=60, env=env)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "poly 1->1 on R : 2 x1" and lines[1].startswith("partial: ")
+
+
 def test_typecheck_fragments(tmp_path, capsys):
     env = tmp_path / "env.txt"
     env.write_text("c : (0,1)\n")
@@ -626,9 +643,13 @@ def test_exponent_notation_is_one_error_line(capsys, text, offset):
     (["check-relations", "--rules", "R7", "--trials", "1",
       "--report", "{tmp}/no/dir/r.json"], "r.json"),
     (["comb-sphere", "--grid", "3", "--out", "{tmp}/no/dir/o.csv"], "o.csv"),
+    # open() refuses a path holding NUL with a ValueError, not an OSError
+    (["parse", "x", "--env", "a\x00b"], "cannot read 'a\\x00b': embedded null byte"),
+    (["check-relations", "--trials", "1", "--rules", "R1", "--report", "a\x00b"],
+     "cannot write 'a\\x00b': embedded null byte"),
 ], ids=["empty-factor", "empty-exponent", "dimension", "coefficient", "box-endpoint",
         "direction", "missing-env", "binary-env", "inst-is-directory", "report-dir",
-        "out-dir"])
+        "out-dir", "nul-env", "nul-report"])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, token):
     (tmp_path / "binary.txt").write_bytes(b"c : (0,1)\n\xff\xfe\n")
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))

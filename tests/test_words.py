@@ -8,9 +8,9 @@ from idcalc import words
 from idcalc.boxes import Box, domint, parse_box
 from idcalc.polynomials import Orientation, apply_word, format_polyfun, parse_polyfun
 from idcalc.relations import rand_polyfun, rand_word
-from idcalc.words import (BACKWARD, FORWARD, Equal, Gen, GenKind, I, NotEqual,
+from idcalc.words import (BACKWARD, FORWARD, D, Equal, Gen, GenKind, I, NotEqual, Q,
                           Signature, Unknown, Word, WordError, _normalize_steps,
-                          applicable_steps, normalize, oriented_steps, parse_word,
+                          applicable_steps, normalize, oriented_steps, p, parse_word, q,
                           relation_step, signature_effect, word_eq)
 from oracles import relation_holds_on, relation_instances, relation_sides, word_eq_per_call
 
@@ -137,6 +137,37 @@ def test_normalize_steps_replay_the_oriented_strategy():
         assert not oriented_steps(nf)
 
 
+_BIG = 2 ** 64
+
+
+@pytest.mark.parametrize("word, nf", [
+    # words built in process may pass MAX_INDEX, and steps shift indices past it
+    (Word.of(I(1000), I(1001)), Word.of(I(1002), I(1000))),
+    (Word.of(q(1000), I(1000)), Word.of(D(1001), I(1000), I(1000))),
+    (Word.of(Q(999), p(1), p(1000)), Word.of(p(1000), D(999), I(999))),
+    (Word.of(I(1), q(_BIG), D(_BIG + 1), I(_BIG)),
+     Word.of(D(_BIG + 3), D(_BIG + 2), I(_BIG + 1), I(_BIG + 1), I(1))),
+])
+def test_normalize_at_large_indices(word, nf):
+    """A packed letter holds any index: the steps at and past MAX_INDEX
+    replay the oriented strategy and reach the normal form."""
+    got, steps = _normalize_steps(word)
+    assert got == nf == normalize(word)
+    cur = word
+    for step in steps:
+        assert oriented_steps(cur)[0] == step, cur
+        cur = relation_step(cur, *step)
+    assert cur == nf
+    assert not oriented_steps(nf)
+
+
+def test_steps_at_large_indices():
+    word = Word.of(q(1000), I(1001), D(_BIG))
+    assert (0, "leftproj.iii", FORWARD) in applicable_steps(word)
+    assert relation_step(word, 0, "leftproj.iii", FORWARD) == Word.of(I(1002), q(1000), D(_BIG))
+    assert relation_step(word, 1, "derint.iii", BACKWARD) == Word.of(q(1000), D(_BIG + 1), I(1001))
+
+
 @pytest.mark.parametrize("text, nf, steps", [
     # expansion (+1 letter) at the first and at the last position
     ("q1", "D2 I1", [(0, "leftproj.i", FORWARD)]),
@@ -171,9 +202,9 @@ def test_each_class_has_at_most_one_redex_per_window():
     gens = [Gen(kind, i) for kind in GenKind for i in range(1, 8)]
     windows = [(g,) for g in gens] + list(itertools.product(gens, repeat=2))
     for window in windows:
-        codes, idx = words._letters(Word(window))
-        classes = [m.priority for m in words._CLASS_TABLE[words._window(codes, 0)]
-                   if m.bind(idx, 0) is not None]
+        a, b = words._packed(Word(window))[:2]
+        classes = [m.priority for m in words._CLASS_TABLE[a & words._KIND, b & words._KIND]
+                   if m.bind((a, b), 0) is not None]
         assert len(classes) == len(set(classes)), window
 
 
@@ -184,14 +215,19 @@ def test_window_records_equal_a_direct_read():
     firsts = [(c, i) for c in range(words._END) for i in range(1, 7)]
     seconds = firsts + [(words._END, i) for i in range(7)]
     for (ca, ia), (cb, ib) in itertools.product(firsts, seconds):
+        a, b = ia << 3 | ca, ib << 3 | cb
         direct = []
-        for m in words._CLASS_TABLE[words._window((ca, cb), 0)]:
-            binding = m.bind((ia, ib), 0)
+        for m in words._CLASS_TABLE[ca, cb]:
+            binding = m.bind((a, b), 0)
             if binding is not None:
-                direct.append((m.priority, m, tuple(g.index for g in words._emit(m.dst, binding))))
-        record = words._read_window(ca, ia, cb, ib)
+                dst = tuple(g.index << 3 | words._CODE[g.kind]
+                            for g in words._emit(m.dst, binding))
+                direct.append((m.priority, (m.rule_id, m.direction), len(m.src), dst))
+        record = words._read_window(a, b)
         assert record == tuple(direct), (ca, ia, cb, ib)
-        assert all(type(rewrite) is tuple for _, _, rewrite in record)
+        assert type(record) is tuple
+        assert all(type(r) is tuple and type(r[1]) is tuple and type(r[3]) is tuple
+                   for r in record)
 
 
 def test_window_table_stays_bounded():
