@@ -22,9 +22,9 @@ from .polynomials import (Orientation, PolyError, format_polyfun, format_rat, pa
 from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
                        eval_smooth, format_prederiv, parse_prederiv,
                        smooth_kernel_test)
-from .relations import check_all, reports_to_json
+from .relations import TRIALS, check_all, reports_to_json
 from .terms import _NAME, Term, classify, format_term, max_augment, parse_term, signature
-from .words import Equal, NotEqual, _normalize_steps, parse_word, word_eq
+from .words import _TRIALS, Equal, NotEqual, _normalize_steps, parse_word, word_eq
 
 def _read_defs(path: Optional[str], sep: str, read: Callable[[Cursor], object],
                error: type[IdcalcError]) -> dict:
@@ -99,7 +99,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     we = sub.add_parser("word-eq", help="decide equality of two operator words")
     we.add_argument("word1")
     we.add_argument("word2")
-    we.add_argument("--trials", type=int, default=12)
+    we.add_argument("--trials", type=int, default=_TRIALS)
     we.add_argument("--seed", type=int, default=0)
     we.add_argument("--json", action="store_true")
 
@@ -110,10 +110,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     ev.add_argument("--permissive", action="store_true")
 
     cr = sub.add_parser("check-relations", help="run the relation catalogue")
-    cr.add_argument("--trials", type=int, default=20)
+    cr.add_argument("--trials", type=int, default=TRIALS)
     cr.add_argument("--seed", type=int, default=0)
     cr.add_argument("--rules", nargs="+", help="subset of rule ids")
-    cr.add_argument("--orientation", choices=["upper", "lower"], default="upper")
+    cr.add_argument("--orientation", choices=[o.value for o in Orientation],
+                    default=Orientation.UPPER.value)
     cr.add_argument("--report", help="write the JSON report here")
     cr.add_argument("--json", action="store_true")
 

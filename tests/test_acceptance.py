@@ -193,7 +193,7 @@ def test_criterion_7_vanishing_space_soundness():
 def test_criterion_8_augmentation_normal_form():
     """Right-association is idempotent, evaluation-invariant, and leaves
     no left-nested composition."""
-    ctx = Ctx(random.Random(SEED + 5), Orientation.UPPER)
+    ctx = Ctx(random.Random(SEED + 5), Orientation.UPPER, 0)
     bad = 0
     for _ in range(200):
         t = _rand_smooth_term(ctx, 3)

@@ -599,6 +599,36 @@ def test_cli_import_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
+def _without_time(value):
+    if isinstance(value, dict):
+        return {k: _without_time(v) for k, v in value.items() if k != "time_ms"}
+    if isinstance(value, list):
+        return [_without_time(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-relations", "--trials", "3", "--seed", "4", "--json"],
+    ["check-relations", "--trials", "3", "--seed", "4", "--orientation", "lower",
+     "--rules", "R14", "R15", "R16", "--json"],
+    ["normalize-word", "--json", "q2 I1 D3 p2"],
+    ["word-eq", "D1 I1", "D2 I1", "--json"],
+], ids=["check-relations", "check-relations-lower", "normalize-word", "word-eq"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, argv):
+    """The command run in two fresh interpreters, under PYTHONHASHSEED 0
+    and 1, gives the same exit code, stderr and JSON (time_ms dropped):
+    no output reads the order of a set or a str-keyed hash."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idcalc.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-m", "idcalc.cli", *argv], cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
+             for hash_seed in ("0", "1")]
+    (out0, err0), (out1, err1) = (proc.communicate(timeout=60) for proc in procs)
+    assert procs[0].returncode == procs[1].returncode in (0, 2)
+    assert err0 == err1
+    assert _without_time(json.loads(out0)) == _without_time(json.loads(out1))
+
+
 def test_comb_sphere_smallest_grid_with_interior_point(capsys):
     code, out, err = run(capsys, "comb-sphere", "--grid", "3")
     assert code == 0

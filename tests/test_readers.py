@@ -63,7 +63,7 @@ def test_polyfun_text_round_trip(rng, dim, cod_dim):
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from(RULES), st.integers(0, 3))
 def test_term_text_round_trip_over_catalogue_trials(rng, rule, k):
-    for t in CATALOGUE[rule](Ctx(rng, Orientation.UPPER), k):
+    for t in CATALOGUE[rule](Ctx(rng, Orientation.UPPER, k)):
         env = opaque_domains(t)
         assert parse_term(format_term(t), env) == t
 
