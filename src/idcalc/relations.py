@@ -1,12 +1,13 @@
 """Machine verification of the relation catalogue.
 
 Each rule's builder draws one trial from its context alone, ``builder(ctx)``
-(twin rules share one: R14/R15 take the letter q or Q, R16.4/R16.5 the
-second letter I or q): a random instance of the rule's side conditions
-(random boxes, indices <= 4, degree <= 3, opaque slots instantiated
-through a shared instantiation) as two different terms.  The runner
-verifies signature equality plus exact evaluation equality.  Failures are
-data: the report carries the instantiation and both evaluated sides.
+(twin rules share one: R14/R15 and R16.1/R16.2 take the letter q or Q,
+R16.4/R16.5 the second letter I or q): a random instance of the rule's
+side conditions (random boxes, indices <= 4, degree <= 3, opaque slots
+instantiated through a shared instantiation) as two different terms.  The
+runner verifies signature equality plus exact evaluation equality.
+Failures are data: the report carries the instantiation and both
+evaluated sides.
 
 Compositions run in permissive mode: several rules are identities between
 restricted (partial) compositions, and 276 of the 1,968 compositions of
@@ -369,17 +370,25 @@ def _t_r9ter(ctx: Ctx) -> Trial:
     return lhs, rhs
 
 
-def _t_r10(ctx: Ctx) -> Trial:
+def _slot_tuple(ctx: Ctx, extra: int) -> tuple[list, list, list, list, int]:
+    """Draws n in 2..3, n domain and n codomain dimensions, a box and a slot
+    per block, then i in 1..L[-1] + extra, L being the block ends; returns
+    the boxes, codomains, slots, L and i."""
     rng = ctx.rng
     n = rng.randint(2, 3)
-    ls = [rng.randint(1, 2) for _ in range(n)]
-    ms = [rng.randint(1, 2) for _ in range(n)]
-    doms = [rand_box(rng, l) for l in ls]
-    xs = [rand_slot(ctx, doms[j], ms[j]) for j in range(n)]
+    dims = [rng.randint(1, 2) for _ in range(n)]
+    cods = [rng.randint(1, 2) for _ in range(n)]
+    doms = [rand_box(rng, d) for d in dims]
+    xs = [rand_slot(ctx, dom, cod) for dom, cod in zip(doms, cods)]
     L = [0]
-    for l in ls:
-        L.append(L[-1] + l)
-    i = rng.randint(1, L[-1] + 2)  # covers in-block, between, and beyond
+    for d in dims:
+        L.append(L[-1] + d)
+    return doms, cods, xs, L, rng.randint(1, L[-1] + extra)
+
+
+def _t_r10(ctx: Ctx) -> Trial:
+    doms, _, xs, L, i = _slot_tuple(ctx, 2)  # i covers in-block, between, and beyond
+    n = len(xs)
     full_dom = product(doms)
     ext_dom = domint(full_dom, i)
     dim_ext = ext_dom.dim
@@ -426,16 +435,8 @@ def _t_r10bis(ctx: Ctx) -> Trial:
 
 
 def _t_r11(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    n = rng.randint(2, 3)
-    ms = [rng.randint(1, 2) for _ in range(n)]
-    cods = [rng.randint(1, 2) for _ in range(n)]
-    doms = [rand_box(rng, m) for m in ms]
-    xs = [rand_slot(ctx, doms[j], cods[j]) for j in range(n)]
-    M = [0]
-    for m in ms:
-        M.append(M[-1] + m)
-    i = rng.randint(1, M[-1])
+    _, cods, xs, M, i = _slot_tuple(ctx, 0)
+    n = len(xs)
     lhs = Act(Word.of(D(i)), TupleT(tuple(xs)))
     ys = []
     for j in range(n):
@@ -537,17 +538,15 @@ def _slot_pair(ctx: Ctx) -> tuple[Term, Term, int, int]:
     return rand_slot(ctx, domint(v, i), m), x2, i, n
 
 
-def _t_r16_1(ctx: Ctx) -> Trial:
+def _t_r16_1_2(ctx: Ctx, sub: Callable[[int], Gen]) -> Trial:
+    """R16.1: q<i> under I<i>; R16.2: Q<i> under I<i + 1>, inner Q<i> x2 negated."""
     x1, x2, i, n = _slot_pair(ctx)
-    return Act(Word.of(I(i)), mult_t(x1, Act(Word.of(q(i)), x2))), \
-        mult_t(Act(Word.of(I(i)), x1), Act(Word.of(q(i)), Act(Word.of(q(i)), x2)))
-
-
-def _t_r16_2(ctx: Ctx) -> Trial:
-    x1, x2, i, n = _slot_pair(ctx)
-    inner = Act(Word.of(Q(i)), Comp(vecminus(n), Act(Word.of(Q(i)), x2)))
-    return Act(Word.of(I(i + 1)), mult_t(x1, Act(Word.of(Q(i)), x2))), \
-        mult_t(Act(Word.of(I(i + 1)), x1), inner)
+    j = i if sub is q else i + 1
+    inner = Act(Word.of(sub(i)), x2)
+    lhs = Act(Word.of(I(j)), mult_t(x1, inner))
+    if sub is Q:
+        inner = Comp(vecminus(n), inner)
+    return lhs, mult_t(Act(Word.of(I(j)), x1), Act(Word.of(sub(i)), inner))
 
 
 def _t_r16_3(ctx: Ctx) -> Trial:
@@ -624,8 +623,8 @@ CATALOGUE: dict[str, Builder] = {
     "R14": lambda ctx: _t_r14_r15(ctx, q),
     "R15": lambda ctx: _t_r14_r15(ctx, Q),
     "R16": _t_r16,
-    "R16.1": _t_r16_1,
-    "R16.2": _t_r16_2,
+    "R16.1": lambda ctx: _t_r16_1_2(ctx, q),
+    "R16.2": lambda ctx: _t_r16_1_2(ctx, Q),
     "R16.3": _t_r16_3,
     "R16.4": lambda ctx: _t_r16_4_5(ctx, I),
     "R16.5": lambda ctx: _t_r16_4_5(ctx, q),

@@ -8,13 +8,14 @@ serves a single point, a certificate's offsets and a grid sweep alike.
 The core runs in two stages.  `_prepare` does once per point set the work
 that does not depend on t: the radius check, the split into the inner
 region and the annulus, and the transition T(y) and bridged point B(y) of
-the annulus points, held as coordinate columns.  Each offset then works on
-those columns alone: it shifts T(y) by t e1, transitions and bridges the
-shifted point, and subtracts B(y) (`comb_core`, which takes only a
-prepared point set); the inner region's core -t e1 needs no evaluation.
-The bridge's slope is never evaluated: `make_bridge` checks only each
-arc's least slope, in closed form, and the tests keep the slope itself as
-an oracle.
+the annulus points, held as coordinate columns beside the bridge they were
+prepared with.  Each offset then works on those columns alone: it shifts
+T(y) by t e1, transitions and bridges the shifted point, and subtracts
+B(y) (`comb_core`, which takes only a prepared point set and its offset);
+the inner region's core -t e1 needs no evaluation.  `make_bridge` sets the
+bridge's two knots once.  The bridge's slope is never evaluated:
+`make_bridge` checks only each arc's least slope, in closed form, and the
+tests keep the slope itself as an oracle.
 The layer takes nothing from the exact kernel but its error base class;
 the exact differential of a polynomial chart transition at a base point
 is `prederiv.chart_differential`.
@@ -81,7 +82,7 @@ def map_north(x: Sequence[float]) -> np.ndarray:
     2/3 lands on the equator."""
     x = np.asarray(x, dtype=float)
     r = _norm(x)
-    if np.any(r >= 1):
+    if not (r < 1).all():
         raise SphereError("chart points must have norm < 1")
     ang = 0.75 * math.pi * r
     return np.concatenate([_sin_ratio(r)[..., None] * x, np.cos(ang)[..., None]], axis=-1)
@@ -99,7 +100,7 @@ def transition(x: np.ndarray) -> np.ndarray:
     An involution."""
     x = np.asarray(x, dtype=float)
     r = _norm(x)
-    if np.any((r <= 1 / 3) | (r >= 1)):
+    if not ((r > 1 / 3) & (r < 1)).all():
         raise SphereError("transition needs 1/3 < |x| < 1")
     return np.stack(_transition_cols(np.moveaxis(x, -1, 0)), axis=-1)
 
@@ -144,19 +145,13 @@ def _hermite_deriv_min(coeffs) -> float:
 
 @dataclass(frozen=True)
 class Bridge:
-    """Monotone C1 radial profile: r - 4/3 low, 0 at 1/2, identity high."""
+    """Monotone C1 radial profile: r - 4/3 up to left_knot, 0 at 1/2,
+    identity from right_knot."""
 
-    eps: float
+    left_knot: float
+    right_knot: float
     arc1: tuple
     arc2: tuple
-
-    @property
-    def left_knot(self) -> float:
-        return 1 / 3 + self.eps
-
-    @property
-    def right_knot(self) -> float:
-        return 2 / 3 - self.eps
 
     def value(self, r):
         """The profile at radii r, each arc evaluated only on the radii it
@@ -182,7 +177,7 @@ def make_bridge(eps: float) -> Bridge:
     # for eps just below 1/6, rk rounds to 1/2 and the second arc has zero width
     if _hermite_deriv_min(arc1) <= 0 or rk <= 0.5 or _hermite_deriv_min(arc2) <= 0:
         raise SphereError("bridge arcs are not strictly increasing")
-    return Bridge(eps, arc1, arc2)
+    return Bridge(lk, rk, arc1, arc2)
 
 
 def _bridge_cols(bridge: Bridge, cols: Sequence[np.ndarray]) -> list:
@@ -198,13 +193,14 @@ def _bridge_cols(bridge: Bridge, cols: Sequence[np.ndarray]) -> list:
 
 class _Prepared(NamedTuple):
     """The offset-independent part of the core at chart points of shape
-    (..., n).  `inner` and `annulus` index the points of each region: `...`
-    for all of them, a boolean mask for some, None for none.  The annulus
-    points' T(y) and B(y) are held as n coordinate columns, so that every
-    offset's work is a few passes over contiguous columns of the annulus
-    block alone."""
+    (..., n), with the bridge it was prepared with.  `inner` and `annulus`
+    index the points of each region: `...` for all of them, a boolean mask
+    for some, None for none.  The annulus points' T(y) and B(y) are held as
+    n coordinate columns, so that every offset's work is a few passes over
+    contiguous columns of the annulus block alone."""
 
     points: np.ndarray
+    bridge: Bridge
     inner: object
     annulus: object
     transitioned: Optional[list]  # columns of T(y) at the annulus points
@@ -222,63 +218,46 @@ def _prepare(y: Sequence[float], bridge: Bridge) -> _Prepared:
     part at them once, for any number of offsets."""
     y = np.asarray(y, dtype=float)
     r = _norm(y)
-    if (r >= 1).any():
+    if not (r < 1).all():
         raise SphereError("chart points must have norm < 1")
     inner = r <= bridge.left_knot
     annulus = _region(~inner)
     if annulus is None:
-        return _Prepared(y, ..., None, None, None)
+        return _Prepared(y, bridge, ..., None, None, None)
     ya = y[annulus]
     cols = [ya[..., i] for i in range(y.shape[-1])]
-    return _Prepared(y, _region(inner), annulus,
+    return _Prepared(y, bridge, _region(inner), annulus,
                      _transition_cols(cols), _bridge_cols(bridge, cols))
 
 
-def _assemble(core: _Prepared, inner_first, block: Optional[list]) -> list:
-    """Coordinate columns over all the points: on the inner points the first
-    coordinate is inner_first (a scalar or one per inner point) and the
-    others are 0, on the annulus points they are the columns of block."""
-    if core.annulus is ...:
-        return block
-    cols = [np.zeros(core.points.shape[:-1]) for _ in range(core.points.shape[-1])]
-    if core.inner is not None:
-        cols[0][core.inner] = inner_first
-    if block is not None:
-        for col, part in zip(cols, block):
-            col[core.annulus] = part
-    return cols
-
-
-def _on(region, t):
-    """The offsets of a region's points: t itself when it is one scalar."""
-    return t if np.ndim(t) == 0 else t[region]
-
-
-def comb_core(core: _Prepared, t: Union[float, np.ndarray], bridge: Bridge) -> list:
-    """Core map at the annulus points of `_prepare(points, bridge)`, with the
-    same bridge, for t a scalar or one offset per annulus point: the bridged
-    transition of the shifted point T(y) + t e1, less B(y), as n coordinate
-    columns.  The inner region's core, -t e1, is stated by `_core_slope`."""
+def comb_core(core: _Prepared, t: Union[float, np.ndarray]) -> list:
+    """Core map at the annulus points of a prepared point set, for t a
+    scalar or one offset per annulus point: the bridged transition of the
+    shifted point T(y) + t e1, less B(y), as n coordinate columns.  The
+    inner region's core, -t e1, is stated by `_core_slope`."""
     shifted = [core.transitioned[0] + t] + core.transitioned[1:]
-    return [w - b for w, b in zip(_bridge_cols(bridge, _transition_cols(shifted)),
+    return [w - b for w, b in zip(_bridge_cols(core.bridge, _transition_cols(shifted)),
                                   core.bridged)]
 
 
-def _core_slope(core: _Prepared, t: Union[float, np.ndarray],
-                bridge: Bridge) -> list:
+def _core_slope(core: _Prepared, t: Union[float, np.ndarray]) -> list:
     """Central difference quotient of the core in the offset at t, as n
-    coordinate columns over all the points.  On the inner region the core is
-    -t e1, so its quotient is formed from the two offsets alone."""
-    block = inner_first = None
+    coordinate columns over all the points.  t is a scalar or one offset per
+    point; offsets come one per point only with a point set that lies wholly
+    in one region, whose index is `...` or None, so t is read as given.  On
+    the inner region the core is -t e1, so its quotient is formed from the
+    two offsets alone."""
     if core.annulus is not None:
-        ta = _on(core.annulus, t)
         block = [(p - m) / (2 * FD_STEP)
-                 for p, m in zip(comb_core(core, ta + FD_STEP, bridge),
-                                 comb_core(core, ta - FD_STEP, bridge))]
-    if core.inner is not None:
-        ti = _on(core.inner, t)
-        inner_first = ((-(ti + FD_STEP)) - (-(ti - FD_STEP))) / (2 * FD_STEP)
-    return _assemble(core, inner_first, block)
+                 for p, m in zip(comb_core(core, t + FD_STEP), comb_core(core, t - FD_STEP))]
+        if core.annulus is ...:
+            return block
+    cols = [np.zeros(core.points.shape[:-1]) for _ in range(core.points.shape[-1])]
+    cols[0][core.inner] = ((-(t + FD_STEP)) - (-(t - FD_STEP))) / (2 * FD_STEP)
+    if core.annulus is not None:
+        for col, part in zip(cols, block):
+            col[core.annulus] = part
+    return cols
 
 
 def _chart_point(y: Sequence[float], n: int) -> np.ndarray:
@@ -294,7 +273,7 @@ def comb_classical(y: Sequence[float], n: int, eps: float) -> np.ndarray:
     core is -t e1 and its central difference is exactly -1."""
     br = make_bridge(eps)
     core = _prepare(_chart_point(y, n), br)
-    return np.array(_core_slope(core, 0.0, br))  # one point: its n coordinates
+    return np.array(_core_slope(core, 0.0))  # one point: its n coordinates
 
 
 def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
@@ -303,7 +282,7 @@ def comb_certificate(y: Sequence[float], n: int, eps: float) -> float:
     the whole disc."""
     y = _chart_point(y, n)
     br = make_bridge(eps)
-    q = _core_slope(_prepare(np.broadcast_to(y, (CERT_SAMPLES, n)), br), _CERT_OFFSETS, br)
+    q = _core_slope(_prepare(np.broadcast_to(y, (CERT_SAMPLES, n)), br), _CERT_OFFSETS)
     # the squares are summed in coordinate order, not pairwise: for n >= 8
     # the two round differently, and the certificate pins hold this order
     return float(np.max(np.sqrt(sum(c * c for c in q)), initial=0.0))
@@ -331,14 +310,14 @@ def comb_grid(n: int, grid: int, eps: float) -> dict:
         raise SphereError("no grid point lies inside the disc")
 
     core = _prepare(pts, br)
-    proj = _core_slope(core, 0.0, br)
+    proj = _core_slope(core, 0.0)
     projnorm = _col_norm(proj)
 
     # one offset per pass keeps peak memory at one batch of points; the
     # offset 0 is the projection itself
     cert = np.zeros(len(pts))
     for t in np.linspace(-CERT_RADIUS, CERT_RADIUS, GRID_CERT_SAMPLES):
-        cert = np.maximum(cert, projnorm if t == 0 else _col_norm(_core_slope(core, t, br)))
+        cert = np.maximum(cert, projnorm if t == 0 else _col_norm(_core_slope(core, t)))
 
     vanish_idx = int(np.argmin(projnorm))
     return {

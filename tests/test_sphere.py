@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idcalc.cli import main
-from idcalc.sphere import (_CSV_ROW, MAX_GRID, SphereError, _csv_rows, _norm, _prepare,
-                           comb_certificate, comb_classical, comb_core, comb_grid,
-                           make_bridge, map_north, map_south, transition)
+from idcalc.sphere import (_CERT_OFFSETS, _CSV_ROW, MAX_GRID, SphereError, _core_slope,
+                           _csv_rows, _norm, _prepare, comb_certificate, comb_classical,
+                           comb_core, comb_grid, make_bridge, map_north, map_south,
+                           transition)
 from oracles import bridge_slope, slope_at_half
 
 EPS = 0.1
@@ -56,6 +57,8 @@ def test_norm_of_two_columns_is_the_reduction_bit_for_bit():
 def test_map_rejects_outside_disc():
     with pytest.raises(SphereError):
         map_north([1.0, 0.5])
+    with pytest.raises(SphereError):
+        map_north([math.nan, 0.0])
 
 
 def test_transition_fixes_equator():
@@ -94,6 +97,8 @@ def test_transition_involution():
 def test_transition_rejects_outside_annulus():
     with pytest.raises(SphereError):
         transition(np.array([0.2, 0.0]))
+    with pytest.raises(SphereError):
+        transition(np.array([math.nan, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def test_classical_projection_constant_inside():
 def test_core_is_pointed():
     br = make_bridge(EPS)
     for y in ([0.5, 0.0], [0.0, 0.5], [0.7, 0.2]):
-        assert np.allclose(comb_core(_prepare(y, br), 0.0, br), [0.0, 0.0], atol=1e-14)
+        assert np.allclose(comb_core(_prepare(y, br), 0.0), [0.0, 0.0], atol=1e-14)
 
 
 def test_projection_vanishes_on_half_circle_perpendicular_points():
@@ -211,6 +216,27 @@ def test_classical_projection_rejects_outside_disc():
         comb_certificate([1.2, 0.0], 2, EPS)
     with pytest.raises(SphereError):
         comb_certificate([0.5, 0.0], 3, EPS)
+    with pytest.raises(SphereError):
+        comb_classical([math.nan, 0.0], 2, EPS)
+    with pytest.raises(SphereError):
+        comb_certificate([math.nan, 0.0], 2, EPS)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.15])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_certificate_offsets_read_as_one_offset_at_a_time(n, eps):
+    """The certificate's batched offsets run on 21 copies of one point, a set
+    wholly in one region, and read what each offset alone reads, bit for
+    bit, in both regions."""
+    br = make_bridge(eps)
+    rng = np.random.default_rng(n)
+    for rad in np.linspace(0.0, 0.98, 24):
+        d = rng.normal(size=n)
+        y = rad * d / np.linalg.norm(d)
+        core = _prepare(y[None], br)
+        alone = max(float(np.sqrt(sum(c * c for c in _core_slope(core, t)))[0])
+                    for t in _CERT_OFFSETS)
+        assert comb_certificate(y, n, eps) == alone
 
 
 def test_classical_projection_is_the_grid_row():
