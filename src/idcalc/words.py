@@ -305,23 +305,33 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # words.  Each class has at most one redex per window: the rules within a
 # class need different kinds or disjoint side conditions.
 #
-# The normalizer contracts the leftmost redex of the highest class at
-# every step without rescanning the word.  It keeps, per class, a bitmask
-# of the window positions that hold a redex of the class; the lowest set
-# bit of the first nonzero mask is the next step.  A step rewrites the
-# letters from pos up to pos + len(dst), so only the windows starting at
-# pos - 1 up to pos + len(dst) - 1 are read again.  When the step keeps
-# the length, their bits are cleared in the masks that hold any, from the
-# step's class on (no earlier class has a bit); the windows to their right
-# keep their letters and their bits.  When the step changes the length
-# (q/Q expansion +1, p1 absorption -1), the masks are rebuilt with the
-# later bits shifted by the difference.  A window's redexes depend only on
-# its two packed letters, and words show few distinct windows, so the
-# process reads each distinct window once into a record, kept in one
-# bounded table that every call shares.  The record holds, per class with
-# a redex there, the step's (rule_id, direction), its source length and
-# its packed replacement letters, which the step splices in without
-# matching again.
+# The normalizer runs in two phases.  Stages (1)-(3) fire before any
+# later step, and no later step makes a redex of theirs: those steps
+# rewrite only derivative and integral windows right of the gathered
+# projections.  So one pass over the letters (_gather) takes the steps of
+# stages (1)-(3) in the strategy's order: every substitution expanded,
+# from left to right; then every p1 that directly precedes a projection
+# absorbed, from left to right; then each remaining projection moved, in
+# order, left across the derivatives and integrals before it, one step
+# per letter, absorbing the gathered block's last p1 when it arrives.
+# These are the only steps that change the length (q/Q expansion +1, p1
+# absorption -1), and they count toward the step cap like the engine's.
+#
+# The engine then contracts the leftmost redex of the highest class among
+# the letters after the projections, without rescanning them.  It keeps,
+# per class, a bitmask of the window positions that hold a redex of the
+# class; the lowest set bit of the first nonzero mask is the next step.
+# A step rewrites the letters from pos up to pos + len(dst) and keeps the
+# length, so only the windows starting at pos - 1 up to pos + len(dst) - 1
+# are read again: their bits are cleared in the masks that hold any, from
+# the step's class on (no earlier class has a bit), and the windows to
+# their right keep their letters and their bits.  A window's redexes
+# depend only on its two packed letters, and words show few distinct
+# windows, so the process reads each distinct window once into a record,
+# kept in one bounded table that every call shares.  The record holds,
+# per class with a redex there, the step's (rule_id, direction) and its
+# packed replacement letters, which the step splices in without matching
+# again.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
@@ -350,23 +360,70 @@ _CLASS_TABLE = _window_table([replace(_ORIENTED[rule], priority=c)
 
 _NORMALIZE_CAP = 200_000
 
+# _gather takes the first three classes, the strategy's stages (1)-(3),
+# from the oriented table: per source kind, the substitution's expansion
+# and its letters' (index offset, kind code); the absorption of p1; per
+# kind a projection moves across, the move.  The engine takes the rest.
+_EXPANSIONS = {_ORIENTED[rule].src[0][0]: (rule, [(off, code) for code, _, off in _ORIENTED[rule].dst])
+               for rule in _PRIORITY_CLASSES[0]}
+(_ABSORPTION,) = _PRIORITY_CLASSES[1]
+_MOVES = {_ORIENTED[rule].src[0][0]: rule for rule in _PRIORITY_CLASSES[2]}
+_ENGINE_CLASSES = range(3, len(_PRIORITY_CLASSES))
+_PROJ = _CODE[GenKind.PROJ]
+_P1 = 1 << 3 | _PROJ
 
-_Record = tuple[tuple[int, tuple[str, str], int, tuple[int, ...]], ...]
+
+def _gather(letters: list[int]) -> tuple[list[int], list[int], list[tuple[int, str, str]]]:
+    """Stages (1)-(3) on the packed letters of a word (closed by the
+    sentinel), in one pass: the gathered projections, the derivatives and
+    integrals after them, and the steps that reach that word, each
+    oriented_steps(cur)[0] of the word before it."""
+    expand, absorb, move = [], [], []
+    block, tail = [], []
+    for k in range(len(letters) - 1):
+        a = letters[k]
+        kind = a & _KIND
+        if kind in _MOVES:
+            tail.append(a)
+        elif kind != _PROJ:
+            step, dst = _EXPANSIONS[kind]
+            expand.append((k + len(expand),) + step)
+            tail += [((a >> 3) + off) << 3 | code for off, code in dst]
+        elif a == _P1 and letters[k + 1] & _KIND == _PROJ:
+            absorb.append((k + len(expand) - len(absorb),) + _ABSORPTION)
+        else:
+            base = len(block)
+            move += [(base + t,) + _MOVES[tail[t] & _KIND] for t in range(len(tail) - 1, -1, -1)]
+            # only a projection that moved can meet a p1 (the absorptions
+            # took every p1 that directly preceded a projection)
+            if block and block[-1] == _P1:
+                block.pop()
+                move.append((base - 1,) + _ABSORPTION)
+            block.append(a)
+            if len(move) > _NORMALIZE_CAP:  # past the cap: the rest is not needed
+                break
+    steps = expand + absorb + move
+    if len(steps) > _NORMALIZE_CAP:
+        raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
+    return block, tail, steps
+
+
+_Record = tuple[tuple[int, tuple[str, str], tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=4096)
 def _read_window(a: int, b: int) -> _Record:
     """Per priority class with a redex at the window of the packed letters
     a and b, in class order: the class, the step's (rule_id, direction),
-    its source length, and the packed letters that replace the source.
-    Every call in the process shares the records, so they are tuples; the
-    cache keeps the 4,096 most recently read."""
+    and the packed letters that replace the source.  Every call in the
+    process shares the records, so they are tuples; the cache keeps the
+    4,096 most recently read."""
     window = (a, b)
     record = []
     for m in _CLASS_TABLE[a & _KIND, b & _KIND]:
         binding = m.bind(window, 0)
         if binding is not None:
-            record.append((m.priority, (m.rule_id, m.direction), len(m.src),
+            record.append((m.priority, (m.rule_id, m.direction),
                            tuple([(off if var is None else binding[var] + off) << 3 | code
                                   for code, var, off in m.dst])))
     return tuple(record)
@@ -381,7 +438,7 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
     letters = _packed(w)
     found: list[list[tuple[int, str, str]]] = [[] for _ in _PRIORITY_CLASSES]
     for pos in range(len(w.gens)):
-        for c, step, _, _ in _read_window(letters[pos], letters[pos + 1]):
+        for c, step, _ in _read_window(letters[pos], letters[pos + 1]):
             found[c].append((pos,) + step)
     steps = next((steps for steps in found if steps), [])
     return steps[:1] if steps and steps[0][1] == "intint" else steps
@@ -390,36 +447,34 @@ def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
 def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
     """The normal form of w and the (pos, rule_id, direction) steps that
     reach it; each step is oriented_steps(cur)[0] of the word before it."""
-    letters = _packed(w)
+    block, letters, steps = _gather(_packed(w))
+    lo = len(block)  # the engine's window k is the word's window lo + k
+    letters.append(_END)
     masks = [0] * len(_PRIORITY_CLASSES)
-    steps = []
-    start, stop = 0, len(w.gens)  # the windows to read
+    start, stop = 0, len(letters) - 1  # the windows to read
     while True:
         for k in range(start, stop):
-            for c, _, _, _ in _read_window(letters[k], letters[k + 1]):
+            for c, _, _ in _read_window(letters[k], letters[k + 1]):
                 masks[c] |= 1 << k
-        for c, mask in enumerate(masks):
+        for c in _ENGINE_CLASSES:
+            mask = masks[c]
             if mask:
                 break
         else:
-            return Word(tuple([Gen(_KINDS[a & _KIND], a >> 3) for a in letters[:-1]])), steps
+            return Word(tuple([Gen(_KINDS[a & _KIND], a >> 3) for a in block + letters[:-1]])), steps
         if len(steps) == _NORMALIZE_CAP:
             raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         pos = (mask & -mask).bit_length() - 1
         # no class before c has a redex anywhere, so c is the window's first
-        _, step, n_src, dst = _read_window(letters[pos], letters[pos + 1])[0]
-        end, stop = pos + n_src, pos + len(dst)
-        letters[pos:end] = dst
-        steps.append((pos,) + step)
+        _, step, dst = _read_window(letters[pos], letters[pos + 1])[0]
+        stop = pos + len(dst)
+        letters[pos:stop] = dst
+        steps.append((lo + pos,) + step)
         start = pos - 1 if pos else 0
-        if end == stop:  # clear the windows to read again
-            keep = ~((1 << stop) - (1 << start))
-            for k in range(c, len(masks)):
-                if masks[k]:
-                    masks[k] &= keep
-        else:  # and shift the later windows' bits by the change in length
-            keep = (1 << start) - 1
-            masks = [mask & keep | mask >> end << stop for mask in masks]
+        keep = ~((1 << stop) - (1 << start))  # clear the windows to read again
+        for k in range(c, len(masks)):
+            if masks[k]:
+                masks[k] &= keep
 
 
 def normalize(w: Word) -> Word:

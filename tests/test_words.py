@@ -137,6 +137,44 @@ def test_normalize_steps_replay_the_oriented_strategy():
         assert not oriented_steps(nf)
 
 
+def test_normalize_steps_replay_on_short_and_projection_dense_words():
+    """Every word of length 1-3 with indices 1-4 (8,420 words), then
+    seeded words of length 0-14 rich in p1, where absorptions before any
+    move and absorptions on a projection's arrival both occur: the
+    expansions, absorptions and projection moves come in the strategy's
+    order, and so do the steps after them."""
+    gens = [Gen(kind, i) for kind in GenKind for i in range(1, 5)]
+    trace_words = [Word(g) for n in range(1, 4) for g in itertools.product(gens, repeat=n)]
+    assert len(trace_words) == 8_420
+    rng = random.Random(39)
+    letters = [p(1)] * 4 + [p(2), p(3), I(1), I(2), D(1), D(2), q(1), Q(1)]
+    trace_words += [Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, 14))))
+                    for _ in range(1500)]
+    arrivals = 0
+    for word in trace_words:
+        nf, steps = _normalize_steps(word)
+        cur = word
+        for step in steps:
+            assert oriented_steps(cur)[0] == step, (word, cur)
+            cur = relation_step(cur, *step)
+        assert cur == nf == normalize(word)
+        assert not oriented_steps(nf)
+        arrivals += any(a[1] in ("coordint.ii", "coordint.iii") and b[1] == "coordint.i"
+                        for a, b in zip(steps, steps[1:]))
+    assert arrivals > 500
+
+
+def test_normalize_step_cap_counts_the_projection_moves(monkeypatch):
+    """I1 I1 p2 p2 takes four projection moves and no other step."""
+    monkeypatch.setattr(words, "_NORMALIZE_CAP", 4)
+    moves = [(1, "coordint.ii", BACKWARD), (0, "coordint.ii", BACKWARD),
+             (2, "coordint.ii", BACKWARD), (1, "coordint.ii", BACKWARD)]
+    assert _normalize_steps(w("I1 I1 p2 p2")) == (w("p2 p2 I1 I1"), moves)
+    monkeypatch.setattr(words, "_NORMALIZE_CAP", 3)
+    with pytest.raises(WordError, match="step cap of 3"):
+        normalize(w("I1 I1 p2 p2"))
+
+
 _BIG = 2 ** 64
 
 
@@ -222,11 +260,11 @@ def test_window_records_equal_a_direct_read():
             if binding is not None:
                 dst = tuple(g.index << 3 | words._CODE[g.kind]
                             for g in words._emit(m.dst, binding))
-                direct.append((m.priority, (m.rule_id, m.direction), len(m.src), dst))
+                direct.append((m.priority, (m.rule_id, m.direction), dst))
         record = words._read_window(a, b)
         assert record == tuple(direct), (ca, ia, cb, ib)
         assert type(record) is tuple
-        assert all(type(r) is tuple and type(r[1]) is tuple and type(r[3]) is tuple
+        assert all(type(r) is tuple and type(r[1]) is tuple and type(r[2]) is tuple
                    for r in record)
 
 
