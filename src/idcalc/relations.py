@@ -150,12 +150,20 @@ def rand_slot(ctx: Ctx, domain: Box, cod_dim: int) -> Term:
     return linincl(combos)
 
 
-def _equal_pair(ctx: Ctx, domain: Box, cod_dim: int) -> tuple[Term, Term]:
-    """x and a different term equal to it by an established identity."""
-    x = rand_slot(ctx, domain, cod_dim)
+def _slot(ctx: Ctx) -> tuple[Term, Box, int]:
+    """Draws a box of dimension 1..2, a codomain n in 1..2, then a slot; returns (x, box, n)."""
+    rng = ctx.rng
+    box = rand_box(rng, rng.randint(1, 2))
+    n = rng.randint(1, 2)
+    return rand_slot(ctx, box, n), box, n
+
+
+def _equal_pair(ctx: Ctx) -> tuple[Term, Term]:
+    """A slot x and a different term equal to it by an established identity."""
+    x, _, n = _slot(ctx)
     if ctx.rng.randrange(2):
         return x, Act(Word(), x)
-    return x, Comp(PolyFun.identity(Box.full(cod_dim)), x)
+    return x, Comp(PolyFun.identity(Box.full(n)), x)
 
 
 def rand_word(rng: random.Random, max_len: int = 2, max_index: int = 3) -> Word:
@@ -178,8 +186,7 @@ def _t_r5(ctx: Ctx) -> Trial:
     rng = ctx.rng
     groups = []
     for _ in range(rng.randint(2, 3)):
-        group = [rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-                 for _ in range(rng.randint(1, 2))]
+        group = [_slot(ctx)[0] for _ in range(rng.randint(1, 2))]
         groups.append(group)
     lhs = TupleT(tuple(TupleT(tuple(g)) for g in groups))
     rhs = TupleT(tuple(x for g in groups for x in g))
@@ -187,9 +194,7 @@ def _t_r5(ctx: Ctx) -> Trial:
 
 
 def _t_r4bis(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    pairs = [_equal_pair(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-             for _ in range(rng.randint(1, 3))]
+    pairs = [_equal_pair(ctx) for _ in range(ctx.rng.randint(1, 3))]
     return TupleT(tuple(a for a, _ in pairs)), TupleT(tuple(b for _, b in pairs))
 
 
@@ -231,11 +236,8 @@ def _t_r1bis(ctx: Ctx) -> Trial:
 
 
 def _t_r2(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    dom = rand_box(rng, rng.randint(1, 2))
-    cod = rng.randint(1, 2)
-    x = rand_slot(ctx, dom, cod)
-    n = rng.randint(2, 3)
+    x, dom, cod = _slot(ctx)
+    n = ctx.rng.randint(2, 3)
     lhs = Comp(TupleT((x,) * n), diag(dom, n))
     rhs = Comp(diag(Box.full(cod), n), x)
     return lhs, rhs
@@ -266,17 +268,12 @@ def _t_s3(ctx: Ctx) -> Trial:
 
 
 def _t_r7(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    x = rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-    n = signature(x).cod_dim
+    x, _, n = _slot(ctx)
     return x, Comp(PolyFun.identity(Box.full(n)), x)
 
 
 def _t_s7bis(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    dom = rand_box(rng, rng.randint(1, 2))
-    n = rng.randint(1, 2)
-    x = rand_slot(ctx, dom, n)
+    x, dom, n = _slot(ctx)
     z = rand_slot(ctx, dom, n)
     inner = Comp(vecprod(1, n), TupleT((const_fun(dom, [0]), z)))
     rhs = Comp(Comp(vecsum(n, 2), TupleT((x, inner))), diag(dom, 3))
@@ -284,9 +281,7 @@ def _t_s7bis(ctx: Ctx) -> Trial:
 
 
 def _t_r7ter(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    dom = rand_box(rng, rng.randint(1, 2))
-    x = rand_slot(ctx, dom, rng.randint(1, 2))
+    x, dom, _ = _slot(ctx)
     return x, Comp(x, incl(dom))
 
 
@@ -310,21 +305,20 @@ def _t_r7penta(ctx: Ctx) -> Trial:
 
 
 def _t_r9(ctx: Ctx) -> Trial:
-    x = rand_slot(ctx, rand_box(ctx.rng, ctx.rng.randint(1, 2)), ctx.rng.randint(1, 2))
+    x, _, _ = _slot(ctx)
     return x, Act(Word(), x)
 
 
 def _t_r9_1(ctx: Ctx) -> Trial:
     rng = ctx.rng
     wm, wn = rand_word(rng), rand_word(rng)
-    x = rand_slot(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
+    x, _, _ = _slot(ctx)
     return Act(wm, Act(wn, x)), Act(wm * wn, x)
 
 
 def _t_r9_2(ctx: Ctx) -> Trial:
-    rng = ctx.rng
-    x, y = _equal_pair(ctx, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-    w = rand_word(rng)
+    x, y = _equal_pair(ctx)
+    w = rand_word(ctx.rng)
     return Act(w, x), Act(w, y)
 
 

@@ -116,13 +116,13 @@ def _transition_cols(cols: Sequence[np.ndarray]) -> list:
 # the monotone bridge
 
 
-def _hermite(a: float, b: float, va: float, vb: float, da: float, db: float):
-    """Cubic Hermite coefficients on [a, b] in the local variable s=(r-a)/h."""
+def _hermite(a: float, b: float, va: float, vb: float):
+    """Cubic Hermite coefficients on [a, b], slope 1 at both ends, in s=(r-a)/h."""
     h = b - a
     c0 = va
-    c1 = da * h
-    c2 = 3 * (vb - va) - h * (2 * da + db)
-    c3 = -2 * (vb - va) + h * (da + db)
+    c1 = h
+    c2 = 3 * (vb - va) - 3 * h
+    c3 = -2 * (vb - va) + 2 * h
     return c0, c1, c2, c3, a, h
 
 
@@ -172,8 +172,8 @@ def make_bridge(eps: float) -> Bridge:
     if not 0 < eps < 1 / 6:
         raise SphereError("eps must lie in (0, 1/6)")
     lk, rk = 1 / 3 + eps, 2 / 3 - eps
-    arc1 = _hermite(lk, 0.5, lk - 4 / 3, 0.0, 1.0, 1.0)
-    arc2 = _hermite(0.5, rk, 0.0, rk, 1.0, 1.0)
+    arc1 = _hermite(lk, 0.5, lk - 4 / 3, 0.0)
+    arc2 = _hermite(0.5, rk, 0.0, rk)
     # for eps just below 1/6, rk rounds to 1/2 and the second arc has zero width
     if _hermite_deriv_min(arc1) <= 0 or rk <= 0.5 or _hermite_deriv_min(arc2) <= 0:
         raise SphereError("bridge arcs are not strictly increasing")

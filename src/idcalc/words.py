@@ -126,9 +126,9 @@ def parse_word(text: str) -> Word:
 # sentinel letter _END (kind code _END, index 0); the packing needs no
 # bound on the index.  The window at a position is the pair of letters
 # there and at the next position, so the last window pairs the last letter
-# with the sentinel.  A table holds, per pair of kind codes, only the
-# matchers whose source kinds it has, so a matcher checks indices and the
-# side condition alone.
+# with the sentinel.  A matcher checks the kind and the index of every
+# letter of its window and then the side condition, so it alone decides
+# whether its rule applies there.
 
 _KINDS = tuple(GenKind)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
@@ -148,14 +148,15 @@ class _Matcher:
     src: tuple[_Pat, ...]
     dst: tuple[_Pat, ...]
     cond: Callable[[int, Optional[int]], bool]
-    priority: Optional[int] = None  # the normalizer's class of the rule
 
     def bind(self, letters: Sequence[int], pos: int) -> Optional[dict]:
         """The rule variables at the window of packed letters starting at
-        pos, whose kinds are the source kinds, or None when an index or the
-        side condition does not fit."""
+        pos, or None when a kind, an index or the side condition does not
+        fit."""
         binding: dict[str, int] = {}
-        for k, (_, var, off) in enumerate(self.src):
+        for k, (code, var, off) in enumerate(self.src):
+            if letters[pos + k] & _KIND != code:
+                return None
             val = (letters[pos + k] >> 3) - off
             if var is None:
                 if val != 0:
@@ -248,19 +249,9 @@ def _packed(w: Word) -> list[int]:
     return [g.index << 3 | _CODE[g.kind] for g in w.gens] + [_END]
 
 
-def _window_table(matchers: Sequence[_Matcher]) -> dict[tuple[int, int], tuple[_Matcher, ...]]:
-    """Per pair of kind codes, the matchers whose windows have those kinds,
-    in input order."""
-    kinds = [tuple(code for code, _, _ in m.src) for m in matchers]
-    return {(a, b): tuple(m for m, src in zip(matchers, kinds) if src in ((a,), (a, b)))
-            for a in range(_END) for b in range(_END + 1)}
-
-
 _MATCHERS: dict[tuple[str, str], _Matcher] = {
     (m.rule_id, m.direction): m for fwd in RELATIONS.values()
     for m in (fwd, replace(fwd, direction=BACKWARD, src=fwd.dst, dst=fwd.src))}
-
-_STEP_TABLE = _window_table(list(_MATCHERS.values()))
 
 
 def relation_step(w: Word, pos: int, rule_id: str, direction: str) -> Word:
@@ -270,13 +261,10 @@ def relation_step(w: Word, pos: int, rule_id: str, direction: str) -> Word:
     if direction not in (FORWARD, BACKWARD):
         raise WordError(f"unknown direction {direction!r}")
     m = _MATCHERS[rule_id, direction]
-    letters = _packed(w)
-    end = pos + len(m.src)
-    fits = 0 <= pos and [a & _KIND for a in letters[pos:end]] == [code for code, _, _ in m.src]
-    binding = m.bind(letters, pos) if fits else None
+    binding = m.bind(_packed(w), pos) if 0 <= pos < len(w.gens) else None
     if binding is None:
         raise WordError(f"{rule_id} ({direction}) does not apply at position {pos}")
-    return Word(w.gens[:pos] + _emit(m.dst, binding) + w.gens[end:])
+    return Word(w.gens[:pos] + _emit(m.dst, binding) + w.gens[pos + len(m.src):])
 
 
 def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
@@ -284,7 +272,7 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
     letters = _packed(w)
     return [(pos, m.rule_id, m.direction)
             for pos in range(len(w.gens))
-            for m in _STEP_TABLE[letters[pos] & _KIND, letters[pos + 1] & _KIND]
+            for m in _MATCHERS.values()
             if m.bind(letters, pos) is not None]
 
 
@@ -354,9 +342,12 @@ _PRIORITY_CLASSES: tuple[tuple[tuple[str, str], ...], ...] = (
 _ORIENTED = {**_MATCHERS,
              ("derint.i", FORWARD): replace(RELATIONS["derint.i"], cond=lambda i, j: i < j)}
 
-# the oriented rules, in priority then class order
-_CLASS_TABLE = _window_table([replace(_ORIENTED[rule], priority=c)
-                              for c, rules in enumerate(_PRIORITY_CLASSES) for rule in rules])
+# per pair of kind codes, the (class, oriented matcher) pairs whose source
+# kinds open a window of those kinds, in class order
+_WINDOWS = {(a, b): tuple((c, m) for c, rules in enumerate(_PRIORITY_CLASSES)
+                          for m in map(_ORIENTED.get, rules)
+                          if [code for code, _, _ in m.src] == [a, b][:len(m.src)])
+            for a in range(_END) for b in range(_END + 1)}
 
 _NORMALIZE_CAP = 200_000
 
@@ -420,10 +411,10 @@ def _read_window(a: int, b: int) -> _Record:
     4,096 most recently read."""
     window = (a, b)
     record = []
-    for m in _CLASS_TABLE[a & _KIND, b & _KIND]:
+    for c, m in _WINDOWS[a & _KIND, b & _KIND]:
         binding = m.bind(window, 0)
         if binding is not None:
-            record.append((m.priority, (m.rule_id, m.direction),
+            record.append((c, (m.rule_id, m.direction),
                            tuple([(off if var is None else binding[var] + off) << 3 | code
                                   for code, var, off in m.dst])))
     return tuple(record)

@@ -57,10 +57,37 @@ def test_step_rejects_wrong_position():
 
 
 @pytest.mark.parametrize("pos, direction", [(-1, FORWARD), (-3, FORWARD), (2, FORWARD),
-                                            (0, "sideways")])
+                                            (3, FORWARD), (0, "sideways")])
 def test_step_rejects_bad_position_or_direction(pos, direction):
     with pytest.raises(WordError):
         relation_step(w("I1 I2 D1"), pos, "intint", direction)
+
+
+def test_relation_step_accepts_exactly_the_applicable_steps():
+    """At every position from -1 to the word's length, relation_step
+    accepts a rule and direction exactly when applicable_steps lists
+    them, and exactly when the window there is a whole source side of an
+    instance of the rule: every word of length <= 2 over I/D/p/q/Q with
+    indices 1-4."""
+    sources = {}  # (rule_id, direction) -> the source sides of its instances
+    for rule_id, i, j in relation_instances():
+        lhs, rhs = relation_sides(rule_id, i, j)
+        sources.setdefault((rule_id, FORWARD), set()).add(lhs.gens)
+        sources.setdefault((rule_id, BACKWARD), set()).add(rhs.gens)
+    gens = [Gen(kind, i) for kind in GenKind for i in range(1, 5)]
+    for n in range(3):
+        for word in map(Word, itertools.product(gens, repeat=n)):
+            listed = set(applicable_steps(word))
+            for pos, ((rule_id, d), sides) in itertools.product(range(-1, n + 1),
+                                                                 sources.items()):
+                try:
+                    relation_step(word, pos, rule_id, d)
+                    accepted = True
+                except WordError:
+                    accepted = False
+                matched = pos >= 0 and any(word.gens[pos:pos + len(s)] == s for s in sides)
+                assert accepted == ((pos, rule_id, d) in listed) == matched, \
+                    (str(word), pos, rule_id, d)
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +268,28 @@ def test_each_class_has_at_most_one_redex_per_window():
     windows = [(g,) for g in gens] + list(itertools.product(gens, repeat=2))
     for window in windows:
         a, b = words._packed(Word(window))[:2]
-        classes = [m.priority for m in words._CLASS_TABLE[a & words._KIND, b & words._KIND]
-                   if m.bind((a, b), 0) is not None]
+        classes = [c for c, rules in enumerate(words._PRIORITY_CLASSES) for rule in rules
+                   if words._ORIENTED[rule].bind((a, b), 0) is not None]
         assert len(classes) == len(set(classes)), window
 
 
 def test_window_records_equal_a_direct_read():
-    """Every cached record is the window's _CLASS_TABLE row bound
-    directly, for every pair of kind codes (the sentinel second) and
-    indices 1-6; records are tuples, since every call shares them."""
+    """Every cached record is every oriented matcher of the priority
+    classes bound directly, for every pair of kind codes (the sentinel
+    second) and indices 1-6; records are tuples, since every call shares
+    them."""
     firsts = [(c, i) for c in range(words._END) for i in range(1, 7)]
     seconds = firsts + [(words._END, i) for i in range(7)]
     for (ca, ia), (cb, ib) in itertools.product(firsts, seconds):
         a, b = ia << 3 | ca, ib << 3 | cb
         direct = []
-        for m in words._CLASS_TABLE[ca, cb]:
-            binding = m.bind((a, b), 0)
-            if binding is not None:
-                dst = tuple(g.index << 3 | words._CODE[g.kind]
-                            for g in words._emit(m.dst, binding))
-                direct.append((m.priority, (m.rule_id, m.direction), dst))
+        for c, rules in enumerate(words._PRIORITY_CLASSES):
+            for m in map(words._ORIENTED.get, rules):
+                binding = m.bind((a, b), 0)
+                if binding is not None:
+                    dst = tuple(g.index << 3 | words._CODE[g.kind]
+                                for g in words._emit(m.dst, binding))
+                    direct.append((c, (m.rule_id, m.direction), dst))
         record = words._read_window(a, b)
         assert record == tuple(direct), (ca, ia, cb, ib)
         assert type(record) is tuple
