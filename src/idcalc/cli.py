@@ -24,7 +24,8 @@ from .prederiv import (PreDerivError, apply as pd_apply, canonical_direction,
                        smooth_kernel_test)
 from .relations import TRIALS, check_all, reports_to_json
 from .terms import _NAME, Term, classify, format_term, max_augment, parse_term, signature
-from .words import _TRIALS, Equal, NotEqual, _normalize_steps, parse_word, word_eq
+from .words import (_TRIALS, Equal, NotEqual, Signature, _normalize_steps, parse_word,
+                    signature_effect, word_eq)
 
 def _read_defs(path: Optional[str], sep: str, read: Callable[[Cursor], object],
                error: type[IdcalcError]) -> dict:
@@ -181,13 +182,18 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, Optional[dict], str]:
         return 0, {"word": str(w), "steps": steps}, str(w)
 
     if args.command == "word-eq":
-        verdict = word_eq(parse_word(args.word1), parse_word(args.word2),
-                          trials=args.trials, seed=args.seed)
+        w1, w2 = parse_word(args.word1), parse_word(args.word2)
+        verdict = word_eq(w1, w2, trials=args.trials, seed=args.seed)
         if isinstance(verdict, Equal):
             return 0, {"verdict": "Equal"}, "Equal"
         if isinstance(verdict, NotEqual):
-            witness = format_polyfun(verdict.witness)
-            return 2, {"verdict": "NotEqual", "witness": witness}, f"NotEqual (witness {witness})"
+            f = verdict.witness
+            sig = Signature(f.domain, f.cod_dim)
+            mismatch = "signature" if signature_effect(w1, sig) != signature_effect(w2, sig) \
+                else "value"
+            witness = format_polyfun(f)
+            return 2, {"verdict": "NotEqual", "witness": witness, "mismatch": mismatch}, \
+                f"NotEqual (witness {witness})"
         return 2, {"verdict": "Unknown"}, "Unknown"
 
     if args.command == "eval":

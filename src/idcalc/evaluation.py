@@ -7,10 +7,10 @@ leaf's value.  Evaluation is a fold over the term's DAG (``terms._fold``
 with a memo): a subterm object held at several addresses is evaluated
 once, and evaluations that share a memo share those values, which is how
 the relation catalogue evaluates a trial's two sides.  Evaluations may
-share a memo only when they pass the same ``permissive`` and
-``orientation``.  The module also provides the linear-combination
-embedding that turns a coefficient/base description of a function into a
-term whose evaluation reproduces it exactly.
+share a memo only when they pass the same ``permissive``; words act under
+the upper endpoint orientation.  The module also provides the
+linear-combination embedding that turns a coefficient/base description of
+a function into a term whose evaluation reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, IdcalcError
-from .polynomials import (Orientation, Poly, PolyFun, RatLike, _linear_form, apply_word,
-                          compose, diag, rat, tuple_)
+from .polynomials import (Poly, PolyFun, RatLike, _linear_form, apply_word, compose, diag, rat,
+                          tuple_)
 from .terms import Comp, Opaque, Term, TupleT, _fold, _pointwise, _rebuild, children
 
 
@@ -37,19 +37,16 @@ def _is_diag(d: PolyFun, k: int) -> bool:
     return d.components == diag(d.domain, k).components
 
 
-def eval_term(t: Term, permissive: bool = False,
-              orientation: Orientation = Orientation.UPPER,
-              memo: Optional[dict] = None) -> PolyFun:
+def eval_term(t: Term, permissive: bool = False, memo: Optional[dict] = None) -> PolyFun:
     """Evaluate a term.  An opaque leaf cannot be evaluated: instantiate the
     term first.
 
     A subterm object held at several addresses is evaluated once (``_fold``
     runs over the term's DAG).  Evaluations that pass one ``memo`` share
-    those values too; they must pass the same ``permissive`` and
-    ``orientation``, since the memo is keyed by the nodes of the terms as
-    given.  The memo's layout is ``_fold``'s, ``id(node) -> (node, value)``,
-    and it may hold an opaque leaf's value, which the fold then reads
-    instead of visiting the leaf.
+    those values too; they must pass the same ``permissive``, since the
+    memo is keyed by the nodes of the terms as given.  The memo's layout is
+    ``_fold``'s, ``id(node) -> (node, value)``, and it may hold an opaque
+    leaf's value, which the fold then reads instead of visiting the leaf.
 
     A pointwise node (op . <t1, ..., tk>) . diag(U, k), with op and the
     diagonal leaves, evaluates in one substitution on its operands' shared
@@ -87,7 +84,7 @@ def eval_term(t: Term, permissive: bool = False,
             pair = PolyFun(d.domain, tuple(p for f in fns for p in f.components),
                            d.is_partial or any(f.is_partial for f in fns))
             return compose(op, pair, permissive=permissive)
-        return apply_word(node.word, fns[0], orientation)
+        return apply_word(node.word, fns[0])
     return _fold(t, visit, expand, {} if memo is None else memo)
 
 
@@ -113,8 +110,6 @@ def instantiate(t: Term, assignment: Instantiation) -> Term:
                                 f"declared {node.domain}")
             else:
                 return fn
-            return node
-        if all(new is old for new, old in zip(kids, children(node))):
             return node
         return _rebuild(node, kids)
     out = _fold(t, visit, children, {})

@@ -688,18 +688,18 @@ class GenKind(enum.Enum):
 class Orientation(enum.Enum):
     """Which integration endpoint the substitution generators read.
 
-    UPPER is the default and the relation-consistent choice: the upper
-    substitution deletes coordinate i (reads the upper endpoint x_(i+1))
-    and the lower substitution negates and deletes coordinate i+1.  LOWER
-    swaps the two deletions; it exists so the suite can demonstrate that
-    the swapped convention breaks the endpoint-substitution relations.
+    UPPER, the relation-consistent choice, is the one ``apply_gen`` acts by:
+    q_i deletes coordinate i (reads the upper endpoint x_(i+1)) and Q_i
+    negates and deletes coordinate i+1.  LOWER swaps the deletions, so q_i
+    acts as -Q_i and Q_i as -q_i under UPPER; ``relations`` applies it as
+    that relabelling, to show that it breaks the endpoint relations.
     """
 
     UPPER = "upper"
     LOWER = "lower"
 
 
-def apply_gen(gen, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> PolyFun:
+def apply_gen(gen, f: PolyFun) -> PolyFun:
     """Action of a single generator on a PolyFun (the smooth semantics)."""
     i = gen.index
     m = f.arity
@@ -716,19 +716,18 @@ def apply_gen(gen, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> 
     # the endpoint substitutions q_i (SUB_HI) and Q_i (SUB_LO)
     if i > m:
         out = _extend(f, i - m + 1)
-    else:  # f after deleting coordinate i (UPPER q_i, LOWER Q_i) or i + 1
-        deletion = _deletion(m, i + ((gen.kind is GenKind.SUB_LO)
-                                     == (orientation is Orientation.UPPER)))
+    else:  # f after deleting coordinate i (q_i) or i + 1 (Q_i)
+        deletion = _deletion(m, i + (gen.kind is GenKind.SUB_LO))
         out = PolyFun(domint(f.domain, i), tuple(p.remap(m + 1, deletion)
                                                  for p in f.components), f.is_partial)
     return out if gen.kind is GenKind.SUB_HI else vneg(out)
 
 
-def apply_word(word, f: PolyFun, orientation: Orientation = Orientation.UPPER) -> PolyFun:
+def apply_word(word, f: PolyFun) -> PolyFun:
     """Action of a word, rightmost generator first."""
     out = f
     for g in reversed(word.gens):
-        out = apply_gen(g, out, orientation)
+        out = apply_gen(g, out)
     return out
 
 

@@ -13,8 +13,8 @@ Compositions run in permissive mode: several rules are identities between
 restricted (partial) compositions, and 276 of the 1,968 compositions of
 ``check_all(20, 0)`` still come out partial: the range guard is exact on
 affine components but conservative above degree 1.  A trial evaluates its
-sides, and R17's builder its smooth term, through one memo
-(``Ctx.evaluate``), and each opaque leaf is entered there with its
+sides, and the builders of R17 and R17bis their acted term, through one
+memo (``Ctx.evaluate``), and each opaque leaf is entered there with its
 polynomial as it is drawn (``Ctx.opaque``).
 """
 
@@ -29,11 +29,11 @@ from typing import Callable, Optional, Sequence
 
 from .boxes import Box, IdcalcError, Ray1, domint, product
 from .evaluation import eval_term, linincl, linincl_of_polyfun
-from .polynomials import (Orientation, Poly, PolyFun, _picks, apply_word, const_fun, coord,
-                          diag, format_polyfun, incl, proj_block, proje, switch,
-                          vecminus, vecprod, vecsum)
-from .terms import (Act, Comp, Opaque, Term, TupleT, format_term, mult_t, scal_t,
-                    signature, sum_t)
+from .polynomials import (Orientation, Poly, PolyFun, _picks, const_fun, coord, diag,
+                          format_polyfun, incl, proj_block, proje, switch, vecminus, vecprod,
+                          vecsum)
+from .terms import (Act, Comp, Opaque, Term, TupleT, _fold, _rebuild, children, format_term,
+                    mult_t, scal_t, signature, sum_t)
 from .words import D, Gen, GenKind, I, Q, Word, p, q
 
 
@@ -44,7 +44,7 @@ from .words import D, Gen, GenKind, I, Q, Word, p, q
 
 class Ctx:
     """Per-trial context: rng, orientation, the trial's number, the shared
-    instantiation, and the memo that the trial's evaluations share."""
+    instantiation, and the trial's memos of values and of lowered terms."""
 
     def __init__(self, rng: random.Random, orientation: Orientation, trial: int):
         self.rng = rng
@@ -52,11 +52,14 @@ class Ctx:
         self.trial = trial
         self.inst: dict[str, PolyFun] = {}
         self.memo: dict = {}
+        self.lowered: dict = {}
 
     def evaluate(self, t: Term) -> PolyFun:
-        """Evaluate t permissively under the trial's orientation, through
-        the trial's memo."""
-        return eval_term(t, True, self.orientation, self.memo)
+        """Evaluate t permissively through the trial's memo; under the lower
+        orientation, once t is lowered (``_lower``) through its memo."""
+        if self.orientation is Orientation.LOWER:
+            t = _fold(t, _lower, children, self.lowered)
+        return eval_term(t, True, self.memo)
 
     def opaque(self, domain: Box) -> Opaque:
         """A fresh opaque leaf on domain and a random scalar polynomial for
@@ -66,6 +69,18 @@ class Ctx:
         fn = self.inst[leaf.name] = rand_polyfun(self.rng, domain, 1)
         self.memo[id(leaf)] = leaf, fn
         return leaf
+
+
+def _lower(node: Term, kids: list[Term]) -> Term:
+    """The node as the upper action reads it under the lower orientation: each
+    generator is linear, so q and Q swap, and vecminus follows an odd count."""
+    swap = {GenKind.SUB_HI: Q, GenKind.SUB_LO: q}
+    node = _rebuild(node, kids)
+    if not isinstance(node, Act) or not (subs := sum(g.kind in swap for g in node.word.gens)):
+        return node
+    gens = tuple(swap[g.kind](g.index) if g.kind in swap else g for g in node.word.gens)
+    act = Act(Word(gens), node.body)
+    return Comp(vecminus(signature(node).cod_dim), act) if subs % 2 else act
 
 
 def rand_coeff(rng: random.Random) -> Fraction:
@@ -180,6 +195,7 @@ def rand_word(rng: random.Random, max_len: int = 2, max_index: int = 3) -> Word:
 Trial = tuple[Term, Term]
 Builder = Callable[[Ctx], Trial]
 TRIALS = 20  # trials per rule: check_relation's, check_all's and the CLI's default
+MAX_TRIALS = 1000  # the most trials per rule check_relation runs
 
 
 def _t_r5(ctx: Ctx) -> Trial:
@@ -582,9 +598,8 @@ def _t_r17(ctx: Ctx) -> Trial:
 def _t_r17bis(ctx: Ctx) -> Trial:
     rng = ctx.rng
     w = rand_word(rng, max_len=5, max_index=3)
-    f = rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2))
-    acted = apply_word(w, f, ctx.orientation)
-    return Act(w, f), linincl_of_polyfun(acted)
+    t = Act(w, rand_polyfun(rng, rand_box(rng, rng.randint(1, 2)), rng.randint(1, 2)))
+    return t, linincl_of_polyfun(ctx.evaluate(t))
 
 
 CATALOGUE: dict[str, Builder] = {
@@ -653,6 +668,8 @@ def check_relation(rule_id: str, trials: int = TRIALS, seed: int = 0,
                    orientation: Orientation = Orientation.UPPER) -> RelationReport:
     if trials < 1:
         raise IdcalcError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise IdcalcError(f"trials must be <= {MAX_TRIALS}, got {trials}")
     builder = _builder(rule_id)
     rng = random.Random(f"{seed}:{rule_id}")
     start = time.perf_counter()

@@ -99,13 +99,14 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def _rebuild(t: Term, kids: Sequence[Term]) -> Term:
+    """t over the given children: t itself when each is the child it holds."""
+    if all(new is old for new, old in zip(kids, children(t))):
+        return t
     if isinstance(t, TupleT):
         return TupleT(tuple(kids))
     if isinstance(t, Comp):
         return Comp(kids[0], kids[1])
-    if isinstance(t, Act):
-        return Act(t.word, kids[0])
-    return t
+    return Act(t.word, kids[0])
 
 
 def _fold(t: Term, visit: Callable[[Term, list[V]], V],

@@ -4,6 +4,9 @@
   whether the two act alike on one function.  The normalizer and
   ``relation_step`` match windows; these build whole sides from a rule and
   its indices instead.
+- A term evaluated under an endpoint orientation: the kernel acts under the
+  upper one, and only the catalogue's trial context applies the lower one,
+  as a relabelling of the term.
 - The bridge's slope: the derivative of each Hermite arc, evaluated
   directly.  ``make_bridge`` checks only each arc's closed-form slope
   minimum.
@@ -28,8 +31,9 @@ import numpy as np
 
 from idcalc.boxes import Box, RatLike, rat
 from idcalc.polynomials import Orientation, Poly, PolyFun, apply_word
+from idcalc.relations import Ctx
 from idcalc.sphere import Bridge
-from idcalc.terms import Comp, Opaque, Term, _fold, children
+from idcalc.terms import Act, Comp, Opaque, Term, _fold, children
 from idcalc.words import (RELATIONS, Equal, NotEqual, Unknown, Word, WordError, _emit,
                           _Matcher, _random_polyfun, normalize)
 
@@ -52,11 +56,17 @@ def relation_sides(rule_id: str, i: int, j: Optional[int]) -> tuple[Word, Word]:
     return Word(_emit(m.src, binding)), Word(_emit(m.dst, binding))
 
 
+def evaluate_under(t: Term, orientation: Orientation) -> PolyFun:
+    """t evaluated permissively under the orientation, by the catalogue's
+    trial context: the one place that applies the lower orientation."""
+    return Ctx(random.Random(0), orientation, 0).evaluate(t)
+
+
 def relation_holds_on(rule_id: str, i: int, j: Optional[int], f: PolyFun,
                       orientation: Orientation = Orientation.UPPER) -> bool:
     """Check one relation instance semantically on a single function."""
     lhs, rhs = relation_sides(rule_id, i, j)
-    return apply_word(lhs, f, orientation) == apply_word(rhs, f, orientation)
+    return evaluate_under(Act(lhs, f), orientation) == evaluate_under(Act(rhs, f), orientation)
 
 
 def relation_instances() -> Iterable[tuple[str, int, Optional[int]]]:

@@ -67,6 +67,21 @@ def test_word_eq_not_equal(capsys):
     assert out.startswith("NotEqual")
 
 
+@pytest.mark.parametrize("word1, word2, witness, mismatch", [
+    # both results are 0; they differ only in domain, R^2 against R^3
+    ("D1", "I1", "poly 2->1 on RxR : 0", "signature"),
+    ("q1", "Q1", "poly 2->1 on RxR : 3 x1^2 x2 + 1 x2 + 1", "value"),
+])
+def test_word_eq_json_names_the_mismatch(capsys, word1, word2, witness, mismatch):
+    """A NotEqual under --json says whether the two words' actions on the
+    witness differ in signature or only in value; the text line does not."""
+    code, out, err = run(capsys, "word-eq", word1, word2, "--json")
+    assert (code, json.loads(out), err) == \
+        (2, {"verdict": "NotEqual", "witness": witness, "mismatch": mismatch}, "")
+    code, out, _ = run(capsys, "word-eq", word1, word2)
+    assert (code, out) == (2, f"NotEqual (witness {witness})\n")
+
+
 def test_word_eq_unknown(capsys):
     code, out, err = run(capsys, "word-eq", "p2 p3", "p2 p2")
     assert (code, out, err) == (2, "Unknown\n", "")
@@ -808,6 +823,10 @@ _LOCATIONS = {
     (["eval", "{pol 1->1 on R : 1 x1}"], 1,
      "error: not a polynomial function literal: 'pol 1->1 on R : 1 x1'"),
     (["normalize-word", "D0"], 1, "error: generator index must be >= 1"),
+    (["check-relations", "--trials", "1001", "--rules", "R7"], 1,
+     "error: trials must be <= 1000, got 1001"),
+    (["check-relations", "--trials", str(10**30)], 1,
+     f"error: trials must be <= 1000, got {10**30}"),
     (["comb-sphere", "--grid", "3", "--eps", "0.16666666666666663"], 1,
      "error: bridge arcs are not strictly increasing"),
     # and two inputs that succeed: the empty word, a coefficient-free monomial

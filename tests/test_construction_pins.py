@@ -17,14 +17,15 @@ from fractions import Fraction
 
 from idcalc.boxes import Box
 from idcalc.evaluation import linincl
-from idcalc.polynomials import (Orientation, Poly, PolyFun, apply_word, compose,
+from idcalc.polynomials import (Orientation, Poly, PolyFun, compose,
                                 format_polyfun, format_rat, vprod)
 from idcalc.prederiv import (GermCore, PreDeriv, apply, canonical_direction,
                              chart_differential, eval_smooth, format_prederiv, vanishing_space)
 from idcalc.relations import (rand_box, rand_box_around_zero, rand_coeff, rand_polyfun,
                               rand_word)
-from idcalc.terms import Opaque, format_term
+from idcalc.terms import Act, Opaque, format_term
 from idcalc.words import Gen, GenKind, Word
+from oracles import evaluate_under
 
 
 def _digest(lines):
@@ -191,9 +192,10 @@ def test_apply_word_is_pinned():
         for f in fns:
             for kind in GenKind:
                 for i in range(1, 6):
-                    lines.append(_flagged(apply_word(Word.of(Gen(kind, i)), f, orientation)))
+                    lines.append(_flagged(evaluate_under(Act(Word.of(Gen(kind, i)), f),
+                                                         orientation)))
         for _ in range(120):
             w = rand_word(rng, max_len=4, max_index=4)
-            lines.append(_flagged(apply_word(w, rng.choice(fns), orientation)))
+            lines.append(_flagged(evaluate_under(Act(w, rng.choice(fns)), orientation)))
     assert _digest(lines) == \
         "7f95d2bc547b50e939619b104a89eb79c23e2570ba70ba183a7807123bcee14d"

@@ -12,6 +12,7 @@ from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFu
 from idcalc.relations import rand_polyfun
 from idcalc.terms import Act, Comp, Opaque, SMOOTH, TupleT, children, classify
 from idcalc.words import parse_word
+from oracles import evaluate_under
 
 F = Fraction
 
@@ -182,8 +183,7 @@ def test_evaluations_sharing_a_memo_evaluate_a_shared_subterm_once(monkeypatch):
     assert eval_term(lhs) == tuple_([eval_term(x)] * 2) and calls[0] == 2
     calls[0] = 0
     memo = {}
-    got = eval_term(lhs, False, Orientation.UPPER, memo), eval_term(rhs, False,
-                                                                    Orientation.UPPER, memo)
+    got = eval_term(lhs, False, memo), eval_term(rhs, False, memo)
     assert calls[0] == 2  # x once, then 3 x1 after it
     assert got == (eval_term(lhs), eval_term(rhs))
 
@@ -257,7 +257,7 @@ def test_linincl_rejects_mixed_domains():
 
 def _general_fold(node, permissive, orientation=Orientation.UPPER):
     (op, tup), d = (node.left.left, node.left.right), node.right
-    items = [eval_term(t, permissive, orientation) for t in tup.items]
+    items = [evaluate_under(t, orientation) for t in tup.items]
     return compose(compose(op, tuple_(items), permissive), d, permissive)
 
 
@@ -288,14 +288,15 @@ def test_pointwise_nodes_of_the_catalogue_match_the_general_fold(monkeypatch, or
         return evaluate(ctx, t)
     monkeypatch.setattr(relations.Ctx, "evaluate", recording)
     relations.check_all(10, 7, orientation)
+    monkeypatch.undo()  # evaluate_under evaluates through Ctx.evaluate too
     fused = total = 0
     for t in terms:
         for node in _pointwise_nodes(t):
             d, items = node.right, node.left.right.items
             total += 1
             fused += diag(d.domain, len(items)) == d and all(
-                eval_term(i, True, orientation).domain == d.domain for i in items)
-            assert _same(eval_term(node, True, orientation),
+                evaluate_under(i, orientation).domain == d.domain for i in items)
+            assert _same(evaluate_under(node, orientation),
                          _general_fold(node, True, orientation))
     assert total > 500 and fused > 0.9 * total
 

@@ -14,8 +14,9 @@ from idcalc.polynomials import (CompositionGuardError, Orientation, Poly, PolyFu
                                 smint, switch, trasl, tuple_, vecminus, vecprod,
                                 vecsum, vneg, vprod, vsum)
 from idcalc.relations import rand_box, rand_coeff, rand_poly, rand_polyfun
+from idcalc.terms import Act
 from idcalc.words import D, I, Q, Word, p, q
-from oracles import scale, vscal
+from oracles import evaluate_under, scale, vscal
 
 F = Fraction
 
@@ -755,8 +756,8 @@ def test_derint_index_shifts_exact():
 
 def test_orientation_flag_swaps_endpoints():
     f = pf("poly 1->1 on R : 1 x1")
-    up = apply_gen(q(1), f, Orientation.UPPER)
-    lo = apply_gen(q(1), f, Orientation.LOWER)
+    up = apply_gen(q(1), f)
+    lo = evaluate_under(Act(Word.of(q(1)), f), Orientation.LOWER)
     assert up == pf("poly 2->1 on RxR : 1 x2")
     assert lo == pf("poly 2->1 on RxR : 1 x1")
 
