@@ -36,6 +36,7 @@ from .terms import (Act, Comp, Opaque, Term, TupleT, _fold, _rebuild, children, 
                     mult_t, scal_t, signature, sum_t)
 from .words import D, Gen, GenKind, I, Q, Word, p, q
 
+_SWAP = {GenKind.SUB_HI: Q, GenKind.SUB_LO: q}  # the lower orientation's relabelling
 
 # ---------------------------------------------------------------------------
 # random instance material: the one generator for the catalogue and the test
@@ -72,13 +73,12 @@ class Ctx:
 
 
 def _lower(node: Term, kids: list[Term]) -> Term:
-    """The node as the upper action reads it under the lower orientation: each
-    generator is linear, so q and Q swap, and vecminus follows an odd count."""
-    swap = {GenKind.SUB_HI: Q, GenKind.SUB_LO: q}
+    """The node as the upper action reads it under the lower orientation: q and Q
+    swap, and an odd word is negated (the one case that folds ``signature``)."""
     node = _rebuild(node, kids)
-    if not isinstance(node, Act) or not (subs := sum(g.kind in swap for g in node.word.gens)):
+    if not isinstance(node, Act) or not (subs := sum(g.kind in _SWAP for g in node.word.gens)):
         return node
-    gens = tuple(swap[g.kind](g.index) if g.kind in swap else g for g in node.word.gens)
+    gens = tuple(_SWAP[g.kind](g.index) if g.kind in _SWAP else g for g in node.word.gens)
     act = Act(Word(gens), node.body)
     return Comp(vecminus(signature(node).cod_dim), act) if subs % 2 else act
 

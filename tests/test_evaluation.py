@@ -256,6 +256,8 @@ def test_linincl_rejects_mixed_domains():
 
 
 def _general_fold(node, permissive, orientation=Orientation.UPPER):
+    """The node by the general fold: its items evaluated permissively (as the
+    catalogue evaluates), then the two compositions in the given mode."""
     (op, tup), d = (node.left.left, node.left.right), node.right
     items = [evaluate_under(t, orientation) for t in tup.items]
     return compose(compose(op, tuple_(items), permissive), d, permissive)
