@@ -26,7 +26,8 @@ class TermError(IdcalcError):
 
 
 # ---------------------------------------------------------------------------
-# term nodes; a leaf is a PolyFun or an Opaque value
+# term nodes; a leaf is a PolyFun or an Opaque value and compares by value,
+# and the inner nodes compare and hash by identity
 
 
 @dataclass(frozen=True)
@@ -38,32 +39,8 @@ class Opaque:
     domain: Box
 
 
-class _Node:
-    """Equality and hashing of the inner nodes, on explicit stacks: two
-    terms are equal when their shapes, words and leaves are, at any depth."""
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            ka, kb = children(a), children(b)
-            if (type(a) is not type(b) or len(ka) != len(kb) or (not ka and a != b)
-                    or (isinstance(a, Act) and a.word != b.word)):
-                return False
-            stack.extend(zip(ka, kb))
-        return True
-
-    def __hash__(self) -> int:
-        return _fold(self, lambda node, hs: hash((type(node), getattr(node, "word", None), *hs))
-                     if hs else hash(node), children, {})
-
-
 @dataclass(frozen=True, eq=False)
-class TupleT(_Node):
+class TupleT:
     items: tuple["Term", ...]
 
     def __post_init__(self) -> None:
@@ -72,13 +49,13 @@ class TupleT(_Node):
 
 
 @dataclass(frozen=True, eq=False)
-class Comp(_Node):
+class Comp:
     left: "Term"
     right: "Term"
 
 
 @dataclass(frozen=True, eq=False)
-class Act(_Node):
+class Act:
     word: Word
     body: "Term"
 
@@ -272,8 +249,7 @@ def scal_t(a: RatLike, t: Term) -> Term:
 #         | "{" polyfun literal "}"
 
 # Most constructors the parser lets enclose a subterm, which keeps the parser inside
-# the recursion limit; every other term function, equality and hashing included,
-# runs on an explicit stack.
+# the recursion limit; every other term function runs on an explicit stack.
 MAX_TERM_DEPTH = 256
 
 

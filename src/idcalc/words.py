@@ -267,15 +267,6 @@ def relation_step(w: Word, pos: int, rule_id: str, direction: str) -> Word:
     return Word(w.gens[:pos] + _emit(m.dst, binding) + w.gens[pos + len(m.src):])
 
 
-def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
-    """All (pos, rule_id, direction) triples that relation_step accepts."""
-    letters = _packed(w)
-    return [(pos, m.rule_id, m.direction)
-            for pos in range(len(w.gens))
-            for m in _MATCHERS.values()
-            if m.bind(letters, pos) is not None]
-
-
 # ---------------------------------------------------------------------------
 # normalization
 #
@@ -290,8 +281,7 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # to itself forever.  The derivative moves outrank the integral shuffle:
 # the two races on overlapping windows (an integral shared by a shuffle
 # redex and a derivative move) otherwise produce distinct irreducible
-# words.  Each class has at most one redex per window: the rules within a
-# class need different kinds or disjoint side conditions.
+# words.
 #
 # The normalizer runs in two phases.  Stages (1)-(3) fire before any
 # later step, and no later step makes a redex of theirs: those steps
@@ -313,13 +303,15 @@ def applicable_steps(w: Word) -> list[tuple[int, str, str]]:
 # length, so only the windows starting at pos - 1 up to pos + len(dst) - 1
 # are read again: their bits are cleared in the masks that hold any, from
 # the step's class on (no earlier class has a bit), and the windows to
-# their right keep their letters and their bits.  A window's redexes
-# depend only on its two packed letters, and words show few distinct
-# windows, so the process reads each distinct window once into a record,
-# kept in one bounded table that every call shares.  The record holds,
-# per class with a redex there, the step's (rule_id, direction) and its
-# packed replacement letters, which the step splices in without matching
-# again.
+# their right keep their letters and their bits.  The engine's letters
+# are derivatives and integrals alone, and its rules need different kind
+# pairs or have disjoint side conditions, so a window holds at most one
+# engine redex.  It depends only on the window's two packed letters, and
+# words show few distinct windows, so the process reads each distinct
+# window once into a record, kept in one bounded table that every call
+# shares.  The record holds the redex's class, the step's (rule_id,
+# direction) and its packed replacement letters, which the step splices
+# in without matching again.
 # Termination: each stage strictly decreases its own measure
 # (substitution count; length; projection inversions; derivative-after-
 # integral pairs; ascending integral pairs; ascending derivative pairs)
@@ -342,13 +334,6 @@ _PRIORITY_CLASSES: tuple[tuple[tuple[str, str], ...], ...] = (
 _ORIENTED = {**_MATCHERS,
              ("derint.i", FORWARD): replace(RELATIONS["derint.i"], cond=lambda i, j: i < j)}
 
-# per pair of kind codes, the (class, oriented matcher) pairs whose source
-# kinds open a window of those kinds, in class order
-_WINDOWS = {(a, b): tuple((c, m) for c, rules in enumerate(_PRIORITY_CLASSES)
-                          for m in map(_ORIENTED.get, rules)
-                          if [code for code, _, _ in m.src] == [a, b][:len(m.src)])
-            for a in range(_END) for b in range(_END + 1)}
-
 _NORMALIZE_CAP = 200_000
 
 # _gather takes the first three classes, the strategy's stages (1)-(3),
@@ -360,6 +345,12 @@ _EXPANSIONS = {_ORIENTED[rule].src[0][0]: (rule, [(off, code) for code, _, off i
 (_ABSORPTION,) = _PRIORITY_CLASSES[1]
 _MOVES = {_ORIENTED[rule].src[0][0]: rule for rule in _PRIORITY_CLASSES[2]}
 _ENGINE_CLASSES = range(3, len(_PRIORITY_CLASSES))
+# per pair of kind codes, the (class, oriented matcher) pairs of the engine
+# whose source kinds open a window of those kinds
+_WINDOWS = {(a, b): tuple((c, m) for c in _ENGINE_CLASSES
+                          for m in map(_ORIENTED.get, _PRIORITY_CLASSES[c])
+                          if [code for code, _, _ in m.src] == [a, b][:len(m.src)])
+            for a in range(_END) for b in range(_END + 1)}
 _PROJ = _CODE[GenKind.PROJ]
 _P1 = 1 << 3 | _PROJ
 
@@ -367,8 +358,8 @@ _P1 = 1 << 3 | _PROJ
 def _gather(letters: list[int]) -> tuple[list[int], list[int], list[tuple[int, str, str]]]:
     """Stages (1)-(3) on the packed letters of a word (closed by the
     sentinel), in one pass: the gathered projections, the derivatives and
-    integrals after them, and the steps that reach that word, each
-    oriented_steps(cur)[0] of the word before it."""
+    integrals after them, and the steps that reach that word, each the
+    strategy's first step on the word before it."""
     expand, absorb, move = [], [], []
     block, tail = [], []
     for k in range(len(letters) - 1):
@@ -399,45 +390,29 @@ def _gather(letters: list[int]) -> tuple[list[int], list[int], list[tuple[int, s
     return block, tail, steps
 
 
-_Record = tuple[tuple[int, tuple[str, str], tuple[int, ...]], ...]
+_Record = tuple[int, tuple[str, str], tuple[int, ...]]
 
 
 @lru_cache(maxsize=4096)
-def _read_window(a: int, b: int) -> _Record:
-    """Per priority class with a redex at the window of the packed letters
-    a and b, in class order: the class, the step's (rule_id, direction),
-    and the packed letters that replace the source.  Every call in the
-    process shares the records, so they are tuples; the cache keeps the
-    4,096 most recently read."""
+def _read_window(a: int, b: int) -> Optional[_Record]:
+    """The engine's redex at the window of the packed letters a and b, or
+    None: its class, the step's (rule_id, direction), and the packed
+    letters that replace the source.  Every call in the process shares the
+    records, so they are tuples; the cache keeps the 4,096 most recently
+    read."""
     window = (a, b)
-    record = []
     for c, m in _WINDOWS[a & _KIND, b & _KIND]:
         binding = m.bind(window, 0)
         if binding is not None:
-            record.append((c, (m.rule_id, m.direction),
-                           tuple([(off if var is None else binding[var] + off) << 3 | code
-                                  for code, var, off in m.dst])))
-    return tuple(record)
-
-
-def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
-    """The schedulable steps: all redexes of the highest nonempty priority
-    class, except that the integral shuffle is serialized leftmost
-    (contraction order of disjoint shuffle redexes is observable through
-    later derivative moves).  Any schedule choosing among these reaches
-    the same normal form (checked by the confluence suite)."""
-    letters = _packed(w)
-    found: list[list[tuple[int, str, str]]] = [[] for _ in _PRIORITY_CLASSES]
-    for pos in range(len(w.gens)):
-        for c, step, _ in _read_window(letters[pos], letters[pos + 1]):
-            found[c].append((pos,) + step)
-    steps = next((steps for steps in found if steps), [])
-    return steps[:1] if steps and steps[0][1] == "intint" else steps
+            dst = tuple([(off if var is None else binding[var] + off) << 3 | code
+                         for code, var, off in m.dst])
+            return c, (m.rule_id, m.direction), dst
+    return None
 
 
 def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
     """The normal form of w and the (pos, rule_id, direction) steps that
-    reach it; each step is oriented_steps(cur)[0] of the word before it."""
+    reach it; each step is the strategy's first step on the word before it."""
     block, letters, steps = _gather(_packed(w))
     lo = len(block)  # the engine's window k is the word's window lo + k
     letters.append(_END)
@@ -445,8 +420,9 @@ def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
     start, stop = 0, len(letters) - 1  # the windows to read
     while True:
         for k in range(start, stop):
-            for c, _, _ in _read_window(letters[k], letters[k + 1]):
-                masks[c] |= 1 << k
+            record = _read_window(letters[k], letters[k + 1])
+            if record is not None:
+                masks[record[0]] |= 1 << k
         for c in _ENGINE_CLASSES:
             mask = masks[c]
             if mask:
@@ -456,8 +432,7 @@ def _normalize_steps(w: Word) -> tuple[Word, list[tuple[int, str, str]]]:
         if len(steps) == _NORMALIZE_CAP:
             raise WordError(f"normalization exceeded the step cap of {_NORMALIZE_CAP}")
         pos = (mask & -mask).bit_length() - 1
-        # no class before c has a redex anywhere, so c is the window's first
-        _, step, dst = _read_window(letters[pos], letters[pos + 1])[0]
+        _, step, dst = _read_window(letters[pos], letters[pos + 1])
         stop = pos + len(dst)
         letters[pos:stop] = dst
         steps.append((lo + pos,) + step)

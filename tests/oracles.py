@@ -4,6 +4,12 @@
   whether the two act alike on one function.  The normalizer and
   ``relation_step`` match windows; these build whole sides from a rule and
   its indices instead.
+- The normalizer's strategy, read apart from its engine: every oriented
+  rule bound at every position of a word.  ``normalize`` reads each window
+  once into a record and takes its steps in two phases; the replay tests
+  check each of them against this reading.
+- Structural equality of terms: the kernel's inner term nodes compare and
+  hash by identity, since no product path compares two composite terms.
 - A term evaluated under an endpoint orientation: the kernel acts under the
   upper one, and only the catalogue's trial context applies the lower one,
   as a relabelling of the term.
@@ -34,8 +40,8 @@ from idcalc.polynomials import Orientation, Poly, PolyFun, apply_word
 from idcalc.relations import Ctx
 from idcalc.sphere import Bridge
 from idcalc.terms import Act, Comp, Opaque, Term, _fold, children
-from idcalc.words import (RELATIONS, Equal, NotEqual, Unknown, Word, WordError, _emit,
-                          _Matcher, _random_polyfun, normalize)
+from idcalc.words import (_ORIENTED, _PRIORITY_CLASSES, RELATIONS, Equal, NotEqual, Unknown, Word,
+                          WordError, _emit, _Matcher, _packed, _random_polyfun, normalize)
 
 # ---------------------------------------------------------------------------
 # relation instances
@@ -76,6 +82,49 @@ def relation_instances() -> Iterable[tuple[str, int, Optional[int]]]:
         for i, j in itertools.product(indices, indices if uses_j(m) else (None,)):
             if m.cond(i, j):
                 yield rule_id, i, j
+
+
+# ---------------------------------------------------------------------------
+# the oriented strategy
+
+
+def oriented_steps(w: Word) -> list[tuple[int, str, str]]:
+    """The schedulable steps: all redexes of the highest nonempty priority
+    class, except that the integral shuffle is serialized leftmost
+    (contraction order of disjoint shuffle redexes is observable through
+    later derivative moves).  Any schedule choosing among these reaches
+    the same normal form (checked by the confluence suite)."""
+    letters = _packed(w)
+    for rules in _PRIORITY_CLASSES:
+        steps = [(pos,) + rule for pos in range(len(w.gens)) for rule in rules
+                 if _ORIENTED[rule].bind(letters, pos) is not None]
+        if steps:
+            return steps[:1] if steps[0][1] == "intint" else steps
+    return []
+
+
+# ---------------------------------------------------------------------------
+# structural term equality
+
+
+def same_term(a: Term, b: Term) -> bool:
+    """Whether two terms have the same shape, words and leaves at every
+    address.  The walk runs on an explicit stack, since terms built in code
+    nest to any depth; it passes over identical nodes at once, and compares
+    each pair of node objects once, so it stays linear on shared DAGs."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        kx, ky = children(x), children(y)
+        if (type(x) is not type(y) or len(kx) != len(ky) or (not kx and x != y)
+                or (isinstance(x, Act) and x.word != y.word)):
+            return False
+        stack.extend(zip(kx, ky))
+    return True
 
 
 # ---------------------------------------------------------------------------

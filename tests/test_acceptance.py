@@ -20,8 +20,8 @@ from idcalc.relations import (Ctx, _rand_smooth_term, check_all, check_relation,
                               rand_coeff, rand_word)
 from idcalc.sphere import comb_grid, transition
 from idcalc.terms import max_augment
-from idcalc.words import Equal, normalize, oriented_steps, relation_step, word_eq
-from oracles import has_left_nested_comp, relation_holds_on, vscal
+from idcalc.words import Equal, normalize, relation_step, word_eq
+from oracles import has_left_nested_comp, oriented_steps, relation_holds_on, vscal
 from test_prederiv import rand_direction, rand_pointed
 
 F = Fraction

@@ -16,7 +16,7 @@ from idcalc.terms import (Act, Comp, ILLEGAL, CONTINUOUS_OK, MAX_TERM_DEPTH, SMO
                           _fold, _rebuild, _right_children, children, signature, substitute,
                           sum_t)
 from idcalc.words import Signature, parse_word
-from oracles import has_left_nested_comp, opaque_domains, vscal
+from oracles import has_left_nested_comp, opaque_domains, same_term, vscal
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_substitute_roundtrip():
     t = Comp(leaf, smooth(X2))
     replaced = substitute(t, {(0,): smooth(X2)})
     back = substitute(replaced, {(0,): leaf})
-    assert back == t
+    assert same_term(back, t)
 
 
 def test_substitute_rejects_overlap():
@@ -79,7 +79,7 @@ def test_substitute_rejects_overlap():
 def test_substitute_replaces_leaf():
     t = Comp(OP_C, smooth(X2))
     out = substitute(t, {(0,): smooth(X2)})
-    assert out == Comp(smooth(X2), smooth(X2))
+    assert same_term(out, Comp(smooth(X2), smooth(X2)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def _rand_term(rng, depth=3):
 
 def test_max_augment_rotates():
     a, b, c = smooth(X2), smooth(X2), smooth(X2)
-    assert max_augment(Comp(Comp(a, b), c)) == Comp(a, Comp(b, c))
+    assert same_term(max_augment(Comp(Comp(a, b), c)), Comp(a, Comp(b, c)))
 
 
 def test_max_augment_fixed_point():
@@ -151,7 +151,7 @@ def test_max_augment_fixed_point():
 def test_max_augment_recurses_into_tuples():
     a, b, c, d = smooth(X2), smooth(X2), smooth(X2), smooth(X2)
     t = TupleT((Comp(Comp(a, b), c), d))
-    assert max_augment(t) == TupleT((Comp(a, Comp(b, c)), d))
+    assert same_term(max_augment(t), TupleT((Comp(a, Comp(b, c)), d)))
 
 
 def test_max_augment_properties_random():
@@ -188,8 +188,8 @@ def test_sum_t_is_the_pointwise_tree():
     a = smooth("poly 1->2 on (0,1) : 1 x1; 1 x1^2")
     b = smooth("poly 1->2 on (0,1) : 3; -1 x1")
     dom = parse_box("(0,1)")
-    assert sum_t(a, b) == Comp(Comp(vecsum(2, 2), TupleT((a, b))),
-                               diag(dom, 2))
+    assert same_term(sum_t(a, b), Comp(Comp(vecsum(2, 2), TupleT((a, b))),
+                                       diag(dom, 2)))
 
 
 def test_scal_t_unit():
@@ -250,7 +250,7 @@ def test_parse_format_roundtrip():
     env = {"c": parse_box("(0,1)")}
     text = "<([I1] c . {poly 2->1 on (0,1)x(0,1) : 1 x1 x2}), c>"
     t = parse_term(text, env)
-    assert parse_term(format_term(t), env) == t
+    assert same_term(parse_term(format_term(t), env), t)
 
 
 def test_derived_constructors_reject_mismatches():
@@ -313,37 +313,55 @@ def test_deep_terms_built_in_code(shape):
 
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_deep_terms_compare_and_hash(shape):
-    """Equality and hashing run on explicit stacks: two chains 10,000 deep,
-    built apart, are equal with equal hashes, and a third one differing
-    only in its bottom leaf is not equal."""
+    """The structural comparison runs on an explicit stack: two chains
+    10,000 deep, built apart, are the same term, and a third one differing
+    only in its bottom leaf is not.  Composite terms compare and hash by
+    identity, which walks nothing."""
     wrap = DEEP_SHAPES[shape][0]
     t, same = _deep(wrap, DEEP), _deep(wrap, DEEP, smooth("poly 1->1 on R : 1 x1"))
     other = _deep(wrap, DEEP, smooth("poly 1->1 on R : 2 x1"))
-    assert t == same and hash(t) == hash(same)
-    assert t != other and not t == other
+    assert same_term(t, same) and same_term(same, t)
+    assert not same_term(t, other) and not same_term(other, t)
+    assert t == t and t != same and hash(t) == hash(t)
 
 
 def test_parsed_terms_at_the_depth_bound_compare_and_hash():
     def text(leaf):
         return "<" * MAX_TERM_DEPTH + leaf + ">" * MAX_TERM_DEPTH
     a, b = parse_term(text(LEAF_TEXT)), parse_term(text(LEAF_TEXT))
-    assert a == b and hash(a) == hash(b)
-    assert a != parse_term(text("{poly 1->1 on R : 2 x1}"))
+    assert same_term(a, b)
+    assert not same_term(a, parse_term(text("{poly 1->1 on R : 2 x1}")))
 
 
 def test_equal_terms_hash_equal():
-    """a == b implies hash(a) == hash(b), over random terms and their
-    rebuilt copies; unequal kinds and words compare unequal."""
+    """Random terms and their rebuilt copies are the same term; a set keeps
+    a composite term and its copy apart, since they hash by identity, and
+    a leaf and its copy as one, since leaves hash by value.  Unequal kinds
+    and words are not the same term."""
     rng = random.Random(21)
     for _ in range(100):
         t = _rand_term(rng)
         copy = parse_term(format_term(t))
-        assert t == copy and hash(t) == hash(copy)
-        assert len({t, copy}) == 1
+        assert same_term(t, copy) and same_term(copy, t)
+        assert len({t, copy}) == (1 if not children(t) else 2)
     x = smooth("poly 1->1 on R : 1 x1")
-    assert Act(parse_word("D1"), x) != Act(parse_word("D2"), x)
-    assert Comp(x, x) != TupleT((x, x)) and TupleT((x,)) != x and x != TupleT((x,))
-    assert TupleT((x, x)) != TupleT((x,))
+    assert not same_term(Act(parse_word("D1"), x), Act(parse_word("D2"), x))
+    assert not same_term(Comp(x, x), TupleT((x, x)))
+    assert not same_term(TupleT((x,)), x) and not same_term(x, TupleT((x,)))
+    assert not same_term(TupleT((x, x)), TupleT((x,)))
+
+
+def test_same_term_is_linear_on_shared_dags():
+    """Two DAGs built apart, each level the composition of the level below
+    with itself: 2**200 paths each, which only a walk that compares each
+    pair of node objects once gets through."""
+    def dag(leaf):
+        t = leaf
+        for _ in range(200):
+            t = Comp(t, t)
+        return t
+    assert same_term(dag(smooth("poly 1->1 on R : 1 x1")), dag(smooth("poly 1->1 on R : 1 x1")))
+    assert not same_term(dag(smooth("poly 1->1 on R : 1 x1")), dag(smooth("poly 1->1 on R : 2 x1")))
 
 
 def _address_walks(depth: int) -> tuple:
@@ -417,7 +435,10 @@ def test_each_fold_visits_a_shared_subterm_once(monkeypatch, fold):
     monkeypatch.setattr(terms, "_fold", counting)
     monkeypatch.setattr(evaluation, "_fold", counting)
     fold(t)
-    assert visits[id(s)] == 1 and set(visits.values()) == {1}
+    if fold is hash:  # composite terms hash by identity: nothing is walked
+        assert not visits
+    else:
+        assert visits[id(s)] == 1 and set(visits.values()) == {1}
 
 
 def _factors(t):
@@ -446,7 +467,7 @@ def test_max_augment_of_a_long_left_chain_with_shared_parts():
     for f in reversed(factors):
         expected = Comp(f, expected)
     out = max_augment(t)
-    assert out == expected == _fold(t, _rebuild, _right_children)
+    assert same_term(out, expected) and same_term(expected, _fold(t, _rebuild, _right_children))
     assert not has_left_nested_comp(out)
     pair = max_augment(TupleT((t, t)))
-    assert pair.items[0] is pair.items[1] and pair.items[0] == expected
+    assert pair.items[0] is pair.items[1] and same_term(pair.items[0], expected)

@@ -10,9 +10,10 @@ from idcalc.polynomials import Orientation, apply_word, format_polyfun, parse_po
 from idcalc.relations import rand_polyfun, rand_word
 from idcalc.words import (BACKWARD, FORWARD, D, Equal, Gen, GenKind, I, NotEqual, Q,
                           Signature, Unknown, Word, WordError, _normalize_steps,
-                          applicable_steps, normalize, oriented_steps, p, parse_word, q,
-                          relation_step, signature_effect, word_eq)
-from oracles import relation_holds_on, relation_instances, relation_sides, word_eq_per_call
+                          normalize, p, parse_word, q, relation_step, signature_effect,
+                          word_eq)
+from oracles import (oriented_steps, relation_holds_on, relation_instances, relation_sides,
+                     word_eq_per_call)
 
 
 def w(text):
@@ -65,10 +66,9 @@ def test_step_rejects_bad_position_or_direction(pos, direction):
 
 def test_relation_step_accepts_exactly_the_applicable_steps():
     """At every position from -1 to the word's length, relation_step
-    accepts a rule and direction exactly when applicable_steps lists
-    them, and exactly when the window there is a whole source side of an
-    instance of the rule: every word of length <= 2 over I/D/p/q/Q with
-    indices 1-4."""
+    accepts a rule and direction exactly when the window there is a whole
+    source side of an instance of the rule: every word of length <= 2 over
+    I/D/p/q/Q with indices 1-4."""
     sources = {}  # (rule_id, direction) -> the source sides of its instances
     for rule_id, i, j in relation_instances():
         lhs, rhs = relation_sides(rule_id, i, j)
@@ -77,7 +77,6 @@ def test_relation_step_accepts_exactly_the_applicable_steps():
     gens = [Gen(kind, i) for kind in GenKind for i in range(1, 5)]
     for n in range(3):
         for word in map(Word, itertools.product(gens, repeat=n)):
-            listed = set(applicable_steps(word))
             for pos, ((rule_id, d), sides) in itertools.product(range(-1, n + 1),
                                                                  sources.items()):
                 try:
@@ -86,8 +85,7 @@ def test_relation_step_accepts_exactly_the_applicable_steps():
                 except WordError:
                     accepted = False
                 matched = pos >= 0 and any(word.gens[pos:pos + len(s)] == s for s in sides)
-                assert accepted == ((pos, rule_id, d) in listed) == matched, \
-                    (str(word), pos, rule_id, d)
+                assert accepted == matched, (str(word), pos, rule_id, d)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +225,15 @@ def test_normalize_at_large_indices(word, nf):
 
 
 def test_steps_at_large_indices():
+    """Steps past MAX_INDEX rewrite the window, and the opposite direction
+    at the same position takes each back."""
     word = Word.of(q(1000), I(1001), D(_BIG))
-    assert (0, "leftproj.iii", FORWARD) in applicable_steps(word)
-    assert relation_step(word, 0, "leftproj.iii", FORWARD) == Word.of(I(1002), q(1000), D(_BIG))
-    assert relation_step(word, 1, "derint.iii", BACKWARD) == Word.of(q(1000), D(_BIG + 1), I(1001))
+    shuffled = relation_step(word, 0, "leftproj.iii", FORWARD)
+    assert shuffled == Word.of(I(1002), q(1000), D(_BIG))
+    assert relation_step(shuffled, 0, "leftproj.iii", BACKWARD) == word
+    moved = relation_step(word, 1, "derint.iii", BACKWARD)
+    assert moved == Word.of(q(1000), D(_BIG + 1), I(1001))
+    assert relation_step(moved, 1, "derint.iii", FORWARD) == word
 
 
 @pytest.mark.parametrize("text, nf, steps", [
@@ -274,27 +277,36 @@ def test_each_class_has_at_most_one_redex_per_window():
 
 
 def test_window_records_equal_a_direct_read():
-    """Every cached record is every oriented matcher of the priority
-    classes bound directly, for every pair of kind codes (the sentinel
-    second) and indices 1-6; records are tuples, since every call shares
-    them."""
-    firsts = [(c, i) for c in range(words._END) for i in range(1, 7)]
-    seconds = firsts + [(words._END, i) for i in range(7)]
-    for (ca, ia), (cb, ib) in itertools.product(firsts, seconds):
-        a, b = ia << 3 | ca, ib << 3 | cb
-        direct = []
-        for c, rules in enumerate(words._PRIORITY_CLASSES):
-            for m in map(words._ORIENTED.get, rules):
-                binding = m.bind((a, b), 0)
-                if binding is not None:
-                    dst = tuple(g.index << 3 | words._CODE[g.kind]
-                                for g in words._emit(m.dst, binding))
-                    direct.append((c, (m.rule_id, m.direction), dst))
+    """Every cached record is the one engine matcher that binds its window
+    directly, or None when none does.  At most one binds any window of
+    I/D letters and the sentinel, and every window holding a p, q or Q
+    letter reads None: indices 1-7, the sentinel's kind with indices 0-7.
+    Records are tuples, since every call shares them."""
+    engine = [(c, words._ORIENTED[rule]) for c in words._ENGINE_CLASSES
+              for rule in words._PRIORITY_CLASSES[c]]
+
+    def letters(*kinds):
+        return [i << 3 | words._CODE[kind] for kind in kinds for i in range(1, 8)]
+
+    moved = letters(GenKind.INT, GenKind.PART)
+    others = letters(GenKind.PROJ, GenKind.SUB_HI, GenKind.SUB_LO)
+    sentinels = [i << 3 | words._END for i in range(8)]
+    for a, b in itertools.product(moved + others, moved + others + sentinels):
         record = words._read_window(a, b)
-        assert record == tuple(direct), (ca, ia, cb, ib)
-        assert type(record) is tuple
-        assert all(type(r) is tuple and type(r[1]) is tuple and type(r[2]) is tuple
-                   for r in record)
+        if a in others or b in others:
+            assert record is None, (a, b)
+            continue
+        direct = []
+        for c, m in engine:
+            binding = m.bind((a, b), 0)
+            if binding is not None:
+                dst = tuple(g.index << 3 | words._CODE[g.kind]
+                            for g in words._emit(m.dst, binding))
+                direct.append((c, (m.rule_id, m.direction), dst))
+        assert len(direct) <= 1, (a, b)
+        assert record == (direct[0] if direct else None), (a, b)
+        if record is not None:
+            assert type(record) is tuple and type(record[1]) is tuple and type(record[2]) is tuple
 
 
 def test_window_table_stays_bounded():
@@ -519,9 +531,22 @@ def test_two_random_schedules_reach_one_normal_form():
 
 
 def test_applicable_steps_are_wellformed():
+    """relation_step accepts exactly these steps on q1 I2 D1 p3, among
+    every rule and direction at every position, and the opposite direction
+    at the same position takes each back."""
     word = w("q1 I2 D1 p3")
-    for pos, rule_id, direction in applicable_steps(word):
-        relation_step(word, pos, rule_id, direction)
+    opposite = {FORWARD: BACKWARD, BACKWARD: FORWARD}
+    accepted = []
+    for pos, rule_id, direction in itertools.product(range(4), words.RELATIONS, opposite):
+        try:
+            out = relation_step(word, pos, rule_id, direction)
+        except WordError:
+            continue
+        accepted.append((pos, rule_id, direction))
+        assert relation_step(out, pos, rule_id, opposite[direction]) == word
+    assert accepted == [(0, "leftproj.i", FORWARD), (0, "leftproj.iii", FORWARD),
+                        (1, "derint.ii", BACKWARD), (2, "coordint.iii", BACKWARD),
+                        (3, "coordint.i", FORWARD)]
 
 
 def test_submonoid_predicates():

@@ -67,20 +67,15 @@ ALLOW: list[tuple[str, str, str]] = [
 _STEP_API = ("the single-step API stays for ROADMAP item 3's derivation search and "
              "item 10's certificate replay; no product path rewrites one step")
 _TRACED = "a target of perfbench's span tracer, which a rename or deletion breaks"
-_TERM_EQ = ("term equality stays for ROADMAP item 17's matcher and vacuous-trial "
-            "check; no product path compares or hashes two composite terms")
 _REFUSAL = "it runs only when a command refuses its input, and the README's runs all succeed"
 PROMISED: list[tuple[str, str, str]] = [
     ("words.relation_step", "single-step rewriting API", f"{_TRACED}; {_STEP_API}"),
     ("words._emit", "single-step rewriting API",
-     "it builds the rewritten letters of relation_step, its one caller"),
-    ("words.applicable_steps", "single-step rewriting API", _STEP_API),
-    ("words.oriented_steps", "single-step rewriting API", _STEP_API),
+     "it builds the rewritten letters of relation_step, its one caller in the package, "
+     "and the sides of the suite's relation oracle (tests/oracles.py, relation_sides)"),
     ("terms.substitute", "simultaneous substitution",
      f"{_TRACED}; instantiate replaces opaque leaves in one fold, by object, "
      "not by address, and no command substitutes at an address"),
-    ("terms._Node.__eq__", "two equal terms of any depth compare equal", _TERM_EQ),
-    ("terms._Node.__hash__", "hash alike", _TERM_EQ),
     ("boxes._echo", "refused with its length and a cut-short echo", _REFUSAL),
     ("boxes.Cursor.fail", "Every refusal of a text names where it fails", _REFUSAL),
     ("cli._ArgumentParser.error", "a usage error such as a missing argument", _REFUSAL),
