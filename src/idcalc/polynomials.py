@@ -157,18 +157,6 @@ class Poly:
             out[nk] = out[nk] + c * e if nk in out else c * e
         return _canonical(self.arity, out)
 
-    def antideriv(self, i: int) -> "Poly":
-        """An antiderivative with respect to x_i (no constant term in x_i)."""
-        if not 1 <= i <= self.arity:
-            raise PolyError(f"antideriv index {i} out of range for arity {self.arity}")
-        out: dict[Key, Fraction] = {}
-        for k, c in self.terms:
-            e = k[i - 1]
-            nk = k[: i - 1] + (e + 1,) + k[i:]
-            d = c / (e + 1)
-            out[nk] = out[nk] + d if nk in out else d
-        return _canonical(self.arity, out)
-
     def remap(self, new_arity: int, mapping: Sequence[int]) -> "Poly":
         """Substitute x_j := x_mapping[j-1] (1-based) in a space of
         ``new_arity`` variables, by renaming with no products; 0 substitutes
@@ -662,14 +650,18 @@ def smint(f: PolyFun, j: int) -> PolyFun:
         raise PolyError("smint index must be >= 1")
     if j > f.arity:
         f = _extend(f, j - f.arity)
-    m = f.arity
-    dom = domint(f.domain, j)
-    up_map, lo_map = _deletion(m, j), _deletion(m, j + 1)
     comps = []
     for p in f.components:
-        anti = p.antideriv(j)
-        comps.append(anti.remap(m + 1, up_map).sub(anti.remap(m + 1, lo_map)))
-    return PolyFun(dom, tuple(comps), f.is_partial)
+        # c x^k gives c/e (x_(j+1)^e - x_j^e), e = k_j + 1: the upper term has 0
+        # at slot j, the lower one 0 at slot j + 1, so no two terms share a key
+        out: dict[Key, Fraction] = {}
+        for k, c in p.terms:
+            head, e, tail = k[:j - 1], k[j - 1] + 1, k[j:]
+            d = c / e
+            out[head + (0, e) + tail] = d
+            out[head + (e, 0) + tail] = -d
+        comps.append(_canonical(f.arity + 1, out))
+    return PolyFun(domint(f.domain, j), tuple(comps), f.is_partial)
 
 
 # -- operator-generator action -----------------------------------------------------

@@ -539,13 +539,19 @@ def word_eq(w1: Word, w2: Word, trials: int = _TRIALS, seed: int = 0):
     agreement on every trial with distinct normal forms is honest Unknown
     (the relation table is sound but not complete for the smooth action).
     The process keeps each recent seed's first 12 witnesses (the default
-    trials) and draws any further ones afresh.
+    trials) and draws any further ones afresh.  Each witness meets the
+    words' common suffix, the letters that act first, once.
     """
     if trials < 1:
         raise WordError(f"trials must be >= 1, got {trials}")
     if normalize(w1) == normalize(w2):
         return Equal()
+    k1, k2 = len(w1.gens), len(w2.gens)
+    while k1 and k2 and w1.gens[k1 - 1] == w2.gens[k2 - 1]:
+        k1, k2 = k1 - 1, k2 - 1
+    suffix, head1, head2 = Word(w1.gens[k1:]), Word(w1.gens[:k1]), Word(w2.gens[:k2])
     for _, f in zip(range(trials), _witnesses(seed)):
-        if apply_word(w1, f) != apply_word(w2, f):
+        g = apply_word(suffix, f)
+        if apply_word(head1, g) != apply_word(head2, g):
             return NotEqual(witness=f)
     return Unknown()

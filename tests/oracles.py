@@ -23,8 +23,10 @@
 - Scaling by a rational, of a polynomial and of a function: no kernel
   operation scales alone (``apply`` folds its scalars into the derivative
   it sums, and ``scal_t`` multiplies by a constant function).
-- ``word_eq`` with its witnesses drawn afresh from ``Random(seed)`` on
-  every call: the kernel keeps each seed's first witnesses instead.
+- ``word_eq`` applying both words whole to each witness, with the
+  witnesses drawn afresh from ``Random(seed)`` on every call or taken from
+  the kernel's store: the kernel applies a pair's common suffix once per
+  witness, and keeps each seed's first witnesses.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from idcalc.relations import Ctx
 from idcalc.sphere import Bridge
 from idcalc.terms import Act, Comp, Opaque, Term, _fold, children
 from idcalc.words import (_ORIENTED, _PRIORITY_CLASSES, RELATIONS, Equal, NotEqual, Unknown, Word,
-                          WordError, _emit, _Matcher, _packed, _random_polyfun, normalize)
+                          WordError, _emit, _Matcher, _packed, _random_polyfun, _witnesses,
+                          normalize)
 
 # ---------------------------------------------------------------------------
 # relation instances
@@ -189,15 +192,24 @@ def vscal(a: RatLike, f: PolyFun) -> PolyFun:
 
 
 # ---------------------------------------------------------------------------
-# word equality, drawing every witness afresh
+# word equality, both words applied whole
 
 
-def word_eq_per_call(w1: Word, w2: Word, trials: int, seed: int):
+def _word_eq_whole(w1: Word, w2: Word, witnesses: Iterable[PolyFun]):
     if normalize(w1) == normalize(w2):
         return Equal()
-    rng = random.Random(seed)
-    for _ in range(trials):
-        f = _random_polyfun(rng)
+    for f in witnesses:
         if apply_word(w1, f) != apply_word(w2, f):
             return NotEqual(witness=f)
     return Unknown()
+
+
+def word_eq_per_call(w1: Word, w2: Word, trials: int, seed: int):
+    """Drawing every witness afresh."""
+    rng = random.Random(seed)
+    return _word_eq_whole(w1, w2, (_random_polyfun(rng) for _ in range(trials)))
+
+
+def word_eq_whole_words(w1: Word, w2: Word, trials: int = 12, seed: int = 0):
+    """On the kernel's witnesses."""
+    return _word_eq_whole(w1, w2, itertools.islice(_witnesses(seed), trials))

@@ -96,8 +96,11 @@ CORE = identity_core(1)
      "bad monomial factor 'x' at offset 31 in polynomial text"),
     # rows added later go last, so that the ids above keep their numbers
     (Poly.var(2, 2).partial, (0,), PolyError, "partial index must be >= 1"),
-    (X1.antideriv, (0,), PolyError, "antideriv index 0 out of range for arity 1"),
-    (Y1.antideriv, (3,), PolyError, "antideriv index 3 out of range for arity 2"),
+    # two checks that no row ran take the places of two removed rows
+    (relation_step, (parse_word("I1"), 0, "intint", "sideways"), WordError,
+     "unknown direction 'sideways'"),
+    (relation_step, (parse_word("I1"), 0, "intint", "forward"), WordError,
+     "intint (forward) does not apply at position 0"),
     # the germ of z at 0 needs 0 in z's domain
     (compose_germ, (parse_polyfun("poly 1->1 on (0,1) : 1 x1"),
                     parse_polyfun("poly 1->1 on (1,2) : 1 x1")),

@@ -301,8 +301,9 @@ def _closure_point(rng, box):
 
 
 def test_poly_ops_match_sympy():
-    """add, mul, powers by repeated mul, subst, partial and antideriv agree
-    with sympy's expansion coefficient for coefficient, eval agrees with
+    """add, mul, powers by repeated mul, subst, partial and smint (at a slot
+    of the domain and at one past it) agree with sympy's expansion and
+    definite integral coefficient for coefficient, eval agrees with
     sympy's value at a rational point with some zero coordinates, and
     range_bound encloses every sampled value on the closed domain."""
     sympy = pytest.importorskip("sympy")
@@ -329,7 +330,13 @@ def test_poly_ops_match_sympy():
             power = power.mul(a)
         i = rng.randint(1, m)
         assert agrees(a.partial(i), sa.diff(xs[i - 1]))
-        assert agrees(a.antideriv(i), sa.integrate(xs[i - 1]))
+        for j in (i, m + i):
+            # x_j becomes t, integrated from z_j to z_(j+1); the x after it move up one
+            zs, t = sympy.symbols(f"z1:{max(m, j) + 2}"), sympy.Symbol("t")
+            moved = sa.as_expr().subs({x: t if k == j else zs[k - (k < j)]
+                                       for k, x in enumerate(xs, 1)}, simultaneous=True)
+            integral = sympy.integrate(moved, (t, zs[j - 1], zs[j]))
+            assert agrees(smint(f, j).components[0], sympy.Poly(integral, *zs, domain="QQ"))
         args = rand_polyfun(rng, Box.full(n), m, 2).components
         sargs = [to_sympy(q, ys) for q in args]
         sub = sympy.Poly(0, *ys, domain="QQ")
@@ -782,8 +789,8 @@ def test_polyfun_json_form():
 #
 # Simpson's rule is exact for integrands of degree <= 3, and the
 # three-point Lagrange derivative is exact for degree <= 2; both give
-# independent routes to the same rational values as the antiderivative
-# and term-shift implementations.
+# independent routes to the same rational values as the one-pass
+# integral and term-shift implementations.
 
 
 def _simpson(g, a, b):

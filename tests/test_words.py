@@ -13,7 +13,7 @@ from idcalc.words import (BACKWARD, FORWARD, D, Equal, Gen, GenKind, I, NotEqual
                           normalize, p, parse_word, q, relation_step, signature_effect,
                           word_eq)
 from oracles import (oriented_steps, relation_holds_on, relation_instances, relation_sides,
-                     word_eq_per_call)
+                     word_eq_per_call, word_eq_whole_words)
 
 
 def w(text):
@@ -411,6 +411,43 @@ def test_word_eq_verdicts_are_pinned():
     assert len(lines) == 915
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "802d5806c083c041e30849be6e659897f210026dcd1c94318086ae26fd382937"
+
+
+def test_word_eq_equals_the_whole_word_oracle():
+    """Verdicts and witnesses equal those of both words applied whole to
+    each witness, on every pair of the 111 words of length <= 2 with
+    indices <= 2."""
+    short = [Word(gens) for n in range(3) for gens in itertools.product(
+        [Gen(kind, i) for kind in GenKind for i in (1, 2)], repeat=n)]
+    assert len(short) == 111
+    for a in short:
+        for b in short:
+            assert word_eq(a, b) == word_eq_whole_words(a, b), (str(a), str(b))
+
+
+@pytest.mark.parametrize("a, b, verdict, suffix, heads", [
+    ("p1 I3 D4 Q5", "p2 I3 D4 Q5", Unknown, "I3 D4 Q5", ["p1", "p2"]),
+    ("p2 p3 I2", "p2 p4 I2", Unknown, "I2", ["p2 p3", "p2 p4"]),
+    ("D2 I1", "I1", NotEqual, "I1", ["D2", "1"]),
+    ("I1", "D1 I1", NotEqual, "I1", ["1", "D1"]),
+    ("1", "D1 I1", NotEqual, "1", ["1", "D1 I1"]),
+    ("D1 I1", "D2 I2", NotEqual, "1", ["D1 I1", "D2 I2"]),
+    ("I1 D1", "I1 D1", Equal, "I1 D1", ["1", "1"]),
+])
+def test_word_eq_applies_a_common_suffix_once(monkeypatch, a, b, verdict, suffix, heads):
+    """Per witness: the common suffix once, then each word's prefix on the
+    result; identical words act on no witness."""
+    calls = []
+    act = words.apply_word
+    monkeypatch.setattr(words, "apply_word", lambda u, f: calls.append(str(u)) or act(u, f))
+    out = word_eq(w(a), w(b))
+    assert isinstance(out, verdict)
+    assert out == word_eq_whole_words(w(a), w(b))
+    if verdict is NotEqual:  # the witnesses up to the refuting one
+        witnesses = words._kept_witnesses(0)[0].index(out.witness) + 1
+    else:
+        witnesses = 12 if verdict is Unknown else 0
+    assert calls == [suffix, *heads] * witnesses
 
 
 def _count_draws(monkeypatch) -> list:
